@@ -1,9 +1,11 @@
 """Corpus statistics: totals, creators, licenses, namespaces, types.
 
 All statistics are exact counts or exact ratios over a corpus of valid
-nanopublications; a single streaming pass computes everything a report
-needs.  Creator and license scans look at pubinfo graphs only, type
-counts at assertion graphs only, the namespace table at all four.
+nanopublications.  ``load_corpus`` reads each file whole and splits it
+into a list held in memory; ``write_reports`` then makes one pass over
+that list per analysis, five in all.  Creator and license scans look at
+pubinfo graphs only, type counts at assertion graphs only, the namespace
+table at all four.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ RULE_IDS = (
     "pubinfo-detached",
 )
 
-_HEAD_LINKS = (ns.NP_HAS_ASSERTION, ns.NP_HAS_PROVENANCE, ns.NP_HAS_PUBINFO)
+HEAD_LINKS = (ns.NP_HAS_ASSERTION, ns.NP_HAS_PROVENANCE, ns.NP_HAS_PUBINFO)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def validate(doc: QuadDocument, uri: str) -> ValidationReport:
     violations: list[tuple[str, str]] = []
 
     links: dict[str, list[Quad]] = {}
-    for pred in _HEAD_LINKS:
+    for pred in HEAD_LINKS:
         found = _link_objects(doc, uri, pred)
         links[pred] = found
         short = pred.rsplit("#", 1)[-1]
@@ -116,7 +116,7 @@ def validate(doc: QuadDocument, uri: str) -> ValidationReport:
     if any(len(found) != 1 for found in links.values()):
         return ValidationReport(False, tuple(violations))
 
-    head_graphs = {links[pred][0].graph.value for pred in _HEAD_LINKS}
+    head_graphs = {links[pred][0].graph.value for pred in HEAD_LINKS}
     if len(head_graphs) != 1:
         violations.append(
             ("scattered-head", f"head links live in {len(head_graphs)} graphs")

@@ -192,6 +192,12 @@ def match(doc: QuadDocument, pattern: QuadPattern) -> list[Quad]:
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
+#
+# One compiled pattern matches a token, after any whitespace and comments,
+# at the current offset; for an IRI or a string it matches only the opening
+# character, and ``_lex_iri``/``_lex_string`` read the rest.  A token is a
+# ``(type, value, offset)`` tuple;
+# line and column are computed from the offset only when an error is raised.
 
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", ".": "DOT", ";": "SEMI", ",": "COMMA"}
 
@@ -206,195 +212,141 @@ _ESCAPES = {
     "\\": "\\",
 }
 
-_NAME_END = set(" \t\r\n{}();,\"'<")
+_Token = tuple[str, str, int]  # (type, value, offset)
+
+_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+_NAME_CHAR = r"""[^ \t\r\n{}();,"'<.]"""
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"  # at most U+10FFFF
+_ECHAR = r"""\\[tbnrf"'\\]"""
+
+_SKIP_RE = re.compile(_SKIP)
+# The skip is matched inside a lookahead and consumed by a backreference.  A
+# lookahead is never re-entered, so when no token follows, the engine cannot
+# backtrack into the skip (exponential over a whitespace run) or into a
+# comment (and lex a token from inside it).  Python 3.10 has no atomic groups.
+_TOKEN_RE = re.compile(
+    rf"(?=(?P<SKIP>{_SKIP}))(?P=SKIP)"
+    + rf"""(?:
+        (?P<IRI><)
+      | (?P<PUNCT>[{{}}.;,])                     # so a leading '.' never starts a number
+      | (?P<STRING>["'])
+      | (?P<BRACKET>\[)
+      | (?P<BLANK>_:)
+      | (?P<AT>@(?:[^\W_]|-)*)
+      # a sign or an exponent without digits is taken here and rejected later
+      | (?P<NUMBER>(?:[0-9]|[+-](?=[0-9.]))[0-9]*(?:\.[0-9]+)?(?:[eE](?=[0-9+-])[+-]?[0-9]*)?)
+      | (?P<NAME>(?:{_NAME_CHAR}|\.(?={_NAME_CHAR}))+)
+      | (?P<END>\Z)
+    )""",
+    re.VERBOSE,
+)
+# Bodies of IRIs and strings up to the first character that ends or breaks them.
+_IRI_BODY_RE = re.compile(rf"[^>\\ \t\r\n]*(?:(?:{_UCHAR})[^>\\ \t\r\n]*)*")
 
 
-@dataclass
-class _Token:
-    typ: str
-    value: str
-    line: int
-    col: int
+def _string_body(quote: str, long_form: bool) -> re.Pattern:
+    # a long string may hold newlines, and quotes that do not close it
+    plain = rf"[^{quote}\\]*" if long_form else rf"[^{quote}\\\n]*"
+    special = rf"{quote}(?!{quote}{quote})|{_ECHAR}|{_UCHAR}" if long_form else rf"{_ECHAR}|{_UCHAR}"
+    return re.compile(rf"{plain}(?:(?:{special}){plain})*")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+_STRING_BODY_RE = {(q, long_form): _string_body(q, long_form) for q in "\"'" for long_form in (False, True)}
+_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
-    def error(self, msg: str, line: int | None = None, col: int | None = None):
-        raise TrigSyntaxError(msg, line or self.line, col or self.col)
 
-    def _peek(self, offset: int = 0) -> str:
-        j = self.pos + offset
-        return self.text[j] if j < len(self.text) else ""
+def _unescape_match(m: re.Match) -> str:
+    if m.group(3) is not None:
+        return _ESCAPES[m.group(3)]
+    return chr(int(m.group(1) or m.group(2), 16))
 
-    def _advance(self, n: int = 1) -> str:
-        out = self.text[self.pos : self.pos + n]
-        for ch in out:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
+
+def _unescape(body: str) -> str:
+    return _UNESCAPE_RE.sub(_unescape_match, body) if "\\" in body else body
+
+
+def _syntax_error(message: str, text: str, offset: int, cls=TrigSyntaxError) -> TrigSyntaxError:
+    """The error for ``offset``, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return cls(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _bad_escape(kind: str, text: str, off: int, backslash: int) -> TrigSyntaxError:
+    esc = text[backslash + 1 : backslash + 2]
+    if esc in "uU":  # also at the end of input, where esc is ""
+        return _syntax_error(f"bad \\{esc} escape", text, off)
+    return _syntax_error(f"invalid {kind} escape \\{esc}", text, off)
+
+
+def _lex_iri(text: str, off: int) -> tuple[str, int]:
+    """Value and end offset of the IRI whose ``<`` is at ``off``."""
+    end = _IRI_BODY_RE.match(text, off + 1).end()
+    c = text[end : end + 1]
+    if c == ">":
+        return _unescape(text[off + 1 : end]), end + 1
+    if c == "":
+        raise _syntax_error("unterminated IRI", text, off)
+    if c != "\\":
+        raise _syntax_error("whitespace inside IRI", text, off)
+    raise _bad_escape("IRI", text, off, end)
+
+
+def _lex_string(text: str, off: int) -> tuple[str, int]:
+    """Value and end offset of the string whose opening quote is at ``off``."""
+    quote = text[off]
+    long_form = text.startswith(quote * 2, off + 1)
+    close = quote * 3 if long_form else quote
+    start = off + len(close)
+    end = _STRING_BODY_RE[quote, long_form].match(text, start).end()
+    if text.startswith(close, end):
+        return _unescape(text[start:end]), end + len(close)
+    c = text[end : end + 1]
+    if c == "":
+        raise _syntax_error("unterminated string", text, off)
+    if c == "\n":
+        raise _syntax_error("newline in single-quoted string", text, off)
+    raise _bad_escape("string", text, off, end)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    toks = []
+    append = toks.append
+    match = _TOKEN_RE.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            off = _SKIP_RE.match(text, pos).end()
+            raise _syntax_error(f"unexpected character {text[off]!r}", text, off)
+        kind = m.lastgroup
+        off = m.start(kind)
+        pos = m.end()
+        if kind == "IRI":
+            value, pos = _lex_iri(text, off)
+            append(("IRI", value, off))
+        elif kind == "PUNCT":
+            append((_PUNCT[text[off]], text[off], off))
+        elif kind == "STRING":
+            value, pos = _lex_string(text, off)
+            append(("STRING", value, off))
+        elif kind == "NAME":
+            append(("NAME", text[off:pos], off))
+        elif kind == "AT":
+            append(("AT", text[off + 1 : pos], off))
+        elif kind == "NUMBER":
+            number = text[off:pos]
+            if number[-1] in "+-eE":
+                raise _syntax_error(f"malformed numeric literal {number!r}", text, off)
+            if "e" in number or "E" in number:
+                append(("DOUBLE", number, off))
             else:
-                self.col += 1
-        self.pos += n
-        return out
-
-    def tokens(self) -> Iterator[_Token]:
-        while self.pos < len(self.text):
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "#":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                continue
-
-            line, col = self.line, self.col
-
-            if c == "<":
-                yield self._lex_iri(line, col)
-                continue
-            if c in "\"'":
-                yield self._lex_string(line, col)
-                continue
-            if c in _PUNCT:
-                # '.' may start a numeric literal like .5 -- not in subset,
-                # so a bare dot is always a statement terminator here.
-                self._advance()
-                yield _Token(_PUNCT[c], c, line, col)
-                continue
-            if c == "[":
-                self.error("blank nodes are not allowed", line, col)
-            if c == "_" and self._peek(1) == ":":
-                raise BlankNodeError("blank nodes are not allowed", line, col)
-            if c == "@":
-                self._advance()
-                word = self._lex_bareword()
-                yield _Token("AT", word, line, col)
-                continue
-            if c.isdigit() or (c in "+-" and (self._peek(1).isdigit() or self._peek(1) == ".")):
-                yield self._lex_number(line, col)
-                continue
-
-            word = self._lex_name()
-            if not word:
-                self.error(f"unexpected character {c!r}", line, col)
-            yield _Token("NAME", word, line, col)
-
-    def _lex_iri(self, line: int, col: int) -> _Token:
-        self._advance()  # <
-        out = []
-        while True:
-            c = self._peek()
-            if c == "":
-                self.error("unterminated IRI", line, col)
-            if c == ">":
-                self._advance()
-                break
-            if c in " \n\r\t":
-                self.error("whitespace inside IRI", line, col)
-            if c == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc in "uU":
-                    out.append(self._lex_unicode_escape(line, col))
-                    continue
-                self.error(f"invalid IRI escape \\{esc}", line, col)
-            out.append(self._advance())
-        return _Token("IRI", "".join(out), line, col)
-
-    def _lex_string(self, line: int, col: int) -> _Token:
-        quote = self._advance()
-        long_form = False
-        if self._peek() == quote and self._peek(1) == quote:
-            self._advance(2)
-            long_form = True
-        out = []
-        while True:
-            c = self._peek()
-            if c == "":
-                self.error("unterminated string", line, col)
-            if c == "\\":
-                self._advance()
-                esc = self._peek()
-                if esc in "uU":
-                    out.append(self._lex_unicode_escape(line, col))
-                    continue
-                if esc in _ESCAPES:
-                    self._advance()
-                    out.append(_ESCAPES[esc])
-                    continue
-                self.error(f"invalid string escape \\{esc}", line, col)
-            if c == quote:
-                if not long_form:
-                    self._advance()
-                    break
-                if self._peek(1) == quote and self._peek(2) == quote:
-                    self._advance(3)
-                    break
-                out.append(self._advance())
-                continue
-            if c == "\n" and not long_form:
-                self.error("newline in single-quoted string", line, col)
-            out.append(self._advance())
-        return _Token("STRING", "".join(out), line, col)
-
-    def _lex_unicode_escape(self, line: int, col: int) -> str:
-        kind = self._advance()  # u or U
-        width = 4 if kind == "u" else 8
-        hexs = self._advance(width)
-        if len(hexs) != width or not all(h in "0123456789abcdefABCDEF" for h in hexs):
-            self.error(f"bad \\{kind} escape", line, col)
-        return chr(int(hexs, 16))
-
-    def _lex_number(self, line: int, col: int) -> _Token:
-        out = []
-        if self._peek() in "+-":
-            out.append(self._advance())
-        seen_dot = seen_exp = False
-        while True:
-            c = self._peek()
-            if c.isdigit():
-                out.append(self._advance())
-            elif c == "." and not seen_dot and not seen_exp and self._peek(1).isdigit():
-                seen_dot = True
-                out.append(self._advance())
-            elif c in "eE" and not seen_exp and (self._peek(1).isdigit() or self._peek(1) in "+-"):
-                seen_exp = True
-                out.append(self._advance())
-                if self._peek() in "+-":
-                    out.append(self._advance())
-            else:
-                break
-        text = "".join(out)
-        typ = "DOUBLE" if seen_exp else ("DECIMAL" if seen_dot else "INTEGER")
-        return _Token(typ, text, line, col)
-
-    def _lex_bareword(self) -> str:
-        # directive names and language tags: letters, digits, hyphens
-        out = []
-        while self._peek().isalnum() or self._peek() == "-":
-            out.append(self._advance())
-        return "".join(out)
-
-    def _lex_name(self) -> str:
-        # Prefixed name or keyword.  A trailing '.' is the statement
-        # terminator, so include '.' only when followed by a name char.
-        out = []
-        while True:
-            c = self._peek()
-            if c == "" or c in _NAME_END:
-                break
-            if c == ".":
-                nxt = self._peek(1)
-                if nxt == "" or nxt in _NAME_END or nxt == ".":
-                    break
-            out.append(self._advance())
-        return "".join(out)
+                append(("DECIMAL" if "." in number else "INTEGER", number, off))
+        elif kind == "BRACKET":
+            raise _syntax_error("blank nodes are not allowed", text, off)
+        elif kind == "BLANK":
+            raise _syntax_error("blank nodes are not allowed", text, off, BlankNodeError)
+        else:  # END
+            return toks
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +356,15 @@ class _Lexer:
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = list(_Lexer(text).tokens())
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
         self.prefixes: dict[str, str] = {}
         self.quads: list[Quad] = []
+        self.iris: dict[str, Term] = {}  # one Term per distinct IRI
 
-    def error(self, msg: str, tok: _Token | None = None):
-        if tok is None:
-            tok = self.toks[self.i - 1] if self.i > 0 else _Token("EOF", "", 1, 1)
-        raise TrigSyntaxError(msg, tok.line, tok.col)
+    def error(self, msg: str, tok: _Token):
+        raise _syntax_error(msg, self.text, tok[2])
 
     def _peek(self) -> _Token | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -420,42 +372,42 @@ class _Parser:
     def _next(self) -> _Token:
         tok = self._peek()
         if tok is None:
-            last = self.toks[-1] if self.toks else _Token("EOF", "", 1, 1)
-            raise TrigSyntaxError("unexpected end of input", last.line, last.col)
+            self.error("unexpected end of input", self.toks[-1])
         self.i += 1
         return tok
 
     def _expect(self, typ: str) -> _Token:
         tok = self._next()
-        if tok.typ != typ:
-            self.error(f"expected {typ}, got {tok.typ} {tok.value!r}", tok)
+        if tok[0] != typ:
+            self.error(f"expected {typ}, got {tok[0]} {tok[1]!r}", tok)
         return tok
 
     def parse(self) -> QuadDocument:
         while (tok := self._peek()) is not None:
-            if tok.typ == "AT":
+            typ, value = tok[0], tok[1]
+            if typ == "AT":
                 self._parse_directive()
-            elif tok.typ == "NAME" and tok.value.upper() in ("PREFIX", "BASE"):
+            elif typ == "NAME" and value.upper() in ("PREFIX", "BASE"):
                 self.error("SPARQL-style directives are not accepted; use @prefix", tok)
-            elif tok.typ == "NAME" and tok.value.upper() == "GRAPH":
+            elif typ == "NAME" and value.upper() == "GRAPH":
                 self._next()
                 self._parse_graph_block()
-            elif tok.typ in ("IRI", "NAME"):
+            elif typ in ("IRI", "NAME"):
                 self._parse_graph_block()
             else:
-                self.error(f"expected a graph block, got {tok.typ} {tok.value!r}", tok)
+                self.error(f"expected a graph block, got {typ} {value!r}", tok)
         return QuadDocument(self.quads, self.prefixes)
 
     def _parse_directive(self):
         tok = self._next()
-        if tok.value != "prefix":
-            self.error(f"unsupported directive @{tok.value}", tok)
+        if tok[1] != "prefix":
+            self.error(f"unsupported directive @{tok[1]}", tok)
         label_tok = self._expect("NAME")
-        label = label_tok.value
+        label = label_tok[1]
         if not label.endswith(":"):
             self.error("prefix label must end with ':'", label_tok)
         target = self._expect("IRI")
-        self.prefixes[label[:-1]] = target.value
+        self.prefixes[label[:-1]] = target[1]
         self._expect("DOT")
 
     def _parse_graph_block(self):
@@ -464,20 +416,20 @@ class _Parser:
         if not graph.is_iri:
             self.error("graph label must be an IRI", graph_tok)
         nxt = self._peek()
-        if nxt is None or nxt.typ != "LBRACE":
+        if nxt is None or nxt[0] != "LBRACE":
             self.error("statement outside a graph block (expected '{')", nxt or graph_tok)
         self._next()
         while True:
             tok = self._peek()
             if tok is None:
                 self.error("unterminated graph block", graph_tok)
-            if tok.typ == "RBRACE":
+            if tok[0] == "RBRACE":
                 self._next()
                 break
             self._parse_triples(graph)
         # optional trailing dot after a graph block
         nxt = self._peek()
-        if nxt is not None and nxt.typ == "DOT":
+        if nxt is not None and nxt[0] == "DOT":
             self._next()
 
     def _parse_triples(self, graph: Term):
@@ -491,62 +443,67 @@ class _Parser:
                 obj = self._term_from(self._next(), position="object")
                 self.quads.append(Quad(subject, predicate, obj, graph))
                 tok = self._peek()
-                if tok is not None and tok.typ == "COMMA":
+                if tok is not None and tok[0] == "COMMA":
                     self._next()
                     continue
                 break
             tok = self._next()
-            if tok.typ == "SEMI":
+            typ = tok[0]
+            if typ == "SEMI":
                 # allow '; .' and '; }' style endings
                 nxt = self._peek()
-                if nxt is not None and nxt.typ == "DOT":
+                if nxt is not None and nxt[0] == "DOT":
                     self._next()
                     return
-                if nxt is not None and nxt.typ == "RBRACE":
+                if nxt is not None and nxt[0] == "RBRACE":
                     return
                 continue
-            if tok.typ == "DOT":
+            if typ == "DOT":
                 return
-            if tok.typ == "RBRACE":
+            if typ == "RBRACE":
                 # final '.' inside a graph block is optional
                 self.i -= 1
                 return
-            self.error(f"expected '.', ';' or ',', got {tok.typ} {tok.value!r}", tok)
+            self.error(f"expected '.', ';' or ',', got {typ} {tok[1]!r}", tok)
 
     def _parse_predicate(self) -> Term:
         tok = self._next()
-        if tok.typ == "NAME" and tok.value == "a":
-            return iri(RDF_TYPE)
+        if tok[0] == "NAME" and tok[1] == "a":
+            return self._make_iri(RDF_TYPE, tok)
         term = self._term_from(tok, position="predicate")
         if not term.is_iri:
             self.error("predicate must be an IRI", tok)
         return term
 
     def _term_from(self, tok: _Token, position: str) -> Term:
-        if tok.typ == "IRI":
-            return self._make_iri(tok.value, tok)
-        if tok.typ == "NAME":
+        typ = tok[0]
+        if typ == "IRI":
+            return self._make_iri(tok[1], tok)
+        if typ == "NAME":
             return self._expand_name(tok)
-        if tok.typ == "STRING":
+        if typ == "STRING":
             return self._finish_literal(tok)
-        if tok.typ == "INTEGER":
-            return literal(tok.value, datatype=XSD_INTEGER)
-        if tok.typ == "DECIMAL":
-            return literal(tok.value, datatype=XSD_DECIMAL)
-        if tok.typ == "DOUBLE":
-            return literal(tok.value, datatype=XSD_DOUBLE)
-        self.error(f"expected a term in {position} position, got {tok.typ} {tok.value!r}", tok)
+        if typ == "INTEGER":
+            return literal(tok[1], datatype=XSD_INTEGER)
+        if typ == "DECIMAL":
+            return literal(tok[1], datatype=XSD_DECIMAL)
+        if typ == "DOUBLE":
+            return literal(tok[1], datatype=XSD_DOUBLE)
+        self.error(f"expected a term in {position} position, got {typ} {tok[1]!r}", tok)
 
     def _make_iri(self, value: str, tok: _Token) -> Term:
-        if not _SCHEME_RE.match(value):
-            self.error(f"relative IRI not allowed: <{value}>", tok)
-        try:
-            return iri(value)
-        except ValueError as exc:
-            self.error(str(exc), tok)
+        term = self.iris.get(value)
+        if term is None:
+            if not _SCHEME_RE.match(value):
+                self.error(f"relative IRI not allowed: <{value}>", tok)
+            try:
+                term = self.iris[value] = iri(value)
+            except ValueError as exc:
+                self.error(str(exc), tok)
+        return term
 
     def _expand_name(self, tok: _Token) -> Term:
-        name = tok.value
+        name = tok[1]
         if name == "true" or name == "false":
             return literal(name, datatype=XSD_BOOLEAN)
         if ":" not in name:
@@ -558,23 +515,23 @@ class _Parser:
 
     def _finish_literal(self, tok: _Token) -> Term:
         nxt = self._peek()
-        if nxt is not None and nxt.typ == "AT":
+        if nxt is not None and nxt[0] == "AT":
             self._next()
-            lang = nxt.value
+            lang = nxt[1]
             if not _LANG_RE.match(lang):
                 self.error(f"malformed language tag @{lang}", nxt)
-            return literal(tok.value, language=lang)
-        if nxt is not None and nxt.typ == "NAME" and nxt.value.startswith("^^"):
+            return literal(tok[1], language=lang)
+        if nxt is not None and nxt[0] == "NAME" and nxt[1].startswith("^^"):
             self._next()
-            dt_name = nxt.value[2:]
+            dt_name = nxt[1][2:]
             if dt_name:
-                dt = self._expand_name(_Token("NAME", dt_name, nxt.line, nxt.col))
+                dt = self._expand_name(("NAME", dt_name, nxt[2]))
             else:
                 dt = self._term_from(self._next(), position="datatype")
             if not dt.is_iri:
                 self.error("datatype must be an IRI", nxt)
-            return literal(tok.value, datatype=dt.value)
-        return literal(tok.value)
+            return literal(tok[1], datatype=dt.value)
+        return literal(tok[1])
 
 
 def parse_trig(text: str) -> QuadDocument:

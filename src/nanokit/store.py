@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import namespaces as ns
-from .nanopub import Nanopublication, assemble, validate
+from .nanopub import HEAD_LINKS, Nanopublication, assemble, validate
 from .rdf import QuadDocument, QuadPattern, Term, parse_trig, serialize_trig
 from .trusty import extract_artifact_code, verify_reason
 from .util import parse_timestamp
@@ -60,47 +60,40 @@ def candidate_uris(doc) -> list[str]:
     return list(seen)
 
 
-def extract_nanopub(doc, uri: str) -> Nanopublication:
-    """Assemble ``uri``'s four graphs out of a possibly larger document."""
-    head_quads = [
-        q
-        for q in doc.quads
-        if q.subject.value == uri and q.predicate.value == ns.NP_HAS_ASSERTION
-    ]
-    if not head_quads:
-        raise StoreError(f"no nanopublication <{uri}> in document")
-    head_iri = head_quads[0].graph.value
-    graph_iris = {head_iri}
-    for q in doc.quads:
-        if q.subject.value == uri and q.graph.value == head_iri and q.object.is_iri:
-            if q.predicate.value in (
-                ns.NP_HAS_ASSERTION,
-                ns.NP_HAS_PROVENANCE,
-                ns.NP_HAS_PUBINFO,
-            ):
-                graph_iris.add(q.object.value)
-    sub = QuadDocument(
-        (q for q in doc.quads if q.graph.value in graph_iris), doc.prefixes
-    )
-    return assemble(sub, uri)
-
-
 def split_corpus(doc) -> list[Nanopublication]:
     """Split a concatenated corpus document into its nanopublications.
 
-    Every quad must belong to exactly one nanopublication; leftovers are
-    an error.
+    One pass groups the quads by graph.  Each nanopublication's head is
+    the graph of its first ``np:hasAssertion`` quad; its sub-document is
+    that graph plus the graphs the head links to.  Nanopublications come
+    in ``candidate_uris`` order.  Every quad must belong to exactly one
+    nanopublication; leftovers are an error.
     """
-    nanopubs = [extract_nanopub(doc, uri) for uri in candidate_uris(doc)]
+    graphs: dict[str, list] = {}
+    heads: dict[str, str] = {}  # nanopub URI -> graph of its first hasAssertion quad
+    for q in doc.quads:
+        graphs.setdefault(q.graph.value, []).append(q)
+        if q.predicate.value == ns.NP_HAS_ASSERTION:
+            heads.setdefault(q.subject.value, q.graph.value)
+    nanopubs = []
     claimed = set()
-    for np in nanopubs:
-        for part in np.parts():
-            claimed.add(part.iri)
-    stray = [q for q in doc.quads if q.graph.value not in claimed]
+    for uri in candidate_uris(doc):
+        head_iri = heads[uri]
+        graph_iris = {head_iri: None}
+        for q in graphs[head_iri]:
+            if q.subject.value == uri and q.object.is_iri and q.predicate.value in HEAD_LINKS:
+                graph_iris.setdefault(q.object.value, None)
+        sub = QuadDocument(
+            (q for g in graph_iris for q in graphs.get(g, ())), doc.prefixes
+        )
+        np = assemble(sub, uri)
+        nanopubs.append(np)
+        claimed.update(part.iri for part in np.parts())
+    stray = [g for g in graphs if g not in claimed]
     if stray:
+        count = sum(len(graphs[g]) for g in stray)
         raise StoreError(
-            f"{len(stray)} quads belong to no nanopublication "
-            f"(first graph: <{stray[0].graph.value}>)"
+            f"{count} quads belong to no nanopublication (first graph: <{stray[0]}>)"
         )
     return nanopubs
 

@@ -52,13 +52,6 @@ class TrustyUri:
     def uri(self) -> str:
         return self.base + self.code
 
-    @classmethod
-    def from_iri(cls, value: str) -> "TrustyUri":
-        code = extract_artifact_code(value)
-        if code is None:
-            raise ValueError(f"IRI does not end in an artifact code: {value!r}")
-        return cls(value[: -CODE_LENGTH], code)
-
 
 def extract_artifact_code(uri: str) -> str | None:
     """The trailing 45-character code of ``uri``, or None."""

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nanokit
 from nanokit.rdf import (
+    BlankNodeError,
     Quad,
     QuadDocument,
     QuadPattern,
@@ -63,6 +69,110 @@ def test_syntax_error_carries_line_and_column():
     with pytest.raises(TrigSyntaxError) as err:
         parse_trig("<http://ex.org/g> {\n  <http://ex.org/s> <http://ex.org/p> }\n")
     assert err.value.line == 2
+
+
+_G = "<http://ex.org/g> {\n  "
+_SP = "<http://ex.org/s> <http://ex.org/p> "
+
+# One malformed input per lexer and parser error branch, with the exact
+# message, line and column each one reports.
+GOLDEN_ERRORS = [
+    pytest.param(_G + "<http://ex.org/s", TrigSyntaxError, "unterminated IRI", 2, 3, id="unterminated-iri"),
+    pytest.param(_G + "<http://ex.org/s x> <http://ex.org/p> <http://ex.org/o> . }", TrigSyntaxError, "whitespace inside IRI", 2, 3, id="whitespace-in-iri"),
+    pytest.param(_G + "<http://ex.org/s> <http://ex.org/\\x41> <http://ex.org/o> . }", TrigSyntaxError, "invalid IRI escape \\x", 2, 21, id="bad-iri-escape"),
+    pytest.param(_G + _SP + "<http://ex.org/\\u12G4> . }", TrigSyntaxError, "bad \\u escape", 2, 39, id="bad-u-escape"),
+    pytest.param(_G + _SP + '"x\\U0001F60" . }', TrigSyntaxError, "bad \\U escape", 2, 39, id="bad-U-escape-in-string"),
+    pytest.param(_G + _SP + "<http://ex.org/a\\u0020b> . }", TrigSyntaxError, "IRI contains forbidden character ' ': 'http://ex.org/a b'", 2, 39, id="escaped-forbidden-iri-char"),
+    pytest.param(_G + _SP + '"abc', TrigSyntaxError, "unterminated string", 2, 39, id="unterminated-string"),
+    pytest.param(_G + _SP + '"""a\nb" .', TrigSyntaxError, "unterminated string", 2, 39, id="unterminated-long-string"),
+    pytest.param(_G + _SP + "'ab\ncd' . }", TrigSyntaxError, "newline in single-quoted string", 2, 39, id="newline-in-short-string"),
+    pytest.param(_G + _SP + '"a\\qb" . }', TrigSyntaxError, "invalid string escape \\q", 2, 39, id="bad-string-escape"),
+    pytest.param("<http://ex.org/g> {\r\n\t" + _SP + '"a\\z" . }', TrigSyntaxError, "invalid string escape \\z", 2, 38, id="tab-and-crlf-columns"),
+    pytest.param(_G + "[] <http://ex.org/p> <http://ex.org/o> . }", TrigSyntaxError, "blank nodes are not allowed", 2, 3, id="open-bracket"),
+    pytest.param(_G + _SP + "_:b1 . }", BlankNodeError, "blank nodes are not allowed", 2, 39, id="blank-node-label"),
+    pytest.param(_G + _SP + "( . }", TrigSyntaxError, "unexpected character '('", 2, 39, id="unexpected-character"),
+    pytest.param(_G + _SP + '# see "\n( . }', TrigSyntaxError, "unexpected character '('", 3, 1, id="quote-ends-comment"),
+    pytest.param(_G + _SP + "# see <\n( . }", TrigSyntaxError, "unexpected character '('", 3, 1, id="lt-ends-comment"),
+    pytest.param(_G + _SP + "# see x\n( . }", TrigSyntaxError, "unexpected character '('", 3, 1, id="name-ends-comment"),
+    pytest.param("@prefix ex: <http://ex.org/> .\nex:g {\n  ex:s foo:p ex:o . }", TrigSyntaxError, "undeclared prefix 'foo'", 3, 8, id="undeclared-prefix"),
+    pytest.param(_G + "<http://ex.org/s> <p> <http://ex.org/o> . }", TrigSyntaxError, "relative IRI not allowed: <p>", 2, 21, id="relative-iri"),
+    pytest.param("# header\nPREFIX ex: <http://ex.org/>\n", TrigSyntaxError, "SPARQL-style directives are not accepted; use @prefix", 2, 1, id="sparql-prefix"),
+    pytest.param("\n  <http://ex.org/g> <http://ex.org/p> <http://ex.org/o> .", TrigSyntaxError, "statement outside a graph block (expected '{')", 2, 21, id="missing-lbrace"),
+    pytest.param("\n  " + _G + "<http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n", TrigSyntaxError, "unterminated graph block", 2, 3, id="unterminated-graph-block"),
+    pytest.param(_G + "<http://ex.org/s> <http://ex.org/p>", TrigSyntaxError, "unexpected end of input", 2, 21, id="unexpected-end-of-input"),
+    pytest.param("\n @base <http://ex.org/> .", TrigSyntaxError, "unsupported directive @base", 2, 2, id="unsupported-directive"),
+    pytest.param("@prefix ex <http://ex.org/> .", TrigSyntaxError, "prefix label must end with ':'", 1, 9, id="prefix-label"),
+    pytest.param('@prefix ex: "x" .', TrigSyntaxError, "expected IRI, got STRING 'x'", 1, 13, id="expected-token"),
+    pytest.param('"g" { <http://ex.org/s> <http://ex.org/p> <http://ex.org/o> . }', TrigSyntaxError, "expected a graph block, got STRING 'g'", 1, 1, id="graph-block-expected"),
+    pytest.param("\n true { <http://ex.org/s> <http://ex.org/p> <http://ex.org/o> . }", TrigSyntaxError, "graph label must be an IRI", 2, 2, id="literal-graph-label"),
+    pytest.param(_G + '"s" <http://ex.org/p> <http://ex.org/o> . }', TrigSyntaxError, "subject must be an IRI", 2, 3, id="literal-subject"),
+    pytest.param(_G + "<http://ex.org/s> 42 <http://ex.org/o> . }", TrigSyntaxError, "predicate must be an IRI", 2, 21, id="literal-predicate"),
+    pytest.param(_G + _SP + "; }", TrigSyntaxError, "expected a term in object position, got SEMI ';'", 2, 39, id="term-expected"),
+    pytest.param(_G + _SP + "foo . }", TrigSyntaxError, "expected a term, got bare word 'foo'", 2, 39, id="bare-word"),
+    pytest.param(_G + _SP + "<http://ex.org/o> <http://ex.org/x> }", TrigSyntaxError, "expected '.', ';' or ',', got IRI 'http://ex.org/x'", 2, 57, id="bad-statement-end"),
+    pytest.param(_G + _SP + '"x"@en- . }', TrigSyntaxError, "malformed language tag @en-", 2, 42, id="malformed-language-tag"),
+    pytest.param(_G + _SP + '"x"^^ "y" . }', TrigSyntaxError, "datatype must be an IRI", 2, 42, id="literal-datatype"),
+]
+
+
+@pytest.mark.parametrize("text, error_class, message, line, column", GOLDEN_ERRORS)
+def test_syntax_error_message_and_position(text, error_class, message, line, column):
+    with pytest.raises(TrigSyntaxError) as err:
+        parse_trig(text)
+    assert type(err.value) is error_class
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_unexpected_character_after_long_whitespace_run_is_fast():
+    # a lexer that backtracks over ways of splitting the run never returns
+    code = (
+        "from nanokit.rdf import parse_trig\n"
+        "try:\n"
+        "    parse_trig('<http://ex.org/g> {\\n' + ' \\t\\r\\n' * 16 + '(')\n"
+        "except Exception as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(nanokit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert out.stdout == "unexpected character '(' (line 18, column 1)\n"
+
+
+@pytest.mark.parametrize("term", ['"\\U00110000"', "<http://ex.org/\\UFFFFFFFF>"])
+def test_escape_beyond_last_code_point_rejected(term):
+    with pytest.raises(TrigSyntaxError, match=r"bad \\U escape \(line 1, column 57\)"):
+        parse_trig("<http://ex.org/g> { <http://ex.org/s> <http://ex.org/p> " + term + " . }")
+
+
+@pytest.mark.parametrize("tail", ["+. }", "-. }", "1e+ . }", "1e+ }", "2.5e- . }", "+e5 }", "-1E }"])
+def test_malformed_numeric_literal_rejected(tail):
+    # a number needs digits in its mantissa and in any exponent
+    with pytest.raises(TrigSyntaxError):
+        parse_trig("<http://ex.org/g> { <http://ex.org/s> <http://ex.org/p> " + tail)
+
+
+@pytest.mark.parametrize(
+    "number, datatype",
+    [
+        ("42", ns.XSD_INTEGER),
+        ("-7", ns.XSD_INTEGER),
+        ("+0", ns.XSD_INTEGER),
+        ("1.5", ns.XSD_DECIMAL),
+        ("-.5", ns.XSD_DECIMAL),
+        ("1e5", ns.XSD_DOUBLE),
+        ("2.5E-3", ns.XSD_DOUBLE),
+        ("+.5e+7", ns.XSD_DOUBLE),
+    ],
+)
+def test_numeric_literal_datatypes(number, datatype):
+    doc = parse_trig(f"<http://ex.org/g> {{ <http://ex.org/s> <http://ex.org/p> {number} . }}")
+    assert [q.object for q in doc.quads] == [literal(number, datatype=datatype)]
 
 
 def test_blank_node_rejected():

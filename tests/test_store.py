@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from nanokit import namespaces as ns
 from nanokit.build import mint_nanopub, placeholders
-from nanokit.nanopub import assemble
-from nanokit.rdf import Quad, QuadDocument, QuadPattern, iri, literal
+from nanokit.nanopub import NanopubValidationError, assemble
+from nanokit.rdf import Quad, QuadDocument, QuadPattern, iri, literal, parse_trig, serialize_trig
 from nanokit.store import NanopubStore, StoreError, split_corpus
 
 from oracles import as_pairs, scan_pattern, scan_uri
@@ -199,8 +199,6 @@ def test_oracle_equivalence_on_small_corpus(store200, corpus200, data):
 
 
 def test_split_corpus_roundtrip(corpus200):
-    from nanokit.rdf import parse_trig, serialize_trig
-
     chunk = corpus200[:10]
     text = "".join(serialize_trig(np.to_document()) for np in chunk)
     recovered = split_corpus(parse_trig(text))
@@ -208,9 +206,56 @@ def test_split_corpus_roundtrip(corpus200):
 
 
 def test_split_corpus_rejects_stray_quads(corpus200):
-    from nanokit.rdf import parse_trig, serialize_trig
-
     text = serialize_trig(corpus200[0].to_document())
     text += '\n<http://stray.example/g> { <http://stray.example/s> <http://stray.example/p> "v" . }\n'
     with pytest.raises(StoreError, match="belong to no nanopublication"):
         split_corpus(parse_trig(text))
+
+
+def test_split_corpus_whole_corpus_equals_input(corpus200):
+    text = "".join(serialize_trig(np.to_document()) for np in corpus200)
+    assert split_corpus(parse_trig(text)) == corpus200
+
+
+def test_split_corpus_interleaved_graphs(corpus200):
+    chunk = corpus200[:10]
+    # every head first, then every assertion, every provenance, every pubinfo
+    quads = [q for part in range(4) for np in chunk for q in np.parts()[part].quads]
+    interleaved = split_corpus(parse_trig(serialize_trig(QuadDocument(quads))))
+    ordered = split_corpus(parse_trig("".join(serialize_trig(np.to_document()) for np in chunk)))
+    assert interleaved == ordered == chunk
+
+
+def _stray_graph(name: str) -> str:
+    return f'<http://stray.example/{name}> {{ <http://stray.example/s> <http://stray.example/p> "v" . }}\n'
+
+
+def test_split_corpus_stray_error_names_first_stray_graph(corpus200):
+    # "z" comes first in the document but sorts after "a"
+    text = (
+        serialize_trig(corpus200[0].to_document())
+        + _stray_graph("z")
+        + serialize_trig(corpus200[1].to_document())
+        + _stray_graph("a")
+    )
+    with pytest.raises(StoreError) as err:
+        split_corpus(parse_trig(text))
+    assert str(err.value) == "2 quads belong to no nanopublication (first graph: <http://stray.example/z>)"
+
+
+def test_split_corpus_reports_first_invalid_nanopub(corpus200):
+    chunk = corpus200[:10]
+    # two nanopubs whose URIs sort in the opposite order to the document
+    first, second = next(
+        (i, j) for i in range(len(chunk)) for j in range(i + 1, len(chunk)) if chunk[i].uri > chunk[j].uri
+    )
+    parts = []
+    for k, np in enumerate(chunk):
+        doc = np.to_document()
+        if k in (first, second):  # drop the assertion: empty-assertion
+            doc = QuadDocument(q for q in doc.quads if q.graph.value != np.assertion.iri)
+        parts.append(serialize_trig(doc))
+    with pytest.raises(NanopubValidationError) as err:
+        split_corpus(parse_trig("".join(parts)))
+    assert err.value.report.rule_ids() == {"empty-assertion"}
+    assert f"<{chunk[first].assertion.iri}>" in str(err.value)
