@@ -76,6 +76,10 @@ class Term:
         else:
             raise ValueError(f"unknown term kind: {self.kind!r}")
 
+    def __hash__(self) -> int:
+        # equal terms have equal values; str caches its own hash
+        return hash(self.value)
+
     @property
     def is_iri(self) -> bool:
         return self.kind == "iri"
@@ -107,6 +111,9 @@ class Quad:
             term = getattr(self, pos)
             if not term.is_iri:
                 raise ValueError(f"quad {pos} must be an IRI, got {term.kind}")
+
+    def __hash__(self) -> int:
+        return hash((self.subject.value, self.predicate.value, self.object.value, self.graph.value))
 
 
 def quad(s: str | Term, p: str | Term, o: str | Term, g: str | Term) -> Quad:
@@ -547,31 +554,42 @@ def parse_trig(text: str) -> QuadDocument:
 # Serializer
 # ---------------------------------------------------------------------------
 
-_ESCAPE_OUT = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
+_ESCAPE_OUT = str.maketrans(
+    {
+        "\\": "\\\\",
+        '"': '\\"',
+        "\n": "\\n",
+        "\r": "\\r",
+        "\t": "\\t",
+        "\b": "\\b",
+        "\f": "\\f",
+    }
+)
 
 
 def escape_string(value: str) -> str:
-    return "".join(_ESCAPE_OUT.get(c, c) for c in value)
+    return value.translate(_ESCAPE_OUT)
+
+
+def render_iri(value: str) -> str:
+    return f"<{value}>"
+
+
+def render_literal(value: str, datatype: str | None = None, language: str | None = None) -> str:
+    out = f'"{escape_string(value)}"'
+    if language is not None:
+        return f"{out}@{language}"
+    if datatype is not None:
+        return f"{out}^^{render_iri(datatype)}"
+    return out
 
 
 def render_term(term: Term) -> str:
-    """Long-form rendering used by both the serializer and content hashing."""
+    """Long-form rendering, as the serializer writes it.  Content hashing
+    renders through ``render_iri``/``render_literal`` with codes stripped."""
     if term.is_iri:
-        return f"<{term.value}>"
-    out = f'"{escape_string(term.value)}"'
-    if term.language is not None:
-        return f"{out}@{term.language}"
-    if term.datatype is not None:
-        return f"{out}^^<{term.datatype}>"
-    return out
+        return render_iri(term.value)
+    return render_literal(term.value, term.datatype, term.language)
 
 
 def serialize_trig(doc: QuadDocument) -> str:

@@ -2,8 +2,9 @@
 
 Layout on disk: one ``<code>.trig`` file per nanopublication in a flat
 directory plus an append-only ``journal.log`` whose lines are
-``<seq> <code>``.  The journal doubles as the replication feed for the
-network module.
+``<seq> <code>`` in ascending seq order.  The journal doubles as the
+replication feed for the network module.  Reopening drops a torn last
+line (an append cut short by a crash) and rejects any other bad line.
 
 Lookup contract is oracle equivalence, not complexity: the per-position
 term indexes only pre-filter candidates, every hit is confirmed against
@@ -12,6 +13,7 @@ the actual quads.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass
 from datetime import datetime
@@ -21,7 +23,7 @@ from typing import Iterable, Optional
 from . import namespaces as ns
 from .nanopub import HEAD_LINKS, Nanopublication, assemble, validate
 from .rdf import QuadDocument, QuadPattern, Term, parse_trig, serialize_trig
-from .trusty import extract_artifact_code, verify_reason
+from .trusty import extract_artifact_code, is_artifact_code, verify_reason
 from .util import parse_timestamp
 
 JOURNAL_NAME = "journal.log"
@@ -121,6 +123,8 @@ class NanopubStore:
         self._by_code: dict[str, StoredNanopub] = {}
         self._by_uri: dict[str, str] = {}
         self._seq = 0
+        # (seq, code) in ascending seq order; only ever appended to
+        self._journal: list[tuple[int, str]] = []
         # per-position pre-filter indexes: Term -> set of codes
         self._pos_index: dict[str, dict[Term, set[str]]] = {
             "subject": {},
@@ -139,17 +143,13 @@ class NanopubStore:
 
     def codes(self) -> list[str]:
         """All stored codes in ingest order."""
-        entries = sorted(self._by_code.values(), key=lambda r: r.ingested_at)
-        return [r.code for r in entries]
+        return [code for _, code in self._journal]
 
     def journal_entries(self, from_seq: int = 1, limit: int | None = None) -> list[tuple[int, str]]:
         """Journal page: (seq, code) with seq >= from_seq, at most ``limit``."""
-        entries = sorted(
-            (r.ingested_at, r.code)
-            for r in self._by_code.values()
-            if r.ingested_at >= from_seq
-        )
-        return entries[:limit] if limit is not None else entries
+        journal = self._journal
+        start = bisect.bisect_left(journal, (from_seq,))
+        return journal[start:] if limit is None else journal[start : start + max(limit, 0)]
 
     # -- ingest -----------------------------------------------------------
 
@@ -184,29 +184,57 @@ class NanopubStore:
             return code
 
     def _register(self, record: StoredNanopub):
-        self._by_code[record.code] = record
-        self._by_uri[record.nanopub.uri] = record.code
+        code = record.code
+        self._by_code[code] = record
+        self._by_uri[record.nanopub.uri] = code
+        pos = self._pos_index
+        subjects, predicates, objects, graphs = (
+            pos["subject"], pos["predicate"], pos["object"], pos["graph"]
+        )
+        mentions = self._mention_index
         for q in record.doc.quads:
-            for position, term in (
-                ("subject", q.subject),
-                ("predicate", q.predicate),
-                ("object", q.object),
-                ("graph", q.graph),
+            for index, term in (
+                (subjects, q.subject),
+                (predicates, q.predicate),
+                (objects, q.object),
+                (graphs, q.graph),
             ):
-                self._pos_index[position].setdefault(term, set()).add(record.code)
-                if term.is_iri:
-                    self._mention_index.setdefault(term.value, set()).add(record.code)
+                codes = index.get(term)
+                if codes is None:
+                    index[term] = {code}
+                else:
+                    codes.add(code)
+                if term.kind == "iri":
+                    codes = mentions.get(term.value)
+                    if codes is None:
+                        mentions[term.value] = {code}
+                    else:
+                        codes.add(code)
+        self._journal.append((record.ingested_at, code))
 
     def _load(self):
         journal = self.directory / JOURNAL_NAME
         if not journal.exists():
             return
-        max_seq = 0
-        for line in journal.read_text(encoding="utf-8").splitlines():
+        data = journal.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            # a crash mid-append left a torn last line: drop it
+            with journal.open("r+b") as fh:
+                fh.truncate(complete)
+        # undecodable bytes become U+FFFD, which no valid entry contains
+        lines = data[:complete].decode("utf-8", errors="replace").splitlines()
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             seq_text, _, code = line.partition(" ")
+            if not (seq_text.isascii() and seq_text.isdigit() and is_artifact_code(code)):
+                raise StoreError(f"{JOURNAL_NAME} line {number}: malformed entry {line!r}")
             seq = int(seq_text)
+            if seq <= self._seq:
+                raise StoreError(f"{JOURNAL_NAME} line {number}: seq {seq} after {self._seq}")
+            if code in self._by_code:
+                raise StoreError(f"{JOURNAL_NAME} line {number}: {code} listed twice")
             path = self.directory / f"{code}.trig"
             doc = parse_trig(path.read_text(encoding="utf-8"))
             uris = candidate_uris(doc)
@@ -221,8 +249,7 @@ class NanopubStore:
                 code, np, created, seq, np.to_document(), _latest_key(code, created)
             )
             self._register(record)
-            max_seq = max(max_seq, seq)
-        self._seq = max_seq
+            self._seq = seq
 
     # -- retrieval --------------------------------------------------------
 

@@ -8,18 +8,19 @@ stripped), so a document hashes the same before and after minting.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 import hashlib
+import re
 
-from .rdf import Quad, QuadDocument, Term, iri, literal, escape_string
+from .rdf import Quad, QuadDocument, Term, iri, literal, render_iri, render_literal
 
 CODE_LENGTH = 45
 CODE_PREFIX = "RA"
-# six-bit groups map into this alphabet, in index order
-CODE_ALPHABET = (
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZ" "abcdefghijklmnopqrstuvwxyz" "0123456789-_"
-)
-_ALPHABET_SET = frozenset(CODE_ALPHABET)
+# "RA" plus 43 characters of the URL-safe base64 alphabet (A-Z a-z 0-9 - _),
+# spelled out in ASCII so no other Unicode letter or digit matches
+_CODE_RE = re.compile(r"RA[A-Za-z0-9_-]{43}")
+_CODES_RE = re.compile(r"(?:RA[A-Za-z0-9_-]{43})*")
 _BASE_ENDINGS = ("/", "#", ".")
 
 
@@ -28,11 +29,7 @@ class MintError(ValueError):
 
 
 def is_artifact_code(text: str) -> bool:
-    return (
-        len(text) == CODE_LENGTH
-        and text.startswith(CODE_PREFIX)
-        and all(c in _ALPHABET_SET for c in text[2:])
-    )
+    return _CODE_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -65,21 +62,17 @@ def _strip_codes(value: str, base: str) -> str:
     """Drop every artifact code sitting directly after ``base``."""
     if not value.startswith(base):
         return value
-    rest = value[len(base):]
-    while len(rest) >= CODE_LENGTH and is_artifact_code(rest[:CODE_LENGTH]):
-        rest = rest[CODE_LENGTH:]
-    return base + rest
+    end = _CODES_RE.match(value, len(base)).end()
+    return value if end == len(base) else base + value[end:]
 
 
 def _canonical_term(term: Term, base: str) -> str:
     if term.is_iri:
-        return f"<{_strip_codes(term.value, base)}>"
-    out = f'"{escape_string(term.value)}"'
-    if term.language is not None:
-        return f"{out}@{term.language}"
-    if term.datatype is not None:
-        return f"{out}^^<{_strip_codes(term.datatype, base)}>"
-    return out
+        return render_iri(_strip_codes(term.value, base))
+    datatype = term.datatype
+    if datatype is not None:
+        datatype = _strip_codes(datatype, base)
+    return render_literal(term.value, datatype, term.language)
 
 
 def canonical_form(doc: QuadDocument, base: str) -> str:
@@ -89,29 +82,26 @@ def canonical_form(doc: QuadDocument, base: str) -> str:
     bare base, sorted by byte order, newline-joined with a trailing
     newline.  Invariant under quad reordering and prefix-table changes.
     """
-    lines = {
-        " ".join(
-            (
-                _canonical_term(q.subject, base),
-                _canonical_term(q.predicate, base),
-                _canonical_term(q.object, base),
-                _canonical_term(q.graph, base),
-            )
-        )
-        + " ."
-        for q in doc.quads
-    }
-    return "".join(line + "\n" for line in sorted(lines, key=lambda s: s.encode("utf-8")))
+    rendered: dict[Term, str] = {}  # each distinct term is rendered once
+    lines = set()
+    for q in doc.quads:
+        parts = []
+        for term in (q.subject, q.predicate, q.object, q.graph):
+            text = rendered.get(term)
+            if text is None:
+                text = rendered[term] = _canonical_term(term, base)
+            parts.append(text)
+        parts.append(".")
+        lines.add(" ".join(parts))
+    # code point order is UTF-8 byte order
+    return "".join(line + "\n" for line in sorted(lines))
 
 
 def encode_digest(digest: bytes) -> str:
-    # 256 bits left-padded with 2 zero bits -> 43 six-bit groups
-    n = int.from_bytes(digest, "big")
-    chars = []
-    for i in range(43):
-        shift = 258 - 6 * (i + 1)
-        chars.append(CODE_ALPHABET[(n >> shift) & 0x3F])
-    return "".join(chars)
+    # 256 bits left-padded with 2 zero bits -> 43 six-bit groups; six
+    # trailing zero bits make it 33 bytes, i.e. 44 base64 characters
+    padded = (int.from_bytes(digest, "big") << 6).to_bytes(33, "big")
+    return base64.urlsafe_b64encode(padded)[:43].decode("ascii")
 
 
 def compute_code(doc: QuadDocument, base: str) -> str:
@@ -141,16 +131,11 @@ def mint(doc: QuadDocument, base: str) -> tuple[TrustyUri, QuadDocument]:
         raise MintError(f"base must end in '/', '#' or '.': {base!r}")
     for q in doc.quads:
         for term in (q.subject, q.predicate, q.object, q.graph):
-            values = [term.value] if term.is_iri else []
-            if term.is_literal and term.datatype is not None:
-                values = [term.datatype]
-            for value in values:
-                if value.startswith(base) and is_artifact_code(
-                    value[len(base):][:CODE_LENGTH]
-                ):
-                    raise MintError(
-                        f"base {base!r} collides with embedded trusty URI {value!r}"
-                    )
+            value = term.value if term.is_iri else term.datatype
+            if value is not None and _strip_codes(value, base) != value:
+                raise MintError(
+                    f"base {base!r} collides with embedded trusty URI {value!r}"
+                )
     code = compute_code(doc, base)
     rewritten = QuadDocument(
         (

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.nanopub import assemble
 from nanokit.network import (
     Get,
@@ -201,6 +204,26 @@ def test_identical_seed_identical_report(corpus200):
     workload = [PublishEvent(i % 3, i % 6, np) for i, np in enumerate(corpus200[:30])]
     texts = {Simulation(config).run(workload).to_text() for _ in range(3)}
     assert len(texts) == 1
+
+
+def test_replication_report_is_pinned():
+    # 5 nodes, 60 nanopubs, one crash, uniform latency with timeouts, short pages
+    config = SimConfig(
+        node_count=5,
+        latency="uniform:0.001:0.05",
+        timeout=0.045,
+        rounds=8,
+        seed=7,
+        page_size=10,
+        failures=((2, 2, 5),),
+    )
+    nanopubs = generate_corpus(CorpusConfig(count=60, seed=5))
+    workload = [PublishEvent(i % 4, i % 5, np) for i, np in enumerate(nanopubs)]
+    text = Simulation(config).run(workload).to_text()
+    assert "published 54\ndropped 6\n" in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "d376635689ef8fa8e740cb0e20e98f9f51725a598832a4f8284b1e2b0f43b632"
+    )
 
 
 def test_failed_node_drops_publish_and_recovers(corpus200):

@@ -14,6 +14,7 @@ from nanokit.rdf import (
     QuadPattern,
     Term,
     TrigSyntaxError,
+    escape_string,
     iri,
     literal,
     match,
@@ -302,3 +303,35 @@ def test_blank_node_token_always_rejected(doc, label):
     planted = text + f'\n<http://alpha.example/g> {{ _:{label} <http://alpha.example/p> "v" . }}\n'
     with pytest.raises(TrigSyntaxError):
         parse_trig(planted)
+
+
+def test_escape_string_matches_per_character_join():
+    old_table = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+    value = 'a\\b"c\nd\re\tf\bg\fh \u00e9\U0001f600 \'\x0b'
+    assert escape_string(value) == "".join(old_table.get(c, c) for c in value)
+    assert escape_string(value) == 'a\\\\b\\"c\\nd\\re\\tf\\bg\\fh \u00e9\U0001f600 \'\x0b'
+
+
+def test_terms_with_equal_values_stay_distinct():
+    value = "http://ex.org/a"
+    terms = [
+        iri(value),
+        literal(value),
+        literal(value, datatype=ns.XSD_INTEGER),
+        literal(value, datatype=ns.XSD_DOUBLE),
+        literal(value, language="en"),
+        literal(value, language="de"),
+    ]
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms):
+            assert (a == b) == (i == j)
+    table = {term: i for i, term in enumerate(terms)}
+    assert len(table) == len(terms)
+    # fresh but equal objects find the same entries
+    assert table[Term("literal", value, ns.XSD_INTEGER)] == 2
+    assert table[Term("iri", value)] == 0
+    graph = iri("http://ex.org/g")
+    quads = {Quad(graph, graph, term, graph): i for i, term in enumerate(terms)}
+    assert len(quads) == len(terms)
+    assert quads[Quad(graph, graph, literal(value, language="de"), graph)] == 5
+    assert hash(Quad(graph, graph, iri(value), graph)) == hash(Quad(graph, graph, iri(value), graph))

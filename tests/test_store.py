@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +100,122 @@ def test_journal_line_format(tmp_path):
     code = store.put(np)
     lines = (directory / "journal.log").read_text().splitlines()
     assert lines == [f"1 {code}"]
+
+
+def _disk_store(directory, nanopubs):
+    store = NanopubStore(directory)
+    for np in nanopubs:
+        store.put(np)
+    return store
+
+
+def test_reopen_drops_torn_journal_tail(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    codes = _disk_store(directory, corpus200[:3]).codes()
+    journal = directory / "journal.log"
+    complete = journal.read_text()
+    with journal.open("a") as fh:
+        fh.write("4 RAabc")  # a crash mid-append: no newline
+    reopened = NanopubStore(directory)
+    assert reopened.codes() == codes
+    assert journal.read_text() == complete
+    code = reopened.put(corpus200[3])
+    assert journal.read_text().splitlines()[-1] == f"4 {code}"
+    assert NanopubStore(directory).codes() == codes + [code]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"4 RAabc",
+        b"x RA" + b"A" * 43,
+        b"4",
+        b"4 RA" + b"A" * 44,
+        "\u0664 RA".encode() + b"A" * 43,  # Arabic-Indic digit four
+        b"4 RA" + b"A" * 42 + b"\xff",  # not UTF-8
+    ],
+)
+def test_reopen_rejects_malformed_journal_line(tmp_path, corpus200, line):
+    directory = tmp_path / "store"
+    _disk_store(directory, corpus200[:2])
+    with (directory / "journal.log").open("ab") as fh:
+        fh.write(line + b"\n")
+    with pytest.raises(StoreError, match="malformed entry"):
+        NanopubStore(directory)
+
+
+def test_reopen_rejects_out_of_order_seqs(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    _disk_store(directory, corpus200[:3])
+    journal = directory / "journal.log"
+    lines = journal.read_text().splitlines()
+    journal.write_text("\n".join([lines[1], lines[0], lines[2]]) + "\n")
+    with pytest.raises(StoreError, match="seq 1 after 2"):
+        NanopubStore(directory)
+
+
+def test_reopen_rejects_repeated_code(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    code = _disk_store(directory, corpus200[:2]).codes()[0]
+    with (directory / "journal.log").open("a") as fh:
+        fh.write(f"3 {code}\n")
+    with pytest.raises(StoreError, match="listed twice"):
+        NanopubStore(directory)
+
+
+def _full_sort(store, nanopubs, from_seq=1, limit=None):
+    entries = sorted(
+        (store.get_record(np.uri[-45:]).ingested_at, np.uri[-45:]) for np in nanopubs
+    )
+    entries = [entry for entry in entries if entry[0] >= from_seq]
+    return entries if limit is None else entries[:limit]
+
+
+def test_journal_entries_equal_full_sort(tmp_path, corpus200):
+    nanopubs = corpus200[:25]
+    store = _disk_store(tmp_path / "store", nanopubs)
+    for current in (store, NanopubStore(tmp_path / "store")):
+        assert current.codes() == [code for _, code in _full_sort(current, nanopubs)]
+        for from_seq in range(-1, 29):
+            for limit in (None, 0, 1, 7, 25, 100):
+                assert current.journal_entries(from_seq, limit) == _full_sort(
+                    current, nanopubs, from_seq, limit
+                )
+    assert store.journal_entries(26) == []
+    assert store.journal_entries(1, 0) == []
+
+
+def test_journal_reads_while_another_thread_puts(corpus200):
+    store = NanopubStore()
+    errors = []
+
+    def write():
+        try:
+            for np in corpus200:
+                store.put(np)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    writer = threading.Thread(target=write)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer.start()
+        while writer.is_alive():
+            try:
+                entries = store.journal_entries(1, 150)
+                codes = store.codes()
+            except Exception as exc:
+                errors.append(exc)
+                break
+            assert [seq for seq, _ in entries] == list(range(1, len(entries) + 1))
+            assert codes[: len(entries)] == [code for _, code in entries]
+        writer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert errors == []
+    assert store.codes() == [np.uri[-45:] for np in corpus200]
 
 
 def test_find_by_pattern_wildcard_returns_all(store200):

@@ -3,8 +3,10 @@ from hypothesis import given, settings
 
 from nanokit.rdf import Quad, QuadDocument, iri, literal
 from nanokit.trusty import (
+    CODE_LENGTH,
     MintError,
     TrustyUri,
+    _strip_codes,
     canonical_form,
     compute_code,
     extract_artifact_code,
@@ -14,7 +16,7 @@ from nanokit.trusty import (
     verify,
 )
 
-from oracle_trusty import oracle_canonical_form, oracle_code
+from oracle_trusty import ALPHABET, oracle_canonical_form, oracle_code, oracle_strip
 from strategies import documents
 
 BASE = "http://example.org/np/birddiet."
@@ -163,6 +165,53 @@ def test_extract_artifact_code_none_cases():
     assert extract_artifact_code("http://ex.org/page") is None
     assert extract_artifact_code("http://ex.org/" + "RA" + "+" * 43) is None
     assert extract_artifact_code("RA" + "A" * 43) is None  # no base before the code
+
+
+CODE = "RA" + "Az09-_" * 7 + "q"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CODE + "\n",  # a trailing newline
+        "RA" + "\u0663" * 43,  # Arabic-Indic digit three
+        "RA" + "\uff21" * 43,  # fullwidth A
+        CODE[:-1],  # 44 characters
+        CODE + "A",  # 46 characters
+        "ra" + CODE[2:],  # lowercase prefix
+        "RA" + "A" * 42 + "=",
+        "",
+    ],
+)
+def test_is_artifact_code_rejects(text):
+    assert not is_artifact_code(text)
+
+
+def test_is_artifact_code_accepts_exactly_the_alphabet():
+    assert len(CODE) == CODE_LENGTH and is_artifact_code(CODE)
+    for point in range(0x3000):
+        char = chr(point)
+        assert is_artifact_code("RA" + char * 43) == (char in ALPHABET), repr(char)
+
+
+@pytest.mark.parametrize(
+    "suffix, expected",
+    [
+        ("", ""),
+        ("a.x", "a.x"),
+        (CODE, ""),
+        (CODE + "#assertion", "#assertion"),
+        (CODE + CODE + "#head", "#head"),
+        (CODE[:-1], CODE[:-1]),  # 44-character near-code
+        (CODE[:-1] + "#head", CODE[:-1] + "#head"),
+        (CODE + CODE[:-1], CODE[:-1]),
+    ],
+)
+def test_strip_codes(suffix, expected):
+    base = "http://example.org/np/"
+    assert _strip_codes(base + suffix, base) == base + expected
+    assert _strip_codes(base + suffix, base) == oracle_strip(base + suffix, base)
+    assert _strip_codes("http://other.example/" + CODE, base) == "http://other.example/" + CODE
 
 
 def test_idempotent_remint_after_stripping(birddiet_doc, birddiet_uri):
