@@ -50,13 +50,10 @@ POSITIONS = ("subject", "predicate", "object")
 def load_corpus(path: str | Path) -> list[Nanopublication]:
     """Read a directory of ``.trig`` files or one concatenated corpus file."""
     path = Path(path)
-    nanopubs: list[Nanopublication] = []
-    if path.is_dir():
-        for file in sorted(path.glob("*.trig")):
-            nanopubs.extend(split_corpus(parse_trig(file.read_text(encoding="utf-8"))))
-    else:
-        nanopubs.extend(split_corpus(parse_trig(path.read_text(encoding="utf-8"))))
-    return nanopubs
+    files = sorted(path.glob("*.trig")) if path.is_dir() else [path]
+    return [
+        np for file in files for np in split_corpus(parse_trig(file.read_text(encoding="utf-8")))
+    ]
 
 
 # -- totals -------------------------------------------------------------------

@@ -14,7 +14,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .index import IndexRecord, IndexSummary, list_indexes
+from .index import (
+    IndexSummary,
+    UnresolvableIndexError,
+    _chain_oldest_first,
+    list_indexes,
+    store_resolver,
+)
 from .rdf import QuadPattern, Term, iri, literal, serialize_trig
 from .store import NanopubStore
 from .trusty import extract_artifact_code
@@ -104,21 +110,18 @@ class ApiService:
     def get_index_elements(
         self, index_uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
-        """Direct elements of the index record and its appends chain; does
-        not recurse into sub-indexes."""
-        elements: list[str] = []
-        seen: set[str] = set()
-        current: Optional[str] = index_uri
-        while current is not None:
-            if current in seen:
-                raise ApiError("index-cycle", f"appends cycle through <{current}>")
-            seen.add(current)
-            try:
-                record = IndexRecord.from_nanopub(self.store.get_by_uri(current))
-            except KeyError:
-                raise NotFoundError(f"unknown index <{current}>") from None
-            elements.extend(record.elements)
-            current = record.appends
+        """Direct elements of the index record and its appends chain, head
+        first; does not recurse into sub-indexes."""
+        resolver = store_resolver(self.store)
+        try:
+            chain = _chain_oldest_first(resolver(index_uri), resolver)
+        except KeyError:
+            raise NotFoundError(f"unknown index <{index_uri}>") from None
+        except UnresolvableIndexError as exc:
+            if not isinstance(exc.__cause__, KeyError):
+                raise  # an appended link that is not an index: a 400, as for the head
+            raise NotFoundError(str(exc)) from None
+        elements = [e for record in reversed(chain) for e in record.elements]
         return _page_slice(elements, page, page_size)
 
     # single nanopublication ---------------------------------------------------

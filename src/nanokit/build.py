@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import namespaces as ns
 from .nanopub import Nanopublication, assemble, head_quads
 from .rdf import Quad, QuadDocument, Term, iri
 from .trusty import TrustyUri, mint
@@ -49,7 +48,6 @@ def mint_nanopub(
     assertion: Iterable[Triple],
     provenance: Iterable[Triple],
     pubinfo: Iterable[Triple],
-    prefixes=None,
 ) -> tuple[TrustyUri, Nanopublication]:
     """Wrap content triples in the four-graph container and mint it.
 
@@ -68,6 +66,5 @@ def mint_nanopub(
         g = iri(graph_iri)
         for s, p, o in triples:
             quads.append(Quad(s, p, o, g))
-    doc = QuadDocument(quads, prefixes or ns.STANDARD_PREFIXES)
-    uri, minted = mint(doc, base)
+    uri, minted = mint(QuadDocument(quads), base)
     return uri, assemble(minted, uri.uri)

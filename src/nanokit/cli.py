@@ -15,11 +15,11 @@ from . import analysis, corpusgen
 from .api import ApiServer, ApiService
 from .index import (
     IndexMetadata,
-    IndexRecord,
     build_incremental,
     build_index,
     expand,
     list_indexes,
+    store_resolver,
 )
 from .nanopub import NanopubValidationError, validate
 from .network import (
@@ -31,7 +31,7 @@ from .network import (
     tcp_request,
 )
 from .rdf import QuadPattern, TrigSyntaxError, iri, literal, parse_trig, serialize_trig
-from .store import NanopubStore, StoreError, candidate_uris, split_corpus
+from .store import NanopubStore, StoreError, sole_uri, split_corpus
 from .trusty import MintError, extract_artifact_code, mint, verify_reason
 
 LICENSE_ALIASES = {
@@ -58,12 +58,10 @@ def _read_doc(path: str):
 def _single_uri(doc, override: str | None) -> str:
     if override:
         return override
-    uris = candidate_uris(doc)
-    if len(uris) != 1:
-        raise CliError(
-            f"expected exactly one nanopublication, found {len(uris)}; pass --uri"
-        )
-    return uris[0]
+    try:
+        return sole_uri(doc)
+    except StoreError as exc:
+        raise CliError(f"{exc}; pass --uri")
 
 
 def _store_dir(args) -> str:
@@ -180,8 +178,6 @@ def cmd_store_find(args) -> int:
     if args.uri:
         codes = store.find_by_uri(args.uri, latest=not args.any_order)
     else:
-        from .rdf import QuadPattern
-
         obj = None
         if args.obj is not None:
             obj = literal(args.obj) if args.objtype == "literal" else iri(args.obj)
@@ -214,10 +210,7 @@ def cmd_index_build(args) -> int:
 
 def cmd_index_append(args) -> int:
     store = _open_store(args)
-
-    def resolver(uri: str) -> IndexRecord:
-        return IndexRecord.from_nanopub(store.get_by_uri(uri))
-
+    resolver = store_resolver(store)
     try:
         previous = resolver(args.previous)
     except KeyError:
@@ -238,11 +231,7 @@ def cmd_index_append(args) -> int:
 
 
 def cmd_index_expand(args) -> int:
-    store = _open_store(args)
-
-    def resolver(uri: str) -> IndexRecord:
-        return IndexRecord.from_nanopub(store.get_by_uri(uri))
-
+    resolver = store_resolver(_open_store(args))
     try:
         record = resolver(args.uri)
     except KeyError:
@@ -537,10 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NanopubValidationError, StoreError, MintError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -132,6 +132,22 @@ def is_index_nanopub(np: Nanopublication) -> bool:
     )
 
 
+def store_resolver(store) -> Resolver:
+    """Resolve index URIs against a store: KeyError for an unknown URI,
+    NotAnIndexError for a stored nanopublication that is not an index."""
+    return lambda uri: IndexRecord.from_nanopub(store.get_by_uri(uri))
+
+
+def _resolve(resolver: Resolver, uri: str) -> IndexRecord:
+    try:
+        record = resolver(uri)
+    except (KeyError, NotAnIndexError) as exc:
+        raise UnresolvableIndexError(f"cannot resolve index <{uri}>") from exc
+    if record is None:
+        raise UnresolvableIndexError(f"cannot resolve index <{uri}>")
+    return record
+
+
 @dataclass(frozen=True)
 class IndexSummary:
     """One row of an index listing (the complete heads only)."""
@@ -265,12 +281,7 @@ def expand(record: IndexRecord, resolver: Resolver) -> set[str]:
                 raise IndexCycleError(f"cycle through <{uri}>")
             if uri in done:
                 continue
-            try:
-                rec = resolver(uri)
-            except (KeyError, NotAnIndexError) as exc:
-                raise UnresolvableIndexError(f"cannot resolve index <{uri}>") from exc
-            if rec is None:
-                raise UnresolvableIndexError(f"cannot resolve index <{uri}>")
+            rec = _resolve(resolver, uri)
         elif rec.uri in gray or rec.uri in done:
             if rec.uri in gray:
                 raise IndexCycleError(f"cycle through <{rec.uri}>")
@@ -292,10 +303,7 @@ def _chain_oldest_first(head: IndexRecord, resolver: Resolver) -> list[IndexReco
     while current.appends is not None:
         if current.appends in seen:
             raise IndexCycleError(f"cycle through <{current.appends}>")
-        try:
-            current = resolver(current.appends)
-        except (KeyError, NotAnIndexError) as exc:
-            raise UnresolvableIndexError(f"cannot resolve index <{current.appends}>") from exc
+        current = _resolve(resolver, current.appends)
         seen.add(current.uri)
         chain.append(current)
     chain.reverse()
@@ -351,11 +359,7 @@ def build_incremental(
     )
     kept_subs: list[str] = []
     for sub_uri in all_subs:
-        try:
-            sub = resolver(sub_uri)
-        except (KeyError, NotAnIndexError) as exc:
-            raise UnresolvableIndexError(f"cannot resolve index <{sub_uri}>") from exc
-        sub_expansion = expand(sub, resolver)
+        sub_expansion = expand(_resolve(resolver, sub_uri), resolver)
         if sub_expansion & removed:
             leftover.extend(sorted(sub_expansion - removed))
         else:
@@ -412,11 +416,10 @@ def list_indexes(store) -> list[IndexSummary]:
             appended.add(record.appends)
 
     by_uri = {record.uri: record for record in records}
+    from_store = store_resolver(store)
 
     def resolver(uri: str) -> IndexRecord:
-        if uri in by_uri:
-            return by_uri[uri]
-        return IndexRecord.from_nanopub(store.get_by_uri(uri))
+        return by_uri.get(uri) or from_store(uri)
 
     heads = [
         record

@@ -17,7 +17,7 @@ violated rule; rule ids are stable strings and part of the contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import namespaces as ns
 from .rdf import Quad, QuadDocument, iri
@@ -74,16 +74,19 @@ class Nanopublication:
     assertion: GraphPart
     provenance: GraphPart
     pubinfo: GraphPart
+    _document: QuadDocument | None = field(default=None, init=False, repr=False, compare=False)
 
     def parts(self) -> tuple[GraphPart, GraphPart, GraphPart, GraphPart]:
         return (self.head, self.assertion, self.provenance, self.pubinfo)
 
-    def to_document(self, prefixes=None) -> QuadDocument:
-        """All quads, head first, with a decorative prefix table."""
-        quads = []
-        for part in self.parts():
-            quads.extend(part.quads)
-        return QuadDocument(quads, prefixes or ns.STANDARD_PREFIXES)
+    def to_document(self) -> QuadDocument:
+        """All quads, head first, with the standard prefix table.  Built on
+        first use, then returned as the same object; it holds the document
+        only, never a verification result."""
+        if self._document is None:
+            quads = [q for part in self.parts() for q in part.quads]
+            object.__setattr__(self, "_document", QuadDocument(quads, ns.STANDARD_PREFIXES))
+        return self._document
 
 
 def part_sizes(np: Nanopublication) -> tuple[int, int, int, int]:
@@ -99,8 +102,9 @@ def _link_objects(doc: QuadDocument, uri: str, predicate: str) -> list[Quad]:
     ]
 
 
-def validate(doc: QuadDocument, uri: str) -> ValidationReport:
-    """Check the candidate against every container rule; never raises."""
+def _check(doc: QuadDocument, uri: str) -> tuple[list[tuple[str, str]], tuple[str, ...]]:
+    """Every violated rule, and the (head, assertion, provenance, pubinfo)
+    graph IRIs once the head links are unambiguous (else ``()``)."""
     violations: list[tuple[str, str]] = []
 
     links: dict[str, list[Quad]] = {}
@@ -114,14 +118,14 @@ def validate(doc: QuadDocument, uri: str) -> ValidationReport:
             violations.append(("duplicate-head-link", f"{len(found)} {short} links"))
 
     if any(len(found) != 1 for found in links.values()):
-        return ValidationReport(False, tuple(violations))
+        return violations, ()
 
     head_graphs = {links[pred][0].graph.value for pred in HEAD_LINKS}
     if len(head_graphs) != 1:
         violations.append(
             ("scattered-head", f"head links live in {len(head_graphs)} graphs")
         )
-        return ValidationReport(False, tuple(violations))
+        return violations, ()
 
     head_iri = head_graphs.pop()
     assertion_iri = links[ns.NP_HAS_ASSERTION][0].object.value
@@ -165,6 +169,12 @@ def validate(doc: QuadDocument, uri: str) -> ValidationReport:
             ("pubinfo-detached", "no pubinfo quad about the nanopublication URI")
         )
 
+    return violations, four
+
+
+def validate(doc: QuadDocument, uri: str) -> ValidationReport:
+    """Check the candidate against every container rule; never raises."""
+    violations, _ = _check(doc, uri)
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -174,22 +184,10 @@ def assemble(doc: QuadDocument, uri: str) -> Nanopublication:
     Raises NanopubValidationError carrying the full report when any
     rule is violated.
     """
-    report = validate(doc, uri)
-    if not report.valid:
-        raise NanopubValidationError(report)
-
-    head_iri = _link_objects(doc, uri, ns.NP_HAS_ASSERTION)[0].graph.value
-    assertion_iri = _link_objects(doc, uri, ns.NP_HAS_ASSERTION)[0].object.value
-    provenance_iri = _link_objects(doc, uri, ns.NP_HAS_PROVENANCE)[0].object.value
-    pubinfo_iri = _link_objects(doc, uri, ns.NP_HAS_PUBINFO)[0].object.value
-
-    return Nanopublication(
-        uri=uri,
-        head=GraphPart(head_iri, doc.graph_quads(head_iri)),
-        assertion=GraphPart(assertion_iri, doc.graph_quads(assertion_iri)),
-        provenance=GraphPart(provenance_iri, doc.graph_quads(provenance_iri)),
-        pubinfo=GraphPart(pubinfo_iri, doc.graph_quads(pubinfo_iri)),
-    )
+    violations, four = _check(doc, uri)
+    if violations:
+        raise NanopubValidationError(ValidationReport(False, tuple(violations)))
+    return Nanopublication(uri, *(GraphPart(graph, doc.graph_quads(graph)) for graph in four))
 
 
 def head_quads(uri: str, head_iri: str, assertion_iri: str, provenance_iri: str, pubinfo_iri: str) -> list[Quad]:

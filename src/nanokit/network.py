@@ -19,9 +19,9 @@ import socketserver
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .nanopub import Nanopublication, assemble
-from .rdf import parse_trig, serialize_trig
-from .store import NanopubStore, StoreError, candidate_uris
+from .nanopub import Nanopublication
+from .rdf import serialize_trig
+from .store import NanopubStore, StoreError, parse_nanopub
 from .trusty import verify
 
 DEFAULT_PAGE_SIZE = 100
@@ -138,7 +138,8 @@ class ServerNode:
 
         Pages each peer's journal from the stored cursor; cursors only
         advance over pages that were fully processed, so an unreachable
-        peer is simply retried from the same place next round.
+        peer is simply retried from the same place next round, as is an
+        undecodable journal page; an undecodable Get reply is skipped.
         """
         if self.send is None:
             raise RuntimeError(f"node {self.node_id} has no transport")
@@ -152,18 +153,18 @@ class ServerNode:
                         break
                     for seq, code in resp.entries:
                         if self.store.get(code) is None:
-                            reply = self.send(peer_id, Get(code))
-                            if isinstance(reply, NanopubResponse):
-                                try:
+                            try:
+                                reply = self.send(peer_id, Get(code))
+                                if isinstance(reply, NanopubResponse):
                                     self.store.put(reply.nanopub)
                                     fetched += 1
-                                except StoreError:
-                                    pass  # tampered or invalid: never stored
+                            except (ProtocolError, StoreError):
+                                pass  # undecodable, tampered or invalid: never stored
                     cursor = resp.next_seq
                     self.cursors[peer_id] = cursor
                     if len(resp.entries) < self.page_size:
                         break
-            except Unreachable:
+            except (Unreachable, ProtocolError):
                 continue
         return fetched
 
@@ -245,14 +246,6 @@ def encode_message(msg: Message) -> bytes:
     return ("\n".join(lines) + "\n\n" + body).encode("utf-8")
 
 
-def _parse_nanopub_body(body: str) -> Nanopublication:
-    doc = parse_trig(body)
-    uris = candidate_uris(doc)
-    if len(uris) != 1:
-        raise ProtocolError(f"body holds {len(uris)} nanopublications, expected 1")
-    return assemble(doc, uris[0])
-
-
 def decode_message(data: bytes) -> Message:
     try:
         text = data.decode("utf-8")
@@ -278,8 +271,12 @@ def decode_message(data: bytes) -> Message:
             raise ProtocolError(f"expected exactly one {key} header")
         return values[0]
 
-    if kind == "PUBLISH":
-        return Publish(_parse_nanopub_body(body))
+    if kind in ("PUBLISH", "NANOPUB"):
+        try:
+            np = parse_nanopub(body)
+        except StoreError as exc:
+            raise ProtocolError(f"body: {exc}") from exc
+        return Publish(np) if kind == "PUBLISH" else NanopubResponse(np)
     if kind == "GET":
         return Get(one("CODE"))
     if kind == "GET_JOURNAL":
@@ -288,8 +285,6 @@ def decode_message(data: bytes) -> Message:
         return PeersRequest()
     if kind == "OK":
         return Ok(one("CODE"))
-    if kind == "NANOPUB":
-        return NanopubResponse(_parse_nanopub_body(body))
     if kind == "JOURNAL_PAGE":
         entries = []
         for value in by_key.get("ENTRY", []):
@@ -309,7 +304,8 @@ def decode_message(data: bytes) -> Message:
 
 
 def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
-    """One request/response exchange with ``host:port``."""
+    """One request/response exchange with ``host:port``; ProtocolError
+    for any reply that cannot be decoded."""
     host, _, port_text = address.rpartition(":")
     try:
         with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
@@ -323,7 +319,10 @@ def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
                 chunks.append(chunk)
     except OSError as exc:
         raise Unreachable(f"{address}: {exc}") from exc
-    return decode_message(b"".join(chunks))
+    try:
+        return decode_message(b"".join(chunks))
+    except ValueError as exc:  # also bad TriG, an invalid nanopub, a bad number
+        raise ProtocolError(f"{address}: undecodable reply: {exc}") from exc
 
 
 class _NodeRequestHandler(socketserver.BaseRequestHandler):

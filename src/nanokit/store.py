@@ -5,6 +5,8 @@ directory plus an append-only ``journal.log`` whose lines are
 ``<seq> <code>`` in ascending seq order.  The journal doubles as the
 replication feed for the network module.  Reopening drops a torn last
 line (an append cut short by a crash) and rejects any other bad line.
+It re-parses and re-verifies every file; a missing or unparsable one is
+a ``StoreError`` naming the file and its journal line.
 
 Lookup contract is oracle equivalence, not complexity: the per-position
 term indexes only pre-filter candidates, every hit is confirmed against
@@ -43,7 +45,6 @@ class StoredNanopub:
     nanopub: Nanopublication
     created: Optional[datetime]
     ingested_at: int
-    doc: QuadDocument  # cached full document, shared quads
     latest_key: tuple = ()  # created desc, missing last, ties by code asc
 
 
@@ -60,6 +61,21 @@ def candidate_uris(doc) -> list[str]:
         if q.predicate.value == ns.NP_HAS_ASSERTION and q.object.is_iri:
             seen.setdefault(q.subject.value, None)
     return list(seen)
+
+
+def sole_uri(doc) -> str:
+    """The one nanopublication URI declared in ``doc``; StoreError otherwise."""
+    uris = candidate_uris(doc)
+    if len(uris) != 1:
+        raise StoreError(f"expected exactly one nanopublication, found {len(uris)}")
+    return uris[0]
+
+
+def parse_nanopub(text: str) -> Nanopublication:
+    """The one nanopublication in TriG ``text``, assembled; raises
+    TrigSyntaxError, StoreError or NanopubValidationError."""
+    doc = parse_trig(text)
+    return assemble(doc, sole_uri(doc))
 
 
 def split_corpus(doc) -> list[Nanopublication]:
@@ -169,12 +185,12 @@ class NanopubStore:
         with self._lock:
             existing = self._by_code.get(code)
             if existing is not None:
-                if existing.doc != doc:
+                if existing.nanopub.to_document() != doc:
                     raise IntegrityError(f"code {code} already stored with different content")
                 return code
             self._seq += 1
             created = _created_of(np)
-            record = StoredNanopub(code, np, created, self._seq, doc, _latest_key(code, created))
+            record = StoredNanopub(code, np, created, self._seq, _latest_key(code, created))
             if self.directory is not None:
                 path = self.directory / f"{code}.trig"
                 path.write_text(serialize_trig(doc), encoding="utf-8")
@@ -192,7 +208,7 @@ class NanopubStore:
             pos["subject"], pos["predicate"], pos["object"], pos["graph"]
         )
         mentions = self._mention_index
-        for q in record.doc.quads:
+        for q in record.nanopub.to_document().quads:
             for index, term in (
                 (subjects, q.subject),
                 (predicates, q.predicate),
@@ -236,19 +252,16 @@ class NanopubStore:
             if code in self._by_code:
                 raise StoreError(f"{JOURNAL_NAME} line {number}: {code} listed twice")
             path = self.directory / f"{code}.trig"
-            doc = parse_trig(path.read_text(encoding="utf-8"))
-            uris = candidate_uris(doc)
-            if len(uris) != 1:
-                raise StoreError(f"{path.name}: expected one nanopublication, found {len(uris)}")
-            np = assemble(doc, uris[0])
-            reason = verify_reason(doc, np.uri)
+            where = f"{JOURNAL_NAME} line {number}: {path.name}"
+            try:
+                np = parse_nanopub(path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise StoreError(f"{where}: {exc}") from exc
+            reason = verify_reason(np.to_document(), np.uri)
             if reason is not None:
-                raise StoreError(f"{path.name}: verification failed: {reason}")
+                raise StoreError(f"{where}: verification failed: {reason}")
             created = _created_of(np)
-            record = StoredNanopub(
-                code, np, created, seq, np.to_document(), _latest_key(code, created)
-            )
-            self._register(record)
+            self._register(StoredNanopub(code, np, created, seq, _latest_key(code, created)))
             self._seq = seq
 
     # -- retrieval --------------------------------------------------------
@@ -281,7 +294,7 @@ class NanopubStore:
         hits = [
             code
             for code in candidates
-            if any(pattern.matches(q) for q in self._by_code[code].doc.quads)
+            if any(pattern.matches(q) for q in self._by_code[code].nanopub.to_document().quads)
         ]
         return self._ordered(hits, latest)
 

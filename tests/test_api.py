@@ -3,7 +3,7 @@ import requests
 
 from nanokit import namespaces as ns
 from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError
-from nanokit.index import IndexMetadata, build_index
+from nanokit.index import IndexMetadata, _mint_chain_link, build_index
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
@@ -123,6 +123,32 @@ def test_get_index_elements_unknown_index(indexed_store):
     store = indexed_store[0]
     with pytest.raises(NotFoundError):
         ApiService(store).get_index_elements("http://example.org/idx/" + "RA" + "Z" * 43)
+
+
+def test_http_get_index_elements_missing_link_404_non_index_400(indexed_store):
+    chain = indexed_store[1]
+    plain = indexed_store[0].get(indexed_store[0].codes()[0])
+    appends_plain = _mint_chain_link(
+        "http://example.org/idx/bad/", [], [], plain.uri, IndexMetadata(title="t"), False
+    )
+    store = NanopubStore()
+    store.put(chain[-1].nanopub)  # the head only: the links it appends are absent
+    store.put(plain)
+    store.put(appends_plain.nanopub)
+    server = ApiServer(ApiService(store))
+    server.serve_in_background()
+    try:
+        url = f"http://{server.address}/api/get_index_elements"
+        got = requests.get(url, params={"index_uri": chain[-1].uri})
+        assert got.status_code == 404
+        assert got.text.startswith("ERROR not-found ")
+        for index_uri in (plain.uri, appends_plain.uri):
+            got = requests.get(url, params={"index_uri": index_uri})
+            assert got.status_code == 400
+            assert got.text.startswith("ERROR ")
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_get_nanopub_reverifies(service, corpus200):

@@ -167,6 +167,26 @@ def test_index_build_expand_list(tmp_path, capsys):
     assert [r[4] for r in rows] == ["6", "10"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("expand", "--uri"), ("append", "--title", "t", "--previous")],
+    ids=["expand", "append"],
+)
+def test_index_commands_on_unknown_uri(tmp_path, capsys, argv):
+    unknown = "http://example.org/index/" + "RA" + "Q" * 43
+    status, _, err = run(capsys, "index", *argv, unknown, "--store-dir", str(tmp_path / "s"))
+    assert status == 1
+    assert f"unknown index <{unknown}>" in err
+
+
+def test_validate_two_nanopubs_without_uri_asks_for_it(tmp_path, capsys):
+    gen_dir = tmp_path / "gen"
+    run(capsys, "gen-corpus", "--out", str(gen_dir), "--count", "2", "--single-file")
+    status, _, err = run(capsys, "validate", str(gen_dir / "corpus.trig"))
+    assert status == 1
+    assert "found 2; pass --uri" in err
+
+
 def test_analyze_outputs_five_reports(tmp_path, capsys):
     gen_dir = tmp_path / "gen"
     run(capsys, "gen-corpus", "--out", str(gen_dir), "--count", "25", "--seed", "9", "--single-file")

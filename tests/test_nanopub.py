@@ -102,6 +102,14 @@ def test_assemble_roundtrip_identity(valid_fixture_docs):
         assert again == np, name
 
 
+def test_to_document_is_built_once_head_first(birddiet_doc, birddiet_uri):
+    np = assemble(birddiet_doc, birddiet_uri)
+    doc = np.to_document()
+    assert np.to_document() is doc
+    assert doc.quads == np.head.quads + np.assertion.quads + np.provenance.quads + np.pubinfo.quads
+    assert doc.prefixes == ns.STANDARD_PREFIXES
+
+
 def test_minimal_head_is_exactly_four(corpus200):
     # generator emits exactly the four mandatory head triples
     assert all(part_sizes(np)[0] == 4 for np in corpus200)

@@ -1,4 +1,6 @@
 import hashlib
+import socketserver
+import threading
 
 import pytest
 
@@ -28,7 +30,7 @@ from nanokit.network import (
     run_simulation,
     tcp_request,
 )
-from nanokit.rdf import Quad, QuadDocument, literal
+from nanokit.rdf import Quad, QuadDocument, literal, serialize_trig
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,41 @@ def test_unreachable_peer_keeps_cursor():
     a.send = send
     assert a.sync_round() == 0
     assert a.cursors == {}
+
+
+def test_undecodable_reply_skips_one_code_not_the_round(nanopubs):
+    source = ServerNode("a")
+    other = ServerNode("c")
+    for np in nanopubs[:4]:
+        source.handle(Publish(np))
+    other.handle(Publish(nanopubs[4]))
+    bad_code = nanopubs[1].uri[-45:]
+    nodes = {"a": source, "c": other}
+
+    def send(dst, msg):
+        if isinstance(msg, Get) and msg.code == bad_code:
+            raise ProtocolError("undecodable reply")
+        return nodes[dst].handle(msg)
+
+    b = ServerNode("b", peers=["a", "c"], send=send)
+    assert b.sync_round() == 4
+    assert b.store.get(bad_code) is None  # never stored
+    assert set(b.store.codes()) == {np.uri[-45:] for np in nanopubs[:5]} - {bad_code}
+    assert b.cursors == {"a": 5, "c": 2}  # advanced past the bad entry
+
+
+def test_undecodable_journal_page_skips_that_peer_only(nanopubs):
+    good = ServerNode("c")
+    good.handle(Publish(nanopubs[0]))
+
+    def send(dst, msg):
+        if dst == "a":
+            raise ProtocolError("undecodable reply")
+        return good.handle(msg)
+
+    b = ServerNode("b", peers=["a", "c"], send=send)
+    assert b.sync_round() == 1
+    assert b.cursors == {"c": 2}  # peer a is retried from the start
 
 
 def test_client_retrieve_last_node_wins(nanopubs):
@@ -285,6 +322,33 @@ def test_wire_decode_garbage_raises():
         decode_message(b"HELLO\n\n")
     with pytest.raises(ProtocolError):
         decode_message(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_wire_nanopub_body_must_hold_exactly_one(nanopubs, count):
+    body = "".join(serialize_trig(np.to_document()) for np in nanopubs[:count])
+    with pytest.raises(ProtocolError):
+        decode_message(("KIND NANOPUB\n\n" + body).encode("utf-8"))
+
+
+def test_tcp_undecodable_reply_is_protocol_error():
+    class Garbage(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.recv(65536)
+            self.request.sendall(b"KIND NANOPUB\n\n<http://x.example/a> <broken")
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Garbage)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        with pytest.raises(ProtocolError):
+            tcp_request(f"{host}:{port}", Get("RA" + "A" * 43), timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_tcp_server_roundtrip(nanopubs):

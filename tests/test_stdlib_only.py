@@ -1,0 +1,30 @@
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nanokit").glob("*.py"))
+
+
+def _absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_runtime_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    foreign = [
+        name
+        for name in _absolute_imports(tree)
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"nanokit"}
+    ]
+    assert foreign == []
+
+
+def test_the_package_is_found():
+    assert "__init__.py" in {path.name for path in SOURCES}

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -161,6 +162,36 @@ def test_reopen_rejects_repeated_code(tmp_path, corpus200):
         fh.write(f"3 {code}\n")
     with pytest.raises(StoreError, match="listed twice"):
         NanopubStore(directory)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda path: path.unlink(),
+        lambda path: path.write_text("<http://x.example/a> <broken", encoding="utf-8"),
+    ],
+    ids=["missing", "unparsable"],
+)
+def test_reopen_bad_trig_file_is_store_error_naming_file_and_line(tmp_path, corpus200, damage):
+    directory = tmp_path / "store"
+    code = _disk_store(directory, corpus200[:3]).codes()[1]
+    damage(directory / f"{code}.trig")
+    with pytest.raises(StoreError, match=f"journal.log line 2: {code}.trig: "):
+        NanopubStore(directory)
+
+
+def test_tampered_replace_of_verified_nanopub_is_rejected(corpus200):
+    np = corpus200[0]
+    NanopubStore().put(np)  # validated and verified once already
+    first, *rest = np.assertion.quads
+    changed = Quad(first.subject, first.predicate, iri("http://evil.example/x"), first.graph)
+    tampered = dataclasses.replace(
+        np, assertion=dataclasses.replace(np.assertion, quads=(changed, *rest))
+    )
+    store = NanopubStore()
+    with pytest.raises(StoreError, match="verification"):
+        store.put(tampered)
+    assert len(store) == 0
 
 
 def _full_sort(store, nanopubs, from_seq=1, limit=None):
