@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate the committed test fixtures (tests/fixtures/).
+"""Regenerate the committed test fixtures.
+
+Usage: python scripts/make_fixtures.py [OUTDIR]   (default: tests/fixtures/)
 
 Deterministic: running this twice produces identical files.  The valid
 set covers all five corpus shapes; the invalid set mutates valid
@@ -28,7 +30,7 @@ OBO = "http://purl.obolibrary.org/obo/"
 ITIS = "https://www.itis.gov/servlet/SingleRpt/SingleRpt?search_topic=TSN&search_value="
 
 
-def make_birddiet() -> None:
+def make_birddiet(out: Path) -> None:
     """The 12-quad bird-diet nanopublication: head 4, assertion 3,
     provenance 2, pubinfo 3."""
     base = "http://example.org/np/birddiet."
@@ -52,13 +54,13 @@ def make_birddiet() -> None:
         (me, iri(ns.DCT_CREATED), literal("2017-11-02T00:00:00Z", datatype=ns.XSD_DATETIME)),
     ]
     _, np = mint_nanopub(base, assertion, provenance, pubinfo)
-    (FIXTURES / "birddiet.trig").write_text(
+    (out / "birddiet.trig").write_text(
         serialize_trig(np.to_document()), encoding="utf-8"
     )
     print("birddiet.trig", np.uri)
 
 
-def make_licensed() -> None:
+def make_licensed(out: Path) -> None:
     """Plain quad document with exactly two dct:license quads planted."""
     text = """\
 @prefix dct: <http://purl.org/dc/terms/> .
@@ -72,11 +74,11 @@ def make_licensed() -> None:
   <http://example.org/doc/b> <http://purl.org/dc/terms/creator> "somebody" .
 }
 """
-    (FIXTURES / "licensed.trig").write_text(text, encoding="utf-8")
+    (out / "licensed.trig").write_text(text, encoding="utf-8")
 
 
-def make_valid() -> list[QuadDocument]:
-    outdir = FIXTURES / "valid"
+def make_valid(out: Path) -> list[QuadDocument]:
+    outdir = out / "valid"
     outdir.mkdir(parents=True, exist_ok=True)
     corpus = generate_corpus(CorpusConfig(count=20, seed=7, shape_cycle=True))
     docs = []
@@ -98,8 +100,8 @@ def _drop(doc: QuadDocument, keep) -> QuadDocument:
     return QuadDocument([q for q in doc.quads if keep(q)], doc.prefixes)
 
 
-def make_invalid(valid_docs: list[QuadDocument]) -> None:
-    outdir = FIXTURES / "invalid"
+def make_invalid(valid_docs: list[QuadDocument], out: Path) -> None:
+    outdir = out / "invalid"
     outdir.mkdir(parents=True, exist_ok=True)
     mutants: list[tuple[str, QuadDocument]] = []
 
@@ -248,11 +250,12 @@ def make_invalid(valid_docs: list[QuadDocument]) -> None:
 
 
 def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    make_birddiet()
-    make_licensed()
-    valid_docs = make_valid()
-    make_invalid(valid_docs)
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURES
+    out.mkdir(parents=True, exist_ok=True)
+    make_birddiet(out)
+    make_licensed(out)
+    valid_docs = make_valid(out)
+    make_invalid(valid_docs, out)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ network with a deterministic simulator, the seven-method query API, and
 corpus statistics.
 """
 
-from .nanopub import Nanopublication, ValidationReport, assemble, part_sizes, validate
+from .nanopub import Nanopublication, ValidationReport, part_sizes, validate
 from .rdf import Quad, QuadDocument, QuadPattern, Term, iri, literal, match, parse_trig, serialize_trig
 from .store import NanopubStore
 from .trusty import TrustyUri, canonical_form, extract_artifact_code, mint, verify
@@ -20,7 +20,6 @@ __all__ = [
     "Term",
     "TrustyUri",
     "ValidationReport",
-    "assemble",
     "canonical_form",
     "extract_artifact_code",
     "iri",

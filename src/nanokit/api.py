@@ -133,7 +133,7 @@ class ApiService:
         np = self.store.get(code)
         if np is None:
             raise NotFoundError(f"unknown nanopublication <{uri}>")
-        return serialize_trig(np.to_document())
+        return serialize_trig(np)
 
 
 # -- HTTP front ---------------------------------------------------------------

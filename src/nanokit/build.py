@@ -1,4 +1,4 @@
-"""Construct, mint, and assemble a nanopublication in one step.
+"""Construct and mint a nanopublication in one step.
 
 Content triples are written against placeholder IRIs derived from the
 minting base; minting inserts the artifact code after the base in every
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .nanopub import Nanopublication, assemble, head_quads
+from .nanopub import Nanopublication, head_quads
 from .rdf import Quad, QuadDocument, Term, iri
 from .trusty import TrustyUri, mint
 
@@ -54,7 +54,7 @@ def mint_nanopub(
     The triples may reference the placeholder IRIs (see
     :func:`placeholders`); provenance must say something about the
     assertion graph and pubinfo something about the nanopublication URI,
-    or assembly fails.
+    or NanopubValidationError is raised.
     """
     ph = placeholders(base)
     quads = head_quads(ph.uri, ph.head, ph.assertion, ph.provenance, ph.pubinfo)
@@ -67,4 +67,4 @@ def mint_nanopub(
         for s, p, o in triples:
             quads.append(Quad(s, p, o, g))
     uri, minted = mint(QuadDocument(quads), base)
-    return uri, assemble(minted, uri.uri)
+    return uri, Nanopublication(uri.uri, minted.quads)

@@ -169,7 +169,7 @@ def cmd_store_get(args) -> int:
     np = store.get(code)
     if np is None:
         raise CliError(f"not found: {code}")
-    sys.stdout.write(serialize_trig(np.to_document()))
+    sys.stdout.write(serialize_trig(np))
     return 0
 
 
@@ -391,14 +391,14 @@ def cmd_gen_corpus(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.single_file:
-        chunks = [serialize_trig(np.to_document()) for np in corpus]
+        chunks = [serialize_trig(np) for np in corpus]
         (outdir / "corpus.trig").write_text("".join(chunks), encoding="utf-8")
         print(outdir / "corpus.trig")
     else:
         for np in corpus:
             code = extract_artifact_code(np.uri)
             (outdir / f"{code}.trig").write_text(
-                serialize_trig(np.to_document()), encoding="utf-8"
+                serialize_trig(np), encoding="utf-8"
             )
         print(f"wrote {len(corpus)} files to {outdir}")
     return 0

@@ -1,8 +1,11 @@
-"""Assemble and validate the four-graph nanopublication container.
+"""The four-graph nanopublication container and its rules.
 
-A candidate document is routed into head/assertion/provenance/pubinfo
-graphs by the links declared in its head.  Validation reports every
-violated rule; rule ids are stable strings and part of the contract:
+A ``Nanopublication`` is valid by construction: ``Nanopublication(uri,
+quads)`` routes the quads into head/assertion/provenance/pubinfo graphs
+by the links declared in the head, checks every rule once and raises
+``NanopubValidationError`` on any violation.  ``validate`` reports the
+same rules for a candidate document without raising.  Rule ids are
+stable strings and part of the contract:
 
   missing-head-link      one of the three np links is absent
   duplicate-head-link    a link predicate occurs more than once
@@ -18,6 +21,8 @@ violated rule; rule ids are stable strings and part of the contract:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable
 
 from . import namespaces as ns
 from .rdf import Quad, QuadDocument, iri
@@ -69,24 +74,35 @@ class GraphPart:
 
 @dataclass(frozen=True)
 class Nanopublication:
+    """A valid nanopublication: no other kind can be constructed.
+
+    ``quads`` may come in any order and with repeats; the instance keeps
+    them once each, head first, then assertion, provenance and pubinfo,
+    each graph in input order.  Equal instances hold equal ``quads``.
+    """
+
     uri: str
-    head: GraphPart
-    assertion: GraphPart
-    provenance: GraphPart
-    pubinfo: GraphPart
-    _document: QuadDocument | None = field(default=None, init=False, repr=False, compare=False)
+    quads: tuple[Quad, ...]
+    head: GraphPart = field(init=False, repr=False, compare=False)
+    assertion: GraphPart = field(init=False, repr=False, compare=False)
+    provenance: GraphPart = field(init=False, repr=False, compare=False)
+    pubinfo: GraphPart = field(init=False, repr=False, compare=False)
+    prefixes = MappingProxyType(ns.STANDARD_PREFIXES)  # a class attribute, not a field
+
+    def __post_init__(self):
+        violations, parts = _check(dict.fromkeys(self.quads), self.uri)
+        if violations:
+            raise NanopubValidationError(ValidationReport(False, tuple(violations)))
+        object.__setattr__(self, "quads", tuple(q for part in parts for q in part.quads))
+        for name, part in zip(("head", "assertion", "provenance", "pubinfo"), parts):
+            object.__setattr__(self, name, part)
 
     def parts(self) -> tuple[GraphPart, GraphPart, GraphPart, GraphPart]:
         return (self.head, self.assertion, self.provenance, self.pubinfo)
 
     def to_document(self) -> QuadDocument:
-        """All quads, head first, with the standard prefix table.  Built on
-        first use, then returned as the same object; it holds the document
-        only, never a verification result."""
-        if self._document is None:
-            quads = [q for part in self.parts() for q in part.quads]
-            object.__setattr__(self, "_document", QuadDocument(quads, ns.STANDARD_PREFIXES))
-        return self._document
+        """A new document of ``quads`` with the standard prefix table."""
+        return QuadDocument(self.quads, self.prefixes)
 
 
 def part_sizes(np: Nanopublication) -> tuple[int, int, int, int]:
@@ -94,23 +110,20 @@ def part_sizes(np: Nanopublication) -> tuple[int, int, int, int]:
     return tuple(len(part) for part in np.parts())
 
 
-def _link_objects(doc: QuadDocument, uri: str, predicate: str) -> list[Quad]:
-    return [
-        q
-        for q in doc.quads
-        if q.subject.value == uri and q.predicate.value == predicate and q.object.is_iri
-    ]
+def _check(quads: Iterable[Quad], uri: str) -> tuple[list[tuple[str, str]], tuple[GraphPart, ...]]:
+    """Every violated rule over duplicate-free ``quads``, and the (head,
+    assertion, provenance, pubinfo) parts when there is none (else ``()``)."""
+    graphs: dict[str, list[Quad]] = {}
+    links: dict[str, list[Quad]] = {pred: [] for pred in HEAD_LINKS}
+    for q in quads:
+        graphs.setdefault(q.graph.value, []).append(q)
+        if q.subject.value == uri and q.object.is_iri:
+            found = links.get(q.predicate.value)
+            if found is not None:
+                found.append(q)
 
-
-def _check(doc: QuadDocument, uri: str) -> tuple[list[tuple[str, str]], tuple[str, ...]]:
-    """Every violated rule, and the (head, assertion, provenance, pubinfo)
-    graph IRIs once the head links are unambiguous (else ``()``)."""
     violations: list[tuple[str, str]] = []
-
-    links: dict[str, list[Quad]] = {}
-    for pred in HEAD_LINKS:
-        found = _link_objects(doc, uri, pred)
-        links[pred] = found
+    for pred, found in links.items():
         short = pred.rsplit("#", 1)[-1]
         if not found:
             violations.append(("missing-head-link", f"no {short} link for <{uri}>"))
@@ -120,7 +133,7 @@ def _check(doc: QuadDocument, uri: str) -> tuple[list[tuple[str, str]], tuple[st
     if any(len(found) != 1 for found in links.values()):
         return violations, ()
 
-    head_graphs = {links[pred][0].graph.value for pred in HEAD_LINKS}
+    head_graphs = {found[0].graph.value for found in links.values()}
     if len(head_graphs) != 1:
         violations.append(
             ("scattered-head", f"head links live in {len(head_graphs)} graphs")
@@ -138,8 +151,7 @@ def _check(doc: QuadDocument, uri: str) -> tuple[list[tuple[str, str]], tuple[st
         and q.predicate.value == ns.RDF_TYPE
         and q.object.is_iri
         and q.object.value == ns.NP_NANOPUBLICATION
-        and q.graph.value == head_iri
-        for q in doc.quads
+        for q in graphs[head_iri]
     )
     if not has_type:
         violations.append(
@@ -149,45 +161,32 @@ def _check(doc: QuadDocument, uri: str) -> tuple[list[tuple[str, str]], tuple[st
     if len(set(four)) != 4:
         violations.append(("graph-collision", f"graph IRIs not pairwise distinct: {four}"))
 
-    stray = sorted({q.graph.value for q in doc.quads} - set(four))
+    stray = sorted(graphs.keys() - set(four))
     for graph in stray:
         violations.append(("undeclared-graph", f"quads in undeclared graph <{graph}>"))
 
-    assertion_quads = doc.graph_quads(assertion_iri)
-    if not assertion_quads:
+    if assertion_iri not in graphs:
         violations.append(("empty-assertion", f"assertion graph <{assertion_iri}> is empty"))
 
-    if not any(
-        q.subject.value == assertion_iri for q in doc.graph_quads(provenance_iri)
-    ):
+    if not any(q.subject.value == assertion_iri for q in graphs.get(provenance_iri, ())):
         violations.append(
             ("provenance-detached", "no provenance quad about the assertion graph")
         )
 
-    if not any(q.subject.value == uri for q in doc.graph_quads(pubinfo_iri)):
+    if not any(q.subject.value == uri for q in graphs.get(pubinfo_iri, ())):
         violations.append(
             ("pubinfo-detached", "no pubinfo quad about the nanopublication URI")
         )
 
-    return violations, four
+    if violations:
+        return violations, ()
+    return violations, tuple(GraphPart(graph, tuple(graphs[graph])) for graph in four)
 
 
 def validate(doc: QuadDocument, uri: str) -> ValidationReport:
     """Check the candidate against every container rule; never raises."""
-    violations, _ = _check(doc, uri)
+    violations, _ = _check(doc.quads, uri)
     return ValidationReport(not violations, tuple(violations))
-
-
-def assemble(doc: QuadDocument, uri: str) -> Nanopublication:
-    """Route a validated candidate's quads into the four graphs.
-
-    Raises NanopubValidationError carrying the full report when any
-    rule is violated.
-    """
-    violations, four = _check(doc, uri)
-    if violations:
-        raise NanopubValidationError(ValidationReport(False, tuple(violations)))
-    return Nanopublication(uri, *(GraphPart(graph, doc.graph_quads(graph)) for graph in four))
 
 
 def head_quads(uri: str, head_iri: str, assertion_iri: str, provenance_iri: str, pubinfo_iri: str) -> list[Quad]:

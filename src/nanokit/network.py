@@ -196,7 +196,7 @@ def client_retrieve(code: str, known_nodes, send: Send | None = None) -> Nanopub
         any_reachable = True
         if isinstance(reply, NanopubResponse):
             np = reply.nanopub
-            if np.uri.endswith(code) and verify(np.to_document(), np.uri):
+            if np.uri.endswith(code) and verify(np, np.uri):
                 return np
     if not any_reachable:
         raise Unreachable(f"no reachable node for {code}")
@@ -211,7 +211,7 @@ def encode_message(msg: Message) -> bytes:
     body = ""
     if isinstance(msg, Publish):
         lines.append("KIND PUBLISH")
-        body = serialize_trig(msg.nanopub.to_document())
+        body = serialize_trig(msg.nanopub)
     elif isinstance(msg, Get):
         lines.append("KIND GET")
         lines.append(f"CODE {msg.code}")
@@ -226,7 +226,7 @@ def encode_message(msg: Message) -> bytes:
         lines.append(f"CODE {msg.code}")
     elif isinstance(msg, NanopubResponse):
         lines.append("KIND NANOPUB")
-        body = serialize_trig(msg.nanopub.to_document())
+        body = serialize_trig(msg.nanopub)
     elif isinstance(msg, JournalPage):
         lines.append("KIND JOURNAL_PAGE")
         lines.append(f"NEXT_SEQ {msg.next_seq}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .namespaces import (
     RDF_TYPE,
@@ -19,6 +19,9 @@ from .namespaces import (
     XSD_DOUBLE,
     XSD_INTEGER,
 )
+
+if TYPE_CHECKING:
+    from .nanopub import Nanopublication
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _LANG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
@@ -116,12 +119,6 @@ class Quad:
         return hash((self.subject.value, self.predicate.value, self.object.value, self.graph.value))
 
 
-def quad(s: str | Term, p: str | Term, o: str | Term, g: str | Term) -> Quad:
-    """Quad constructor accepting bare IRI strings for convenience."""
-    as_term = lambda t: t if isinstance(t, Term) else iri(t)
-    return Quad(as_term(s), as_term(p), as_term(o), as_term(g))
-
-
 class QuadDocument:
     """An ordered, duplicate-free collection of quads plus a prefix table.
 
@@ -168,9 +165,6 @@ class QuadDocument:
         for q in self.quads:
             names.setdefault(q.graph.value, None)
         return tuple(names)
-
-    def graph_quads(self, graph_iri: str) -> tuple[Quad, ...]:
-        return tuple(q for q in self.quads if q.graph.value == graph_iri)
 
 
 @dataclass(frozen=True)
@@ -592,17 +586,20 @@ def render_term(term: Term) -> str:
     return render_literal(term.value, term.datatype, term.language)
 
 
-def serialize_trig(doc: QuadDocument) -> str:
+def serialize_trig(doc: QuadDocument | Nanopublication) -> str:
     """Serialize with graphs in first-appearance order, quads in insertion
     order, and every term in long form (the prefix table is decorative)."""
+    graphs: dict[str, list[Quad]] = {}
+    for q in doc.quads:
+        graphs.setdefault(q.graph.value, []).append(q)
     lines = []
     for label, target in doc.prefixes.items():
         lines.append(f"@prefix {label}: <{target}> .")
     if doc.prefixes:
         lines.append("")
-    for graph_iri in doc.graph_names():
+    for graph_iri, quads in graphs.items():
         lines.append(f"<{graph_iri}> {{")
-        for q in doc.graph_quads(graph_iri):
+        for q in quads:
             lines.append(
                 f"  {render_term(q.subject)} {render_term(q.predicate)} {render_term(q.object)} ."
             )

@@ -1,11 +1,16 @@
-"""In-memory + file-backed store of validated nanopublications.
+"""In-memory + file-backed store of verified nanopublications.
+
+A ``Nanopublication`` is valid by construction, so ``put`` checks only
+what the container rules cannot: it verifies the content against the
+artifact code on every call, and refuses a known code whose quads differ.
 
 Layout on disk: one ``<code>.trig`` file per nanopublication in a flat
 directory plus an append-only ``journal.log`` whose lines are
 ``<seq> <code>`` in ascending seq order.  The journal doubles as the
 replication feed for the network module.  Reopening drops a torn last
 line (an append cut short by a crash) and rejects any other bad line.
-It re-parses and re-verifies every file; a missing or unparsable one is
+It re-parses and re-verifies every file; a missing, unparsable or
+unverifiable one, or one holding another code than its journal line, is
 a ``StoreError`` naming the file and its journal line.
 
 Lookup contract is oracle equivalence, not complexity: the per-position
@@ -23,8 +28,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import namespaces as ns
-from .nanopub import HEAD_LINKS, Nanopublication, assemble, validate
-from .rdf import QuadDocument, QuadPattern, Term, parse_trig, serialize_trig
+from .nanopub import HEAD_LINKS, Nanopublication
+from .rdf import QuadPattern, Term, parse_trig, serialize_trig
 from .trusty import extract_artifact_code, is_artifact_code, verify_reason
 from .util import parse_timestamp
 
@@ -72,18 +77,18 @@ def sole_uri(doc) -> str:
 
 
 def parse_nanopub(text: str) -> Nanopublication:
-    """The one nanopublication in TriG ``text``, assembled; raises
-    TrigSyntaxError, StoreError or NanopubValidationError."""
+    """The one nanopublication in TriG ``text``; raises TrigSyntaxError,
+    StoreError or NanopubValidationError."""
     doc = parse_trig(text)
-    return assemble(doc, sole_uri(doc))
+    return Nanopublication(sole_uri(doc), doc.quads)
 
 
 def split_corpus(doc) -> list[Nanopublication]:
     """Split a concatenated corpus document into its nanopublications.
 
     One pass groups the quads by graph.  Each nanopublication's head is
-    the graph of its first ``np:hasAssertion`` quad; its sub-document is
-    that graph plus the graphs the head links to.  Nanopublications come
+    the graph of its first ``np:hasAssertion`` quad; its quads are those
+    of that graph and of the graphs the head links to.  Nanopublications come
     in ``candidate_uris`` order.  Every quad must belong to exactly one
     nanopublication; leftovers are an error.
     """
@@ -101,10 +106,7 @@ def split_corpus(doc) -> list[Nanopublication]:
         for q in graphs[head_iri]:
             if q.subject.value == uri and q.object.is_iri and q.predicate.value in HEAD_LINKS:
                 graph_iris.setdefault(q.object.value, None)
-        sub = QuadDocument(
-            (q for g in graph_iris for q in graphs.get(g, ())), doc.prefixes
-        )
-        np = assemble(sub, uri)
+        np = Nanopublication(uri, (q for g in graph_iris for q in graphs.get(g, ())))
         nanopubs.append(np)
         claimed.update(part.iri for part in np.parts())
     stray = [g for g in graphs if g not in claimed]
@@ -170,22 +172,17 @@ class NanopubStore:
     # -- ingest -----------------------------------------------------------
 
     def put(self, np: Nanopublication) -> str:
-        """Store a valid, trusty-verified nanopublication; idempotent by code."""
+        """Store a trusty-verified nanopublication; idempotent by code."""
         code = extract_artifact_code(np.uri)
         if code is None:
             raise StoreError(f"nanopublication URI carries no artifact code: <{np.uri}>")
-        doc = np.to_document()
-        report = validate(doc, np.uri)
-        if not report.valid:
-            rules = ", ".join(sorted(report.rule_ids()))
-            raise StoreError(f"invalid nanopublication: {rules}")
-        reason = verify_reason(doc, np.uri)
+        reason = verify_reason(np, np.uri)
         if reason is not None:
             raise StoreError(f"verification failed for <{np.uri}>: {reason}")
         with self._lock:
             existing = self._by_code.get(code)
             if existing is not None:
-                if existing.nanopub.to_document() != doc:
+                if frozenset(existing.nanopub.quads) != frozenset(np.quads):
                     raise IntegrityError(f"code {code} already stored with different content")
                 return code
             self._seq += 1
@@ -193,7 +190,7 @@ class NanopubStore:
             record = StoredNanopub(code, np, created, self._seq, _latest_key(code, created))
             if self.directory is not None:
                 path = self.directory / f"{code}.trig"
-                path.write_text(serialize_trig(doc), encoding="utf-8")
+                path.write_text(serialize_trig(np), encoding="utf-8")
                 with (self.directory / JOURNAL_NAME).open("a", encoding="utf-8") as fh:
                     fh.write(f"{self._seq} {code}\n")
             self._register(record)
@@ -208,7 +205,7 @@ class NanopubStore:
             pos["subject"], pos["predicate"], pos["object"], pos["graph"]
         )
         mentions = self._mention_index
-        for q in record.nanopub.to_document().quads:
+        for q in record.nanopub.quads:
             for index, term in (
                 (subjects, q.subject),
                 (predicates, q.predicate),
@@ -257,9 +254,11 @@ class NanopubStore:
                 np = parse_nanopub(path.read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
                 raise StoreError(f"{where}: {exc}") from exc
-            reason = verify_reason(np.to_document(), np.uri)
+            reason = verify_reason(np, np.uri)
             if reason is not None:
                 raise StoreError(f"{where}: verification failed: {reason}")
+            if extract_artifact_code(np.uri) != code:
+                raise StoreError(f"{where}: holds <{np.uri}>, not code {code}")
             created = _created_of(np)
             self._register(StoredNanopub(code, np, created, seq, _latest_key(code, created)))
             self._seq = seq
@@ -294,7 +293,7 @@ class NanopubStore:
         hits = [
             code
             for code in candidates
-            if any(pattern.matches(q) for q in self._by_code[code].nanopub.to_document().quads)
+            if any(pattern.matches(q) for q in self._by_code[code].nanopub.quads)
         ]
         return self._ordered(hits, latest)
 

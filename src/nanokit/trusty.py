@@ -12,8 +12,12 @@ import base64
 from dataclasses import dataclass
 import hashlib
 import re
+from typing import TYPE_CHECKING
 
 from .rdf import Quad, QuadDocument, Term, iri, literal, render_iri, render_literal
+
+if TYPE_CHECKING:
+    from .nanopub import Nanopublication
 
 CODE_LENGTH = 45
 CODE_PREFIX = "RA"
@@ -75,7 +79,7 @@ def _canonical_term(term: Term, base: str) -> str:
     return render_literal(term.value, datatype, term.language)
 
 
-def canonical_form(doc: QuadDocument, base: str) -> str:
+def canonical_form(doc: QuadDocument | Nanopublication, base: str) -> str:
     """Deterministic text the code is computed from.
 
     One ``S P O G .`` line per quad with self-references blanked to the
@@ -104,7 +108,7 @@ def encode_digest(digest: bytes) -> str:
     return base64.urlsafe_b64encode(padded)[:43].decode("ascii")
 
 
-def compute_code(doc: QuadDocument, base: str) -> str:
+def compute_code(doc: QuadDocument | Nanopublication, base: str) -> str:
     digest = hashlib.sha256(canonical_form(doc, base).encode("utf-8")).digest()
     return CODE_PREFIX + encode_digest(digest)
 
@@ -176,13 +180,13 @@ def strip_trusty(doc: QuadDocument, base: str) -> QuadDocument:
     )
 
 
-def verify(doc: QuadDocument, uri: TrustyUri | str) -> bool:
+def verify(doc: QuadDocument | Nanopublication, uri: TrustyUri | str) -> bool:
     """True iff re-deriving the code from ``doc`` reproduces ``uri``'s code."""
     reason = verify_reason(doc, uri)
     return reason is None
 
 
-def verify_reason(doc: QuadDocument, uri: TrustyUri | str) -> str | None:
+def verify_reason(doc: QuadDocument | Nanopublication, uri: TrustyUri | str) -> str | None:
     """None when verification passes, else a short failure reason."""
     if isinstance(uri, str):
         code = extract_artifact_code(uri)

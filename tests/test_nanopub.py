@@ -1,12 +1,16 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanokit import namespaces as ns
 from nanokit.nanopub import (
+    Nanopublication,
     NanopubValidationError,
     RULE_IDS,
-    assemble,
     part_sizes,
     validate,
 )
@@ -15,7 +19,7 @@ from nanokit.store import candidate_uris
 
 
 def test_birddiet_assembles(birddiet_doc, birddiet_uri):
-    np = assemble(birddiet_doc, birddiet_uri)
+    np = Nanopublication(birddiet_uri, birddiet_doc.quads)
     assert np.uri == birddiet_uri
     assert part_sizes(np) == (4, 3, 2, 3)
     assert sum(part_sizes(np)) == 12
@@ -40,7 +44,7 @@ def test_missing_provenance_link(birddiet_doc, birddiet_uri):
     report = validate(doc, birddiet_uri)
     assert "missing-head-link" in report.rule_ids()
     with pytest.raises(NanopubValidationError):
-        assemble(doc, birddiet_uri)
+        Nanopublication(birddiet_uri, doc.quads)
 
 
 def test_deleted_assertion_is_empty_assertion(birddiet_doc, birddiet_uri):
@@ -97,16 +101,46 @@ def test_fixture_set_classifies_correctly(valid_fixture_docs, invalid_fixture_do
 def test_assemble_roundtrip_identity(valid_fixture_docs):
     for name, doc in valid_fixture_docs:
         uri = candidate_uris(doc)[0]
-        np = assemble(doc, uri)
-        again = assemble(np.to_document(), uri)
+        np = Nanopublication(uri, doc.quads)
+        again = Nanopublication(uri, np.to_document().quads)
         assert again == np, name
 
 
+def test_invalid_fixtures_cannot_be_constructed(invalid_fixture_docs):
+    for name, doc in invalid_fixture_docs:
+        uri = candidate_uris(doc)[0]
+        with pytest.raises(NanopubValidationError) as err:
+            Nanopublication(uri, doc.quads)
+        assert err.value.report.violations == validate(doc, uri).violations, name
+
+
+def test_constructor_dedups_and_orders_head_first(birddiet_doc, birddiet_uri):
+    np = Nanopublication(birddiet_uri, birddiet_doc.quads)
+    mixed = Nanopublication(birddiet_uri, [*reversed(birddiet_doc.quads), *birddiet_doc.quads])
+    assert len(mixed.quads) == 12
+    assert mixed.quads == mixed.head.quads + mixed.assertion.quads + mixed.provenance.quads + mixed.pubinfo.quads
+    assert [part.iri for part in mixed.parts()] == [part.iri for part in np.parts()]
+    assert frozenset(mixed.quads) == frozenset(np.quads)
+
+
+def test_fixtures_regenerate_byte_identical(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_fixtures.py"), str(tmp_path)],
+        check=True, capture_output=True, timeout=300,
+    )
+    committed = root / "tests" / "fixtures"
+    names = sorted(p.relative_to(committed) for p in committed.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
+
 def test_to_document_is_built_once_head_first(birddiet_doc, birddiet_uri):
-    np = assemble(birddiet_doc, birddiet_uri)
+    np = Nanopublication(birddiet_uri, birddiet_doc.quads)
+    assert np.quads == np.head.quads + np.assertion.quads + np.provenance.quads + np.pubinfo.quads
     doc = np.to_document()
-    assert np.to_document() is doc
-    assert doc.quads == np.head.quads + np.assertion.quads + np.provenance.quads + np.pubinfo.quads
+    assert doc.quads == np.quads
     assert doc.prefixes == ns.STANDARD_PREFIXES
 
 

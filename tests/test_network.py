@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from nanokit.corpusgen import CorpusConfig, generate_corpus
-from nanokit.nanopub import assemble
+from nanokit.nanopub import Nanopublication
 from nanokit.network import (
     Get,
     GetJournal,
@@ -71,7 +71,7 @@ def test_publish_tampered_is_rejected(nanopubs):
             for q in doc.quads
         ]
     )
-    bad = assemble(tampered, np.uri)
+    bad = Nanopublication(np.uri, tampered.quads)
     node = ServerNode("n0")
     reply = node.handle(Publish(bad))
     assert isinstance(reply, Rejected)

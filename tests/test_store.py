@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 import sys
 import threading
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from nanokit import namespaces as ns
 from nanokit.build import mint_nanopub, placeholders
-from nanokit.nanopub import NanopubValidationError, assemble
+from nanokit import nanopub as nanopub_module
+from nanokit.nanopub import Nanopublication, NanopubValidationError
 from nanokit.rdf import Quad, QuadDocument, QuadPattern, iri, literal, parse_trig, serialize_trig
-from nanokit.store import NanopubStore, StoreError, split_corpus
+from nanokit.store import IntegrityError, NanopubStore, StoreError, parse_nanopub, split_corpus
+from nanokit.trusty import verify
 
 from oracles import as_pairs, scan_pattern, scan_uri
 
@@ -56,7 +59,7 @@ def test_put_rejects_tampered_nanopub():
         ],
         doc.prefixes,
     )
-    bad = assemble(tampered, np.uri)
+    bad = Nanopublication(np.uri, tampered.quads)
     with pytest.raises(StoreError, match="verification"):
         store.put(bad)
     assert len(store) == 0
@@ -183,15 +186,74 @@ def test_reopen_bad_trig_file_is_store_error_naming_file_and_line(tmp_path, corp
 def test_tampered_replace_of_verified_nanopub_is_rejected(corpus200):
     np = corpus200[0]
     NanopubStore().put(np)  # validated and verified once already
-    first, *rest = np.assertion.quads
+    first = np.assertion.quads[0]
     changed = Quad(first.subject, first.predicate, iri("http://evil.example/x"), first.graph)
-    tampered = dataclasses.replace(
-        np, assertion=dataclasses.replace(np.assertion, quads=(changed, *rest))
-    )
+    tampered = dataclasses.replace(np, quads=tuple(changed if q == first else q for q in np.quads))
+    assert tampered.assertion.quads[0] == changed
     store = NanopubStore()
     with pytest.raises(StoreError, match="verification"):
         store.put(tampered)
     assert len(store) == 0
+
+
+def test_reopen_rejects_trig_holding_another_code(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    first, second = _disk_store(directory, corpus200[:2]).codes()
+    shutil.copyfile(directory / f"{first}.trig", directory / f"{second}.trig")
+    with pytest.raises(StoreError, match=f"journal.log line 2: {second}.trig: holds <[^>]*{first}>"):
+        NanopubStore(directory)
+
+
+def _recoded_assertion(np, code):
+    """``np`` with its assertion graph base+C#assertion renamed to base+code#assertion."""
+    old = np.assertion.iri
+    new = np.uri[:-45] + code + old[len(np.uri):]
+    swap = lambda term: iri(new) if term.is_iri and term.value == old else term
+    return Nanopublication(
+        np.uri, (Quad(swap(q.subject), swap(q.predicate), swap(q.object), swap(q.graph)) for q in np.quads)
+    )
+
+
+def test_same_code_with_other_quads_is_integrity_error(corpus200):
+    np = corpus200[0]
+    assert np.assertion.iri == np.uri + "#assertion"
+    variant = _recoded_assertion(np, corpus200[1].uri[-45:])
+    assert frozenset(variant.quads) != frozenset(np.quads)
+    assert verify(variant, np.uri)  # the canonical form strips any code after the base
+    store = NanopubStore()
+    store.put(np)
+    with pytest.raises(IntegrityError, match="already stored with different content"):
+        store.put(variant)
+    assert len(store) == 1
+    assert store.get(np.uri[-45:]) is np
+
+
+def test_same_quads_in_another_order_put_is_idempotent(corpus200):
+    np = corpus200[0]
+    reordered = Nanopublication(np.uri, reversed(np.quads))
+    assert reordered.quads != np.quads
+    store = NanopubStore()
+    assert store.put(np) == store.put(reordered) == np.uri[-45:]
+    assert len(store) == 1
+
+
+def test_one_container_check_between_trig_and_store(monkeypatch, corpus200):
+    check = nanopub_module._check
+    calls = []
+
+    def counting(quads, uri):
+        calls.append(uri)
+        return check(quads, uri)
+
+    monkeypatch.setattr(nanopub_module, "_check", counting)
+    store = NanopubStore()
+    np = parse_nanopub(serialize_trig(corpus200[0]))
+    store.put(np)
+    assert calls == [np.uri]
+    calls.clear()
+    store.put(np)
+    NanopubStore().put(np)
+    assert calls == []
 
 
 def _full_sort(store, nanopubs, from_seq=1, limit=None):
