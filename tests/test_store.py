@@ -185,7 +185,7 @@ def test_reopen_bad_trig_file_is_store_error_naming_file_and_line(tmp_path, corp
 
 def test_tampered_replace_of_verified_nanopub_is_rejected(corpus200):
     np = corpus200[0]
-    NanopubStore().put(np)  # validated and verified once already
+    NanopubStore().put(np)  # verified once already
     first = np.assertion.quads[0]
     changed = Quad(first.subject, first.predicate, iri("http://evil.example/x"), first.graph)
     tampered = dataclasses.replace(np, quads=tuple(changed if q == first else q for q in np.quads))
