@@ -19,7 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from nanokit.corpusgen import CorpusConfig, generate_corpus
-from nanokit.network import PublishEvent, SimConfig, Simulation, client_retrieve
+from nanokit.network import (
+    PublishEvent,
+    SimConfig,
+    Simulation,
+    Unreachable,
+    client_retrieve,
+)
 
 
 def run_point(nanopubs, failed_count: int, seed: int, outdir: Path) -> None:
@@ -41,7 +47,7 @@ def run_point(nanopubs, failed_count: int, seed: int, outdir: Path) -> None:
         try:
             client_retrieve(code, live)
             retrievable += 1
-        except Exception:
+        except (KeyError, Unreachable):
             pass
 
     out = outdir / f"report-f{failed_count}.txt"

@@ -28,17 +28,6 @@ from .trusty import extract_artifact_code
 DEFAULT_PAGE_SIZE = 1000
 MAX_PAGE_SIZE = 10000
 
-METHOD_NAMES = (
-    "find_latest_nanopubs_with_pattern",
-    "find_nanopubs_with_pattern",
-    "find_latest_nanopubs_with_uri",
-    "find_nanopubs_with_uri",
-    "get_all_indexes",
-    "get_index_elements",
-    "get_nanopub",
-)
-
-
 class ApiError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")

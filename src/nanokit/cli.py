@@ -295,44 +295,51 @@ def cmd_node_run(args) -> int:
     return 0
 
 
+# one value parser per settable SimConfig field; an absent key keeps SimConfig's default
+_SIM_FIELDS = {
+    "node_count": int,
+    "topology": str,
+    "topology_p": float,
+    "topology_seed": int,
+    "latency": str,
+    "timeout": float,
+    "seed": int,
+    "rounds": int,
+    "page_size": int,
+}
+_PUBLISH_DEFAULTS = {"publish_count": 0, "publish_seed": 0, "publish_rounds": 1}
+
+
 def _read_sim_config(path: str) -> tuple[SimConfig, int, int, int]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
-    values: dict[str, str] = {}
+    settings: dict = {"node_count": 1}
+    publish = dict(_PUBLISH_DEFAULTS)
     failures = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if key == "fail":
-            parts = value.split()
-            if len(parts) != 3:
-                raise CliError(f"bad fail line: {line!r}")
-            failures.append(tuple(int(p) for p in parts))
-        else:
-            values[key] = value.strip()
     try:
-        config = SimConfig(
-            node_count=int(values.get("node_count", "1")),
-            topology=values.get("topology", "complete"),
-            topology_p=float(values.get("topology_p", "0.5")),
-            topology_seed=int(values.get("topology_seed", "0")),
-            latency=values.get("latency", "constant:0.0"),
-            timeout=float(values["timeout"]) if "timeout" in values else None,
-            failures=tuple(failures),
-            seed=int(values.get("seed", "0")),
-            rounds=int(values.get("rounds", "10")),
-            page_size=int(values.get("page_size", "100")),
-        )
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition(" ")
+            value = value.strip()
+            if key == "fail":
+                parts = value.split()
+                if len(parts) != 3:
+                    raise CliError(f"bad fail line: {line!r}")
+                failures.append(tuple(int(p) for p in parts))
+            elif key in _SIM_FIELDS:
+                settings[key] = _SIM_FIELDS[key](value)
+            elif key in publish:
+                publish[key] = int(value)
+            else:
+                raise CliError(f"unknown simulation config key: {key!r}")
+        config = SimConfig(**settings, failures=tuple(failures))
     except ValueError as exc:
         raise CliError(f"bad simulation config: {exc}")
-    publish_count = int(values.get("publish_count", "0"))
-    publish_seed = int(values.get("publish_seed", "0"))
-    publish_rounds = int(values.get("publish_rounds", "1"))
-    return config, publish_count, publish_seed, publish_rounds
+    return config, publish["publish_count"], publish["publish_seed"], publish["publish_rounds"]
 
 
 def build_workload(

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import namespaces as ns
 from .build import mint_nanopub, placeholders
 from .nanopub import Nanopublication
-from .rdf import iri, literal
+from .rdf import QuadPattern, iri, literal
 from .trusty import extract_artifact_code
 from .util import content_tag, parse_timestamp
 
@@ -122,16 +122,6 @@ class IndexRecord:
         )
 
 
-def is_index_nanopub(np: Nanopublication) -> bool:
-    return any(
-        q.subject.value == np.uri
-        and q.predicate.value == ns.RDF_TYPE
-        and q.object.is_iri
-        and q.object.value == ns.NPX_NANOPUB_INDEX
-        for q in np.assertion.quads
-    )
-
-
 def store_resolver(store) -> Resolver:
     """Resolve index URIs against a store: KeyError for an unknown URI,
     NotAnIndexError for a stored nanopublication that is not an index."""
@@ -160,7 +150,9 @@ class IndexSummary:
     size: int
 
 
-def _check_element_uris(elements: Iterable[str]):
+def _check_request(elements: list[str], metadata: IndexMetadata, capacity: int):
+    if capacity < 1:
+        raise IndexError_(f"capacity must be >= 1, got {capacity}")
     seen = set()
     for e in elements:
         if e in seen:
@@ -168,41 +160,59 @@ def _check_element_uris(elements: Iterable[str]):
         seen.add(e)
         if extract_artifact_code(e) is None:
             raise IndexError_(f"element is not a trusty URI: <{e}>")
+    if metadata.is_empty():
+        raise IndexError_("index metadata must carry a title, created date, or creator")
 
 
-def _mint_chain_link(
+def _mint_chain(
     base: str,
     elements: list[str],
     sub_indexes: list[str],
     appends: Optional[str],
     metadata: IndexMetadata,
-    incomplete: bool,
-) -> IndexRecord:
-    ph = placeholders(base)
-    me = iri(ph.uri)
-    assertion = [(me, iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX))]
-    assertion += [(me, iri(ns.NPX_INCLUDES_ELEMENT), iri(e)) for e in elements]
-    assertion += [(me, iri(ns.NPX_INCLUDES_SUBINDEX), iri(s)) for s in sub_indexes]
-    if appends is not None:
-        assertion.append((me, iri(ns.NPX_APPENDS_INDEX), iri(appends)))
+    capacity: int,
+) -> list[IndexRecord]:
+    """Mint ``elements`` as a chain of links of at most ``capacity`` each.
 
-    provenance = [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))]
+    The first link appends ``appends``, each later one its predecessor.
+    Non-final links are marked incomplete; the final link (last in the
+    returned list) carries the title, the creators and the sub-indexes.
+    Link ``i`` is minted under its own base ``base + "i/"``, so
+    self-reference blanking cannot touch the membership URIs.
+    """
+    chunks = [elements[i : i + capacity] for i in range(0, len(elements), capacity)] or [[]]
+    records: list[IndexRecord] = []
+    for slot, chunk in enumerate(chunks):
+        final = slot == len(chunks) - 1
+        link_base = f"{base}{slot}/"
+        ph = placeholders(link_base)
+        me = iri(ph.uri)
+        assertion = [(me, iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX))]
+        assertion += [(me, iri(ns.NPX_INCLUDES_ELEMENT), iri(e)) for e in chunk]
+        if final:
+            assertion += [(me, iri(ns.NPX_INCLUDES_SUBINDEX), iri(s)) for s in sub_indexes]
+        if appends is not None:
+            assertion.append((me, iri(ns.NPX_APPENDS_INDEX), iri(appends)))
 
-    pubinfo = []
-    if incomplete:
-        pubinfo.append((me, iri(ns.RDF_TYPE), iri(ns.NPX_INCOMPLETE_INDEX)))
-    else:
-        if metadata.title is not None:
-            pubinfo.append((me, iri(ns.DCT_TITLE), literal(metadata.title)))
-        for creator in metadata.creators:
-            pubinfo.append((me, iri(ns.DCT_CREATOR), iri(creator)))
-    if metadata.created is not None:
-        pubinfo.append(
-            (me, iri(ns.DCT_CREATED), literal(metadata.created, datatype=ns.XSD_DATETIME))
-        )
+        provenance = [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))]
 
-    _, np = mint_nanopub(base, assertion, provenance, pubinfo)
-    return IndexRecord.from_nanopub(np)
+        pubinfo = []
+        if not final:
+            pubinfo.append((me, iri(ns.RDF_TYPE), iri(ns.NPX_INCOMPLETE_INDEX)))
+        else:
+            if metadata.title is not None:
+                pubinfo.append((me, iri(ns.DCT_TITLE), literal(metadata.title)))
+            for creator in metadata.creators:
+                pubinfo.append((me, iri(ns.DCT_CREATOR), iri(creator)))
+        if metadata.created is not None:
+            pubinfo.append(
+                (me, iri(ns.DCT_CREATED), literal(metadata.created, datatype=ns.XSD_DATETIME))
+            )
+
+        _, np = mint_nanopub(link_base, assertion, provenance, pubinfo)
+        records.append(IndexRecord.from_nanopub(np))
+        appends = records[-1].uri
+    return records
 
 
 def build_index(
@@ -214,20 +224,12 @@ def build_index(
 ) -> list[IndexRecord]:
     """Emit a chain of index records covering the given membership.
 
-    Every link carries at most ``capacity`` elements; non-final links
-    are marked incomplete and referenced by their successor through
-    ``appends``.  The final link (last in the returned list) carries the
-    title and the sub-index references.  Each link is minted under its
-    own derived base so self-reference blanking cannot touch the
-    membership URIs.
+    Every link carries at most ``capacity`` elements (see ``_mint_chain``);
+    the final link, last in the returned list, is the head.
     """
     elements = list(elements)
     sub_indexes = list(dict.fromkeys(sub_indexes))
-    if capacity < 1:
-        raise IndexError_(f"capacity must be >= 1, got {capacity}")
-    _check_element_uris(elements)
-    if metadata.is_empty():
-        raise IndexError_("index metadata must carry a title, created date, or creator")
+    _check_request(elements, metadata, capacity)
 
     tag = content_tag(
         "build",
@@ -238,23 +240,7 @@ def build_index(
         *elements,
         *sub_indexes,
     )
-    chunks = [elements[i : i + capacity] for i in range(0, len(elements), capacity)] or [[]]
-    records: list[IndexRecord] = []
-    previous_uri: Optional[str] = None
-    for slot, chunk in enumerate(chunks):
-        final = slot == len(chunks) - 1
-        records.append(
-            _mint_chain_link(
-                base=f"{base}{tag}/{slot}/",
-                elements=chunk,
-                sub_indexes=sub_indexes if final else [],
-                appends=previous_uri,
-                metadata=metadata,
-                incomplete=not final,
-            )
-        )
-        previous_uri = records[-1].uri
-    return records
+    return _mint_chain(f"{base}{tag}/", elements, sub_indexes, None, metadata, capacity)
 
 
 def expand(record: IndexRecord, resolver: Resolver) -> set[str]:
@@ -327,9 +313,7 @@ def build_incremental(
     of the new head equals (expand(previous) - removed) | added.
     """
     added = list(dict.fromkeys(added))
-    _check_element_uris(added)
-    if metadata.is_empty():
-        raise IndexError_("index metadata must carry a title, created date, or creator")
+    _check_request(added, metadata, capacity)
 
     previous_expansion = expand(previous, resolver)
     unknown = set(removed) - previous_expansion
@@ -379,23 +363,8 @@ def build_incremental(
         *kept_subs,
         *sorted(removed),
     )
-    chunks = [remaining[i : i + capacity] for i in range(0, len(remaining), capacity)] or [[]]
-    records: list[IndexRecord] = []
-    previous_uri = reused[-1].uri if reused else None
-    for slot, chunk in enumerate(chunks):
-        final = slot == len(chunks) - 1
-        records.append(
-            _mint_chain_link(
-                base=f"{base}{tag}/{slot}/",
-                elements=chunk,
-                sub_indexes=kept_subs if final else [],
-                appends=previous_uri,
-                metadata=metadata,
-                incomplete=not final,
-            )
-        )
-        previous_uri = records[-1].uri
-    return records
+    appends = reused[-1].uri if reused else None
+    return _mint_chain(f"{base}{tag}/", remaining, kept_subs, appends, metadata, capacity)
 
 
 def list_indexes(store) -> list[IndexSummary]:
@@ -406,11 +375,12 @@ def list_indexes(store) -> list[IndexSummary]:
     """
     records: list[IndexRecord] = []
     appended: set[str] = set()
-    for code in store.codes():
-        np = store.get(code)
-        if not is_index_nanopub(np):
+    typed = QuadPattern(predicate=iri(ns.RDF_TYPE), object=iri(ns.NPX_NANOPUB_INDEX))
+    for code in store.find_by_pattern(typed, latest=False):
+        try:
+            record = IndexRecord.from_nanopub(store.get(code))
+        except NotAnIndexError:  # types some other subject as an index
             continue
-        record = IndexRecord.from_nanopub(np)
         records.append(record)
         if record.appends is not None:
             appended.add(record.appends)

@@ -13,9 +13,11 @@ It re-parses and re-verifies every file; a missing, unparsable or
 unverifiable one, or one holding another code than its journal line, is
 a ``StoreError`` naming the file and its journal line.
 
-Lookup contract is oracle equivalence, not complexity: the per-position
-term indexes only pre-filter candidates, every hit is confirmed against
-the actual quads.
+Lookup contract is oracle equivalence, not complexity.  The store keeps
+four postings, one per quad position (term -> codes).  A one-position
+pattern is answered from its posting, a multi-position pattern
+intersects them and confirms every candidate against its quads, and a
+URI mention is the union of the four postings for that IRI.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Optional
 
 from . import namespaces as ns
 from .nanopub import HEAD_LINKS, Nanopublication
-from .rdf import QuadPattern, Term, parse_trig, serialize_trig
+from .rdf import QuadPattern, Term, iri, parse_trig, serialize_trig
 from .trusty import extract_artifact_code, is_artifact_code, verify_reason
 from .util import parse_timestamp
 
@@ -48,7 +50,6 @@ class IntegrityError(StoreError):
 class StoredNanopub:
     code: str
     nanopub: Nanopublication
-    created: Optional[datetime]
     ingested_at: int
     latest_key: tuple = ()  # created desc, missing last, ties by code asc
 
@@ -143,14 +144,13 @@ class NanopubStore:
         self._seq = 0
         # (seq, code) in ascending seq order; only ever appended to
         self._journal: list[tuple[int, str]] = []
-        # per-position pre-filter indexes: Term -> set of codes
+        # per-position postings: Term -> set of codes
         self._pos_index: dict[str, dict[Term, set[str]]] = {
             "subject": {},
             "predicate": {},
             "object": {},
             "graph": {},
         }
-        self._mention_index: dict[str, set[str]] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -186,8 +186,7 @@ class NanopubStore:
                     raise IntegrityError(f"code {code} already stored with different content")
                 return code
             self._seq += 1
-            created = _created_of(np)
-            record = StoredNanopub(code, np, created, self._seq, _latest_key(code, created))
+            record = StoredNanopub(code, np, self._seq, _latest_key(code, _created_of(np)))
             if self.directory is not None:
                 path = self.directory / f"{code}.trig"
                 path.write_text(serialize_trig(np), encoding="utf-8")
@@ -204,7 +203,6 @@ class NanopubStore:
         subjects, predicates, objects, graphs = (
             pos["subject"], pos["predicate"], pos["object"], pos["graph"]
         )
-        mentions = self._mention_index
         for q in record.nanopub.quads:
             for index, term in (
                 (subjects, q.subject),
@@ -217,12 +215,6 @@ class NanopubStore:
                     index[term] = {code}
                 else:
                     codes.add(code)
-                if term.kind == "iri":
-                    codes = mentions.get(term.value)
-                    if codes is None:
-                        mentions[term.value] = {code}
-                    else:
-                        codes.add(code)
         self._journal.append((record.ingested_at, code))
 
     def _load(self):
@@ -259,8 +251,7 @@ class NanopubStore:
                 raise StoreError(f"{where}: verification failed: {reason}")
             if extract_artifact_code(np.uri) != code:
                 raise StoreError(f"{where}: holds <{np.uri}>, not code {code}")
-            created = _created_of(np)
-            self._register(StoredNanopub(code, np, created, seq, _latest_key(code, created)))
+            self._register(StoredNanopub(code, np, seq, _latest_key(code, _created_of(np))))
             self._seq = seq
 
     # -- retrieval --------------------------------------------------------
@@ -298,8 +289,13 @@ class NanopubStore:
         return self._ordered(hits, latest)
 
     def find_by_uri(self, uri: str, latest: bool = True) -> list[str]:
-        """Codes of nanopublications mentioning ``uri`` in any term position."""
-        hits = self._mention_index.get(uri, set())
+        """Codes of nanopublications mentioning the IRI ``uri`` in any term
+        position: the union of the four position postings."""
+        try:
+            term = iri(uri)
+        except ValueError:  # not an IRI, so no quad mentions it
+            return []
+        hits = set().union(*(index.get(term, ()) for index in self._pos_index.values()))
         return self._ordered(hits, latest)
 
     @staticmethod

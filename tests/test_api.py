@@ -3,7 +3,7 @@ import requests
 
 from nanokit import namespaces as ns
 from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError
-from nanokit.index import IndexMetadata, _mint_chain_link, build_index
+from nanokit.index import IndexMetadata, _mint_chain, build_index
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
@@ -128,8 +128,8 @@ def test_get_index_elements_unknown_index(indexed_store):
 def test_http_get_index_elements_missing_link_404_non_index_400(indexed_store):
     chain = indexed_store[1]
     plain = indexed_store[0].get(indexed_store[0].codes()[0])
-    appends_plain = _mint_chain_link(
-        "http://example.org/idx/bad/", [], [], plain.uri, IndexMetadata(title="t"), False
+    (appends_plain,) = _mint_chain(
+        "http://example.org/idx/bad/", [], [], plain.uri, IndexMetadata(title="t"), 1
     )
     store = NanopubStore()
     store.put(chain[-1].nanopub)  # the head only: the links it appends are absent

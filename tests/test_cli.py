@@ -167,6 +167,36 @@ def test_index_build_expand_list(tmp_path, capsys):
     assert [r[4] for r in rows] == ["6", "10"]
 
 
+def test_index_append_rejects_capacity_below_one(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    gen_dir = tmp_path / "gen"
+    run(capsys, "gen-corpus", "--out", str(gen_dir), "--count", "35", "--seed", "5")
+    files = sorted(str(p) for p in gen_dir.glob("*.trig"))
+    run(capsys, "store", "ingest", "--store-dir", str(store_dir), *files)
+    uris = ["http://example.org/np/" + p.rsplit("/", 1)[-1][:-5] for p in files]
+    elements_file, add_file = tmp_path / "v1.txt", tmp_path / "add.txt"
+    elements_file.write_text("\n".join(uris[:30]) + "\n", encoding="utf-8")
+    add_file.write_text("\n".join(uris[30:]) + "\n", encoding="utf-8")
+    status, out, _ = run(
+        capsys, "index", "build", "--store-dir", str(store_dir),
+        "--elements", str(elements_file), "--title", "v1",
+    )
+    assert status == 0
+    head_uri = out.strip()
+    journal = (store_dir / "journal.log").read_bytes()
+
+    status, out, err = run(
+        capsys, "index", "append", "--store-dir", str(store_dir),
+        "--previous", head_uri, "--add", str(add_file), "--title", "v2",
+        "--capacity", "-1",
+    )
+    assert status == 1
+    assert out == ""
+    assert "capacity must be >= 1" in err
+    assert (store_dir / "journal.log").read_bytes() == journal
+    assert len(NanopubStore(store_dir)) == 36
+
+
 @pytest.mark.parametrize(
     "argv",
     [("expand", "--uri"), ("append", "--title", "t", "--previous")],
@@ -227,6 +257,16 @@ def test_simulate_deterministic_report(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     assert "converged" in text and "retrievable" in text
+
+
+def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
+    config = tmp_path / "sim.conf"
+    config.write_text("node_cout 3\npublish_count 5\n", encoding="utf-8")
+    out = tmp_path / "report.txt"
+    status, _, err = run(capsys, "node", "simulate", "--config", str(config), "--out", str(out))
+    assert status == 1
+    assert "node_cout" in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_2():

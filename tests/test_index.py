@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from nanokit import namespaces as ns
+from nanokit.build import mint_nanopub, placeholders
 from nanokit.corpusgen import synthetic_trusty_uris
 from nanokit.index import (
     IndexCycleError,
@@ -15,6 +17,7 @@ from nanokit.index import (
     list_indexes,
 )
 from nanokit.nanopub import validate
+from nanokit.rdf import iri, literal
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
 
@@ -155,6 +158,20 @@ def test_build_rejects_duplicates_and_bad_capacity():
         build_index(["http://example.org/not-a-code"], metadata=META)
     with pytest.raises(IndexError_, match="metadata"):
         build_index(elements, metadata=IndexMetadata())
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_incremental_rejects_bad_capacity(capacity):
+    v1 = build_index(synthetic_trusty_uris(30), metadata=META, capacity=10)
+    with pytest.raises(IndexError_, match="capacity"):
+        build_incremental(
+            v1[-1],
+            added=synthetic_trusty_uris(5, label="added"),
+            removed=set(),
+            metadata=META,
+            resolver=make_resolver(v1),
+            capacity=capacity,
+        )
 
 
 def test_incremental_noop_version_has_same_expansion():
@@ -303,3 +320,20 @@ def test_list_indexes_date_order_and_sizes():
     assert [s.size for s in summaries] == [count for _, _, count in rows]
     assert [s.number for s in summaries] == list(range(1, 9))
     assert all(s.sub_count == 0 for s in summaries)
+
+
+def test_list_indexes_skips_nanopub_typing_another_subject_as_index():
+    base = "http://example.org/np/"
+    ph = placeholders(base)
+    other = iri("http://example.org/data/some-index")
+    _, typer = mint_nanopub(
+        base,
+        [(other, iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX))],
+        [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))],
+        [(iri(ph.uri), iri(ns.DCT_TITLE), literal("not an index"))],
+    )
+    (index,) = build_index(synthetic_trusty_uris(3), metadata=META)
+    store = NanopubStore()
+    store.put(typer)
+    store.put(index.nanopub)
+    assert [s.uri for s in list_indexes(store)] == [index.uri]

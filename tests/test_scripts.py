@@ -1,0 +1,28 @@
+"""Smoke tests for the example scripts under ``scripts/``."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_network_experiment.py", ["--publishes", "30", "--max-failures", "1"]),
+        ("corpus_report_demo.py", ["--count", "20"]),
+    ],
+)
+def test_script_runs(tmp_path, script, args):
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert any(out.iterdir())

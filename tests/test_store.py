@@ -392,6 +392,40 @@ def test_find_by_uri_ignores_iris_inside_literal_text():
     assert store.find_by_uri("http://literal.example/page") == []
 
 
+def test_find_by_uri_equals_scan_for_every_iri_in_every_position(store200, corpus200):
+    pairs = as_pairs(corpus200)
+    uris = {
+        term.value
+        for np in corpus200[:20]
+        for q in np.quads
+        for term in (q.subject, q.predicate, q.object, q.graph)
+        if term.is_iri
+    }
+    head = corpus200[0].head.iri
+    assert head in uris
+    # the head graph IRI occurs only in the graph position
+    assert not any(
+        head in (q.subject.value, q.predicate.value, q.object.value)
+        for np in corpus200
+        for q in np.quads
+    )
+    for uri in uris:
+        expected = scan_uri(pairs, uri)
+        assert expected
+        assert set(store200.find_by_uri(uri, latest=True)) == expected
+        assert set(store200.find_by_uri(uri, latest=False)) == expected
+    assert store200.find_by_uri(head) == [corpus200[0].uri[-45:]]
+
+    # a datatype IRI sits inside literals, in no term position
+    assert any(q.object.datatype == ns.XSD_DATETIME for q in corpus200[0].quads)
+    assert scan_uri(pairs, ns.XSD_DATETIME) == set()
+    assert store200.find_by_uri(ns.XSD_DATETIME) == []
+    assert store200.find_by_uri(ns.XSD_DATETIME, latest=False) == []
+    # a string that is no IRI finds nothing and does not raise
+    assert store200.find_by_uri("not an iri") == []
+    assert store200.find_by_uri("not an iri", latest=False) == []
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_oracle_equivalence_on_small_corpus(store200, corpus200, data):
