@@ -35,8 +35,6 @@ LICENSE_CC0 = "http://creativecommons.org/publicdomain/zero/1.0/"
 
 TOOL_DOI = "https://doi.org/10.5281/zenodo.1212599"
 
-CREATOR_KINDS = ("orcid", "literal", "tool", "scholar", "researcherid", "other")
-
 SHAPES = (
     "biotic-interaction",
     "gene-disease",

@@ -3,7 +3,6 @@
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD = "http://www.w3.org/2001/XMLSchema#"
-OWL = "http://www.w3.org/2002/07/owl#"
 
 # Nanopublication container schema
 NP = "http://www.nanopub.org/nschema#"
@@ -16,7 +15,6 @@ PAV = "http://purl.org/pav/"
 PROV = "http://www.w3.org/ns/prov#"
 
 ORCID = "http://orcid.org/"
-RESEARCHERID = "http://www.researcherid.com/rid/"
 
 RDF_TYPE = RDF + "type"
 
@@ -42,7 +40,6 @@ PAV_AUTHORED_BY = PAV + "authoredBy"
 PAV_CREATED_ON = PAV + "createdOn"
 PROV_WAS_ATTRIBUTED_TO = PROV + "wasAttributedTo"
 PROV_WAS_DERIVED_FROM = PROV + "wasDerivedFrom"
-PROV_GENERATED_AT_TIME = PROV + "generatedAtTime"
 PROV_ENTITY = PROV + "Entity"
 
 XSD_DATETIME = XSD + "dateTime"

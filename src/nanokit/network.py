@@ -8,7 +8,11 @@ A node never stores anything that fails trusty verification.
 The same message contract runs in-process (simulation, deterministic
 given the config seed) and over TCP (one request/response per
 connection; line headers ``KIND <kind>`` etc., TriG body for
-nanopublication payloads).
+nanopublication payloads).  The ``_WIRE`` table describes every kind
+once, for both ``encode_message`` and ``decode_message``; any input
+that cannot be decoded is a ``ProtocolError``, which a node answers
+with ``REJECTED``.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``,
+and a node drops a client that stays silent for ``SERVER_TIMEOUT``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import random
 import socket
 import socketserver
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .nanopub import Nanopublication
 from .rdf import serialize_trig
@@ -25,6 +29,10 @@ from .store import NanopubStore, StoreError, parse_nanopub
 from .trusty import verify
 
 DEFAULT_PAGE_SIZE = 100
+# The largest message today is a capacity-1000 index link at ~208 KB.
+MAX_MESSAGE_BYTES = 16 * 1024 * 1024
+# Seconds a node waits on a silent client; tcp_request's default timeout.
+SERVER_TIMEOUT = 10.0
 
 
 class Unreachable(Exception):
@@ -140,6 +148,8 @@ class ServerNode:
         advance over pages that were fully processed, so an unreachable
         peer is simply retried from the same place next round, as is an
         undecodable journal page; an undecodable Get reply is skipped.
+        A page whose ``next_seq`` does not pass the cursor ends that
+        peer's round.
         """
         if self.send is None:
             raise RuntimeError(f"node {self.node_id} has no transport")
@@ -149,8 +159,8 @@ class ServerNode:
             try:
                 while True:
                     resp = self.send(peer_id, GetJournal(cursor, self.page_size))
-                    if not isinstance(resp, JournalPage):
-                        break
+                    if not isinstance(resp, JournalPage) or resp.next_seq <= cursor:
+                        break  # no page, or one that does not advance (an empty one)
                     for seq, code in resp.entries:
                         if self.store.get(code) is None:
                             try:
@@ -206,138 +216,129 @@ def client_retrieve(code: str, known_nodes, send: Send | None = None) -> Nanopub
 # -- wire codec ---------------------------------------------------------------
 
 
+class _Header(NamedTuple):
+    """A header line of a message kind; ``name`` None is the TriG body."""
+
+    name: Optional[str]
+    attribute: str
+    parse: Callable[[str], object]
+    render: Callable[[object], str] = str
+    repeated: bool = False  # one line per item of a tuple attribute
+
+
+def _parse_entry(text: str) -> tuple[int, str]:
+    seq, _, code = text.partition(" ")
+    return int(seq), code
+
+
+_BODY = _Header(None, "nanopub", parse_nanopub, serialize_trig)
+_CODE = _Header("CODE", "code", str)
+_ENTRY = _Header("ENTRY", "entries", _parse_entry, lambda entry: f"{entry[0]} {entry[1]}", True)
+
+# Every message kind once: class -> (KIND, its headers in wire order).
+_WIRE: dict[type, tuple[str, tuple[_Header, ...]]] = {
+    Publish: ("PUBLISH", (_BODY,)),
+    Get: ("GET", (_CODE,)),
+    GetJournal: ("GET_JOURNAL", (_Header("FROM", "from_seq", int), _Header("PAGE_SIZE", "page_size", int))),
+    PeersRequest: ("PEERS_REQUEST", ()),
+    Ok: ("OK", (_CODE,)),
+    NanopubResponse: ("NANOPUB", (_BODY,)),
+    JournalPage: ("JOURNAL_PAGE", (_Header("NEXT_SEQ", "next_seq", int), _ENTRY)),
+    PeerList: ("PEER_LIST", (_Header("PEER", "ids", str, repeated=True),)),
+    NotFound: ("NOT_FOUND", ()),
+    Rejected: ("REJECTED", (_Header("REASON", "reason", str),)),
+}
+_KINDS = {kind: (cls, headers) for cls, (kind, headers) in _WIRE.items()}
+
+
 def encode_message(msg: Message) -> bytes:
-    lines: list[str] = []
+    try:
+        kind, headers = _WIRE[type(msg)]
+    except KeyError:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}") from None
+    lines = [f"KIND {kind}"]
     body = ""
-    if isinstance(msg, Publish):
-        lines.append("KIND PUBLISH")
-        body = serialize_trig(msg.nanopub)
-    elif isinstance(msg, Get):
-        lines.append("KIND GET")
-        lines.append(f"CODE {msg.code}")
-    elif isinstance(msg, GetJournal):
-        lines.append("KIND GET_JOURNAL")
-        lines.append(f"FROM {msg.from_seq}")
-        lines.append(f"PAGE_SIZE {msg.page_size}")
-    elif isinstance(msg, PeersRequest):
-        lines.append("KIND PEERS_REQUEST")
-    elif isinstance(msg, Ok):
-        lines.append("KIND OK")
-        lines.append(f"CODE {msg.code}")
-    elif isinstance(msg, NanopubResponse):
-        lines.append("KIND NANOPUB")
-        body = serialize_trig(msg.nanopub)
-    elif isinstance(msg, JournalPage):
-        lines.append("KIND JOURNAL_PAGE")
-        lines.append(f"NEXT_SEQ {msg.next_seq}")
-        for seq, code in msg.entries:
-            lines.append(f"ENTRY {seq} {code}")
-    elif isinstance(msg, PeerList):
-        lines.append("KIND PEER_LIST")
-        for peer in msg.ids:
-            lines.append(f"PEER {peer}")
-    elif isinstance(msg, NotFound):
-        lines.append("KIND NOT_FOUND")
-    elif isinstance(msg, Rejected):
-        lines.append("KIND REJECTED")
-        lines.append(f"REASON {msg.reason}")
-    else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    for name, attribute, _, render, repeated in headers:
+        value = getattr(msg, attribute)
+        if name is None:
+            body = render(value)
+        else:
+            lines += (f"{name} {render(item)}" for item in (value if repeated else (value,)))
     return ("\n".join(lines) + "\n\n" + body).encode("utf-8")
 
 
 def decode_message(data: bytes) -> Message:
+    """The message in ``data``; ProtocolError for any input it cannot decode."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError("message is not UTF-8") from exc
-    header, _, body = text.partition("\n\n")
-    fields: list[tuple[str, str]] = []
-    for line in header.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition(" ")
-        fields.append((key, value))
-    if not fields or fields[0][0] != "KIND":
+    head, _, body = text.partition("\n\n")
+    lines = [line.partition(" ") for line in head.splitlines() if line.strip()]
+    if not lines or lines[0][0] != "KIND":
         raise ProtocolError("missing KIND header")
-    kind = fields[0][1]
-    by_key: dict[str, list[str]] = {}
-    for key, value in fields[1:]:
-        by_key.setdefault(key, []).append(value)
-
-    def one(key: str) -> str:
-        values = by_key.get(key, [])
-        if len(values) != 1:
-            raise ProtocolError(f"expected exactly one {key} header")
-        return values[0]
-
-    if kind in ("PUBLISH", "NANOPUB"):
+    kind = lines[0][2]
+    if kind not in _KINDS:
+        raise ProtocolError(f"unknown message kind {kind!r}")
+    cls, headers = _KINDS[kind]
+    values: dict[str, list[str]] = {}
+    for name, _, value in lines[1:]:
+        values.setdefault(name, []).append(value)
+    fields = {}
+    for header in headers:
+        texts = [body] if header.name is None else values.get(header.name, [])
+        if not header.repeated and len(texts) != 1:
+            raise ProtocolError(f"expected exactly one {header.name} header")
         try:
-            np = parse_nanopub(body)
-        except StoreError as exc:
-            raise ProtocolError(f"body: {exc}") from exc
-        return Publish(np) if kind == "PUBLISH" else NanopubResponse(np)
-    if kind == "GET":
-        return Get(one("CODE"))
-    if kind == "GET_JOURNAL":
-        return GetJournal(int(one("FROM")), int(one("PAGE_SIZE")))
-    if kind == "PEERS_REQUEST":
-        return PeersRequest()
-    if kind == "OK":
-        return Ok(one("CODE"))
-    if kind == "JOURNAL_PAGE":
-        entries = []
-        for value in by_key.get("ENTRY", []):
-            seq_text, _, code = value.partition(" ")
-            entries.append((int(seq_text), code))
-        return JournalPage(tuple(entries), int(one("NEXT_SEQ")))
-    if kind == "PEER_LIST":
-        return PeerList(tuple(by_key.get("PEER", [])))
-    if kind == "NOT_FOUND":
-        return NotFound()
-    if kind == "REJECTED":
-        return Rejected(one("REASON"))
-    raise ProtocolError(f"unknown message kind {kind!r}")
+            parsed = tuple(header.parse(text) for text in texts)
+        except ValueError as exc:  # a bad number, bad TriG, an invalid or not one nanopub
+            raise ProtocolError(f"{header.name or 'body'}: {exc}") from exc
+        fields[header.attribute] = parsed if header.repeated else parsed[0]
+    return cls(**fields)
 
 
 # -- TCP transport ------------------------------------------------------------
 
 
+def _read_to_eof(sock: socket.socket) -> bytes:
+    """All bytes until the peer shuts down writing; ProtocolError past
+    MAX_MESSAGE_BYTES."""
+    data = bytearray()
+    while chunk := sock.recv(65536):
+        data += chunk
+        if len(data) > MAX_MESSAGE_BYTES:
+            raise ProtocolError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
+    return bytes(data)
+
+
 def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
     """One request/response exchange with ``host:port``; ProtocolError
-    for any reply that cannot be decoded."""
+    for any reply that cannot be decoded or exceeds MAX_MESSAGE_BYTES."""
+    request = encode_message(msg)
     host, _, port_text = address.rpartition(":")
     try:
         with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
-            conn.sendall(encode_message(msg))
+            conn.sendall(request)
             conn.shutdown(socket.SHUT_WR)
-            chunks = []
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
+            reply = _read_to_eof(conn)
+        return decode_message(reply)
     except OSError as exc:
         raise Unreachable(f"{address}: {exc}") from exc
-    try:
-        return decode_message(b"".join(chunks))
-    except ValueError as exc:  # also bad TriG, an invalid nanopub, a bad number
+    except ProtocolError as exc:
         raise ProtocolError(f"{address}: undecodable reply: {exc}") from exc
 
 
 class _NodeRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        chunks = []
-        while True:
-            chunk = self.request.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
+        self.request.settimeout(SERVER_TIMEOUT)
         try:
-            msg = decode_message(b"".join(chunks))
-            reply = self.server.node.handle(msg)
-        except (ProtocolError, ValueError) as exc:
+            msg = decode_message(_read_to_eof(self.request))
+        except OSError:
+            return  # silent for SERVER_TIMEOUT, or gone: dropped without a reply
+        except ProtocolError as exc:
             reply = Rejected(str(exc))
+        else:
+            reply = self.server.node.handle(msg)
         self.request.sendall(encode_message(reply))
 
 

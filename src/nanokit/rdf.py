@@ -126,21 +126,17 @@ class QuadDocument:
     quad sets are equal, regardless of order and prefixes.
     """
 
-    __slots__ = ("quads", "prefixes", "_quadset")
+    __slots__ = ("quads", "prefixes")
 
     def __init__(self, quads: Iterable[Quad] = (), prefixes: Mapping[str, str] | None = None):
-        seen = {}
-        for q in quads:
-            seen.setdefault(q, None)
-        object.__setattr__(self, "quads", tuple(seen))
+        object.__setattr__(self, "quads", tuple(dict.fromkeys(quads)))
         object.__setattr__(self, "prefixes", dict(prefixes or {}))
-        object.__setattr__(self, "_quadset", frozenset(seen))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadDocument is immutable")
 
     def quad_set(self) -> frozenset[Quad]:
-        return self._quadset
+        return frozenset(self.quads)
 
     def __len__(self) -> int:
         return len(self.quads)
@@ -151,10 +147,10 @@ class QuadDocument:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadDocument):
             return NotImplemented
-        return self._quadset == other._quadset
+        return self.quad_set() == other.quad_set()
 
     def __hash__(self) -> int:
-        return hash(self._quadset)
+        return hash(self.quad_set())
 
     def __repr__(self) -> str:
         return f"QuadDocument({len(self.quads)} quads, {len(self.prefixes)} prefixes)"

@@ -140,7 +140,6 @@ class NanopubStore:
     def __init__(self, directory: str | Path | None = None):
         self._lock = threading.Lock()
         self._by_code: dict[str, StoredNanopub] = {}
-        self._by_uri: dict[str, str] = {}
         self._seq = 0
         # (seq, code) in ascending seq order; only ever appended to
         self._journal: list[tuple[int, str]] = []
@@ -198,7 +197,6 @@ class NanopubStore:
     def _register(self, record: StoredNanopub):
         code = record.code
         self._by_code[code] = record
-        self._by_uri[record.nanopub.uri] = code
         pos = self._pos_index
         subjects, predicates, objects, graphs = (
             pos["subject"], pos["predicate"], pos["object"], pos["graph"]
@@ -264,10 +262,11 @@ class NanopubStore:
         return self._by_code.get(code)
 
     def get_by_uri(self, uri: str) -> Nanopublication:
-        code = self._by_uri.get(uri)
-        if code is None:
+        # put files every nanopub under the code of its own URI
+        record = self._by_code.get(extract_artifact_code(uri))
+        if record is None or record.nanopub.uri != uri:
             raise KeyError(uri)
-        return self._by_code[code].nanopub
+        return record.nanopub
 
     def find_by_pattern(self, pattern: QuadPattern, latest: bool = True) -> list[str]:
         """Codes of nanopublications holding at least one matching quad."""

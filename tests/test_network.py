@@ -1,9 +1,12 @@
 import hashlib
+import socket
 import socketserver
 import threading
+import time
 
 import pytest
 
+from nanokit import network
 from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.nanopub import Nanopublication
 from nanokit.network import (
@@ -374,3 +377,151 @@ def test_tcp_server_roundtrip(nanopubs):
 def test_tcp_unreachable():
     with pytest.raises(Unreachable):
         tcp_request("127.0.0.1:1", Get("RA" + "A" * 43), timeout=0.5)
+
+
+def test_wire_bytes_are_pinned(nanopubs):
+    np, code = nanopubs[0], "RA" + "B" * 43
+    messages = [
+        Publish(np),
+        Get(code),
+        GetJournal(7, 50),
+        PeersRequest(),
+        Ok(code),
+        NanopubResponse(np),
+        JournalPage(((1, code), (2, "RA" + "C" * 43)), 3),
+        JournalPage((), 9),
+        PeerList(("n1", "n2")),
+        PeerList(()),
+        NotFound(),
+        Rejected("because"),
+    ]
+    wire = [encode_message(msg) for msg in messages]
+    assert hashlib.sha256(b"".join(wire)).hexdigest() == (
+        "031c3f96341e276f727bcee668303352e0c185cfa6c4ac62ad98c2e737ee383f"
+    )
+    for msg, data in zip(messages, wire):
+        decoded = decode_message(data)
+        assert type(decoded) is type(msg)
+        if isinstance(msg, (Publish, NanopubResponse)):
+            assert decoded.nanopub.to_document() == msg.nanopub.to_document()
+        else:
+            assert decoded == msg
+
+
+def _invalid_nanopub_body(np):
+    # the assertion graph emptied: parses as TriG, fails the container rules
+    doc = QuadDocument(q for q in np.quads if q.graph.value != np.assertion.iri)
+    return "KIND NANOPUB\n\n" + serialize_trig(doc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda nps: b"\xff\xfe", id="not-utf8"),
+        pytest.param(lambda nps: b"", id="empty"),
+        pytest.param(lambda nps: "CODE x\n\n", id="no-kind"),
+        pytest.param(lambda nps: "KIND HELLO\n\n", id="unknown-kind"),
+        pytest.param(lambda nps: "KIND GET\n\n", id="missing-code"),
+        pytest.param(lambda nps: "KIND GET\nCODE a\nCODE b\n\n", id="duplicate-code"),
+        pytest.param(lambda nps: "KIND GET_JOURNAL\nFROM x\nPAGE_SIZE 1\n\n", id="bad-from"),
+        pytest.param(lambda nps: "KIND GET_JOURNAL\nFROM 1\nPAGE_SIZE y\n\n", id="bad-page-size"),
+        pytest.param(lambda nps: "KIND JOURNAL_PAGE\nNEXT_SEQ z\n\n", id="bad-next-seq"),
+        pytest.param(lambda nps: "KIND JOURNAL_PAGE\nNEXT_SEQ 1\nENTRY x y\n\n", id="bad-entry-seq"),
+        pytest.param(lambda nps: "KIND NANOPUB\n\n<broken", id="bad-trig"),
+        pytest.param(lambda nps: _invalid_nanopub_body(nps[0]), id="invalid-nanopub"),
+        pytest.param(lambda nps: "KIND PUBLISH\n\n", id="no-nanopub"),
+        pytest.param(
+            lambda nps: "KIND PUBLISH\n\n" + serialize_trig(nps[0]) + serialize_trig(nps[1]),
+            id="two-nanopubs",
+        ),
+    ],
+)
+def test_wire_decode_raises_only_protocol_error(nanopubs, make):
+    data = make(nanopubs)
+    with pytest.raises(ProtocolError):
+        decode_message(data if isinstance(data, bytes) else data.encode("utf-8"))
+
+
+def _start(server):
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread
+
+
+def _stop(server, thread):
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_tcp_server_rejects_message_over_cap(monkeypatch):
+    monkeypatch.setattr(network, "MAX_MESSAGE_BYTES", 1024)
+    server = NodeServer(ServerNode("srv"))
+    thread = _start(server)
+    try:
+        reply = tcp_request(server.address, Get("RA" + "A" * 2000), timeout=5)
+        assert isinstance(reply, Rejected)
+        assert "1024" in reply.reason
+        assert tcp_request(server.address, Get("RA" + "A" * 43), timeout=5) == NotFound()
+    finally:
+        _stop(server, thread)
+
+
+def test_tcp_server_drops_silent_client(monkeypatch):
+    monkeypatch.setattr(network, "SERVER_TIMEOUT", 0.5)
+    server = NodeServer(ServerNode("srv"))
+    thread = _start(server)
+    try:
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as conn:
+            started = time.monotonic()
+            assert conn.recv(65536) == b""  # closed, no reply
+            assert time.monotonic() - started < 4
+    finally:
+        _stop(server, thread)
+
+
+def test_tcp_request_stops_reading_endless_reply(monkeypatch):
+    monkeypatch.setattr(network, "MAX_MESSAGE_BYTES", 4096)
+
+    class Endless(socketserver.BaseRequestHandler):
+        # a decodable PEER_LIST far past the cap: only the cap can refuse it
+        def handle(self):
+            self.request.recv(65536)
+            try:
+                self.request.sendall(b"KIND PEER_LIST\n")
+                for _ in range(4096):
+                    self.request.sendall(b"PEER n\n" * 128)
+                self.request.sendall(b"\n")
+            except OSError:
+                pass  # the client hung up
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Endless)
+    thread = _start(server)
+    try:
+        host, port = server.server_address[:2]
+        with pytest.raises(ProtocolError, match="4096"):
+            tcp_request(f"{host}:{port}", PeersRequest(), timeout=5)
+    finally:
+        _stop(server, thread)
+
+
+def test_sync_round_stops_on_page_that_does_not_advance(nanopubs):
+    good = ServerNode("c")
+    good.handle(Publish(nanopubs[0]))
+    calls = []
+
+    def send(dst, msg):
+        calls.append((dst, msg))
+        assert len(calls) < 50, "sync_round kept asking"
+        if dst == "c":
+            return good.handle(msg)
+        if isinstance(msg, GetJournal):  # a full page that points back at the cursor
+            entries = tuple((msg.from_seq + i, "RA" + "Z" * 43) for i in range(msg.page_size))
+            return JournalPage(entries, msg.from_seq)
+        return NotFound()
+
+    b = ServerNode("b", peers=["a", "c"], send=send, page_size=2)
+    assert b.sync_round() == 1
+    assert b.cursors == {"c": 2}  # peer a stays where it was

@@ -505,3 +505,16 @@ def test_split_corpus_reports_first_invalid_nanopub(corpus200):
         split_corpus(parse_trig("".join(parts)))
     assert err.value.report.rule_ids() == {"empty-assertion"}
     assert f"<{chunk[first].assertion.iri}>" in str(err.value)
+
+
+def test_get_by_uri_needs_the_exact_stored_uri(store200, corpus200):
+    np = corpus200[0]
+    code = np.uri[-45:]
+    assert store200.get_by_uri(np.uri) is store200.get(code)
+    for uri in (
+        "http://elsewhere.example/np/" + code,  # the same code under another base
+        np.uri[:-45] + "plain",  # no code
+        np.uri[:-45] + "RA" + "Q" * 43,  # an unknown code
+    ):
+        with pytest.raises(KeyError):
+            store200.get_by_uri(uri)
