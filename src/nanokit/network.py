@@ -11,7 +11,8 @@ connection; line headers ``KIND <kind>`` etc., TriG body for
 nanopublication payloads).  The ``_WIRE`` table describes every kind
 once, for both ``encode_message`` and ``decode_message``; any input
 that cannot be decoded is a ``ProtocolError``, which a node answers
-with ``REJECTED``.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``,
+with ``REJECTED``.  A header value is one line, and a number is ASCII
+digits.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``,
 and a node drops a client that stays silent for ``SERVER_TIMEOUT``.
 """
 
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .nanopub import Nanopublication
 from .rdf import serialize_trig
 from .store import NanopubStore, StoreError, parse_nanopub
-from .trusty import verify
+from .trusty import extract_artifact_code, verify
 
 DEFAULT_PAGE_SIZE = 100
 # The largest message today is a capacity-1000 index link at ~208 KB.
@@ -148,7 +149,8 @@ class ServerNode:
         advance over pages that were fully processed, so an unreachable
         peer is simply retried from the same place next round, as is an
         undecodable journal page; an undecodable Get reply is skipped.
-        A page whose ``next_seq`` does not pass the cursor ends that
+        A page whose ``next_seq`` does not pass the cursor, or a Get reply
+        that holds another nanopub than the one asked for, ends that
         peer's round.
         """
         if self.send is None:
@@ -161,15 +163,22 @@ class ServerNode:
                     resp = self.send(peer_id, GetJournal(cursor, self.page_size))
                     if not isinstance(resp, JournalPage) or resp.next_seq <= cursor:
                         break  # no page, or one that does not advance (an empty one)
-                    for seq, code in resp.entries:
-                        if self.store.get(code) is None:
-                            try:
-                                reply = self.send(peer_id, Get(code))
-                                if isinstance(reply, NanopubResponse):
-                                    self.store.put(reply.nanopub)
-                                    fetched += 1
-                            except (ProtocolError, StoreError):
-                                pass  # undecodable, tampered or invalid: never stored
+                    for _, code in resp.entries:
+                        if self.store.get(code) is not None:
+                            continue
+                        try:
+                            reply = self.send(peer_id, Get(code))
+                        except ProtocolError:
+                            continue  # undecodable: skipped
+                        if not isinstance(reply, NanopubResponse):
+                            continue
+                        if extract_artifact_code(reply.nanopub.uri) != code:
+                            raise ProtocolError(f"Get {code} answered with <{reply.nanopub.uri}>")
+                        try:
+                            self.store.put(reply.nanopub)
+                            fetched += 1
+                        except StoreError:
+                            pass  # tampered or invalid: never stored
                     cursor = resp.next_seq
                     self.cursors[peer_id] = cursor
                     if len(resp.entries) < self.page_size:
@@ -226,9 +235,26 @@ class _Header(NamedTuple):
     repeated: bool = False  # one line per item of a tuple attribute
 
 
+def _digits(text: str) -> int:
+    # ASCII digits only, as in journal lines: int() would take "-5", " 5" or "٣"
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
+
+
 def _parse_entry(text: str) -> tuple[int, str]:
     seq, _, code = text.partition(" ")
-    return int(seq), code
+    return _digits(seq), code
+
+
+# Every character that str.splitlines() ends a line at, as its escape.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK_ESCAPES = str.maketrans({c: repr(c)[1:-1] for c in _LINE_BREAKS})
+
+
+def _one_line(text: str) -> str:
+    # a rejection reason may quote the input it rejects
+    return text.translate(_LINE_BREAK_ESCAPES)
 
 
 _BODY = _Header(None, "nanopub", parse_nanopub, serialize_trig)
@@ -239,14 +265,14 @@ _ENTRY = _Header("ENTRY", "entries", _parse_entry, lambda entry: f"{entry[0]} {e
 _WIRE: dict[type, tuple[str, tuple[_Header, ...]]] = {
     Publish: ("PUBLISH", (_BODY,)),
     Get: ("GET", (_CODE,)),
-    GetJournal: ("GET_JOURNAL", (_Header("FROM", "from_seq", int), _Header("PAGE_SIZE", "page_size", int))),
+    GetJournal: ("GET_JOURNAL", (_Header("FROM", "from_seq", _digits), _Header("PAGE_SIZE", "page_size", _digits))),
     PeersRequest: ("PEERS_REQUEST", ()),
     Ok: ("OK", (_CODE,)),
     NanopubResponse: ("NANOPUB", (_BODY,)),
-    JournalPage: ("JOURNAL_PAGE", (_Header("NEXT_SEQ", "next_seq", int), _ENTRY)),
+    JournalPage: ("JOURNAL_PAGE", (_Header("NEXT_SEQ", "next_seq", _digits), _ENTRY)),
     PeerList: ("PEER_LIST", (_Header("PEER", "ids", str, repeated=True),)),
     NotFound: ("NOT_FOUND", ()),
-    Rejected: ("REJECTED", (_Header("REASON", "reason", str),)),
+    Rejected: ("REJECTED", (_Header("REASON", "reason", str, _one_line),)),
 }
 _KINDS = {kind: (cls, headers) for cls, (kind, headers) in _WIRE.items()}
 
@@ -263,7 +289,11 @@ def encode_message(msg: Message) -> bytes:
         if name is None:
             body = render(value)
         else:
-            lines += (f"{name} {render(item)}" for item in (value if repeated else (value,)))
+            for item in value if repeated else (value,):
+                line = f"{name} {render(item)}"
+                if line.splitlines() != [line]:
+                    raise ProtocolError(f"{name} value spans lines: {line!r}")
+                lines.append(line)
     return ("\n".join(lines) + "\n\n" + body).encode("utf-8")
 
 

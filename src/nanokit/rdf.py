@@ -349,186 +349,16 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+#
+# ``parse_trig`` reads the token list by index in one loop, with no put-back.
+# The list ends with an END token at the last real token's offset, so running
+# out of input is an ordinary token: it reports "unexpected end of input" at
+# the last token, and no read checks for the end of the list.  No helper calls
+# itself: a recursive closure is a reference cycle, which would keep the token
+# list alive until the next full garbage collection.
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.prefixes: dict[str, str] = {}
-        self.quads: list[Quad] = []
-        self.iris: dict[str, Term] = {}  # one Term per distinct IRI
-
-    def error(self, msg: str, tok: _Token):
-        raise _syntax_error(msg, self.text, tok[2])
-
-    def _peek(self) -> _Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            self.error("unexpected end of input", self.toks[-1])
-        self.i += 1
-        return tok
-
-    def _expect(self, typ: str) -> _Token:
-        tok = self._next()
-        if tok[0] != typ:
-            self.error(f"expected {typ}, got {tok[0]} {tok[1]!r}", tok)
-        return tok
-
-    def parse(self) -> QuadDocument:
-        while (tok := self._peek()) is not None:
-            typ, value = tok[0], tok[1]
-            if typ == "AT":
-                self._parse_directive()
-            elif typ == "NAME" and value.upper() in ("PREFIX", "BASE"):
-                self.error("SPARQL-style directives are not accepted; use @prefix", tok)
-            elif typ == "NAME" and value.upper() == "GRAPH":
-                self._next()
-                self._parse_graph_block()
-            elif typ in ("IRI", "NAME"):
-                self._parse_graph_block()
-            else:
-                self.error(f"expected a graph block, got {typ} {value!r}", tok)
-        return QuadDocument(self.quads, self.prefixes)
-
-    def _parse_directive(self):
-        tok = self._next()
-        if tok[1] != "prefix":
-            self.error(f"unsupported directive @{tok[1]}", tok)
-        label_tok = self._expect("NAME")
-        label = label_tok[1]
-        if not label.endswith(":"):
-            self.error("prefix label must end with ':'", label_tok)
-        target = self._expect("IRI")
-        self.prefixes[label[:-1]] = target[1]
-        self._expect("DOT")
-
-    def _parse_graph_block(self):
-        graph_tok = self._next()
-        graph = self._term_from(graph_tok, position="graph")
-        if not graph.is_iri:
-            self.error("graph label must be an IRI", graph_tok)
-        nxt = self._peek()
-        if nxt is None or nxt[0] != "LBRACE":
-            self.error("statement outside a graph block (expected '{')", nxt or graph_tok)
-        self._next()
-        while True:
-            tok = self._peek()
-            if tok is None:
-                self.error("unterminated graph block", graph_tok)
-            if tok[0] == "RBRACE":
-                self._next()
-                break
-            self._parse_triples(graph)
-        # optional trailing dot after a graph block
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "DOT":
-            self._next()
-
-    def _parse_triples(self, graph: Term):
-        subject_tok = self._next()
-        subject = self._term_from(subject_tok, position="subject")
-        if not subject.is_iri:
-            self.error("subject must be an IRI", subject_tok)
-        while True:
-            predicate = self._parse_predicate()
-            while True:
-                obj = self._term_from(self._next(), position="object")
-                self.quads.append(Quad(subject, predicate, obj, graph))
-                tok = self._peek()
-                if tok is not None and tok[0] == "COMMA":
-                    self._next()
-                    continue
-                break
-            tok = self._next()
-            typ = tok[0]
-            if typ == "SEMI":
-                # allow '; .' and '; }' style endings
-                nxt = self._peek()
-                if nxt is not None and nxt[0] == "DOT":
-                    self._next()
-                    return
-                if nxt is not None and nxt[0] == "RBRACE":
-                    return
-                continue
-            if typ == "DOT":
-                return
-            if typ == "RBRACE":
-                # final '.' inside a graph block is optional
-                self.i -= 1
-                return
-            self.error(f"expected '.', ';' or ',', got {typ} {tok[1]!r}", tok)
-
-    def _parse_predicate(self) -> Term:
-        tok = self._next()
-        if tok[0] == "NAME" and tok[1] == "a":
-            return self._make_iri(RDF_TYPE, tok)
-        term = self._term_from(tok, position="predicate")
-        if not term.is_iri:
-            self.error("predicate must be an IRI", tok)
-        return term
-
-    def _term_from(self, tok: _Token, position: str) -> Term:
-        typ = tok[0]
-        if typ == "IRI":
-            return self._make_iri(tok[1], tok)
-        if typ == "NAME":
-            return self._expand_name(tok)
-        if typ == "STRING":
-            return self._finish_literal(tok)
-        if typ == "INTEGER":
-            return literal(tok[1], datatype=XSD_INTEGER)
-        if typ == "DECIMAL":
-            return literal(tok[1], datatype=XSD_DECIMAL)
-        if typ == "DOUBLE":
-            return literal(tok[1], datatype=XSD_DOUBLE)
-        self.error(f"expected a term in {position} position, got {typ} {tok[1]!r}", tok)
-
-    def _make_iri(self, value: str, tok: _Token) -> Term:
-        term = self.iris.get(value)
-        if term is None:
-            if not _SCHEME_RE.match(value):
-                self.error(f"relative IRI not allowed: <{value}>", tok)
-            try:
-                term = self.iris[value] = iri(value)
-            except ValueError as exc:
-                self.error(str(exc), tok)
-        return term
-
-    def _expand_name(self, tok: _Token) -> Term:
-        name = tok[1]
-        if name == "true" or name == "false":
-            return literal(name, datatype=XSD_BOOLEAN)
-        if ":" not in name:
-            self.error(f"expected a term, got bare word {name!r}", tok)
-        prefix, _, local = name.partition(":")
-        if prefix not in self.prefixes:
-            self.error(f"undeclared prefix {prefix!r}", tok)
-        return self._make_iri(self.prefixes[prefix] + local, tok)
-
-    def _finish_literal(self, tok: _Token) -> Term:
-        nxt = self._peek()
-        if nxt is not None and nxt[0] == "AT":
-            self._next()
-            lang = nxt[1]
-            if not _LANG_RE.match(lang):
-                self.error(f"malformed language tag @{lang}", nxt)
-            return literal(tok[1], language=lang)
-        if nxt is not None and nxt[0] == "NAME" and nxt[1].startswith("^^"):
-            self._next()
-            dt_name = nxt[1][2:]
-            if dt_name:
-                dt = self._expand_name(("NAME", dt_name, nxt[2]))
-            else:
-                dt = self._term_from(self._next(), position="datatype")
-            if not dt.is_iri:
-                self.error("datatype must be an IRI", nxt)
-            return literal(tok[1], datatype=dt.value)
-        return literal(tok[1])
+_NUMBER_DATATYPES = {"INTEGER": XSD_INTEGER, "DECIMAL": XSD_DECIMAL, "DOUBLE": XSD_DOUBLE}
+_IRI_POSITIONS = {"graph": "graph label", "subject": "subject", "predicate": "predicate"}
 
 
 def parse_trig(text: str) -> QuadDocument:
@@ -537,7 +367,135 @@ def parse_trig(text: str) -> QuadDocument:
     Raises :class:`TrigSyntaxError` (with line/column) on syntax errors,
     blank nodes, relative IRIs, or statements outside a graph block.
     """
-    return _Parser(text).parse()
+    toks = _tokenize(text)
+    toks.append(("END", "", toks[-1][2] if toks else 0))
+    prefixes: dict[str, str] = {}
+    quads: list[Quad] = []
+    iris: dict[str, Term] = {}  # one Term per distinct IRI
+
+    def fail(message: str, tok: _Token):
+        raise _syntax_error(message, text, tok[2])
+
+    def unexpected(wanted: str, tok: _Token):
+        if tok[0] == "END":
+            fail("unexpected end of input", tok)
+        fail(f"expected {wanted}, got {tok[0]} {tok[1]!r}", tok)
+
+    def make_iri(value: str, tok: _Token) -> Term:
+        term = iris.get(value)
+        if term is None:
+            if not _SCHEME_RE.match(value):
+                fail(f"relative IRI not allowed: <{value}>", tok)
+            try:
+                term = iris[value] = iri(value)
+            except ValueError as exc:
+                fail(str(exc), tok)
+        return term
+
+    def atom(tok: _Token, position: str) -> Term:
+        """The term of one token that is not a string."""
+        typ, value = tok[0], tok[1]
+        if typ == "IRI":
+            return make_iri(value, tok)
+        if typ == "NAME":
+            if value == "true" or value == "false":
+                return literal(value, datatype=XSD_BOOLEAN)
+            if value == "a" and position == "predicate":
+                return make_iri(RDF_TYPE, tok)
+            prefix, colon, local = value.partition(":")
+            if not colon:
+                fail(f"expected a term, got bare word {value!r}", tok)
+            if prefix not in prefixes:
+                fail(f"undeclared prefix {prefix!r}", tok)
+            return make_iri(prefixes[prefix] + local, tok)
+        if typ in _NUMBER_DATATYPES:
+            return literal(value, datatype=_NUMBER_DATATYPES[typ])
+        unexpected(f"a term in {position} position", tok)
+
+    def read_term(i: int, position: str) -> tuple[Term, int]:
+        """The term that starts at ``toks[i]``, and the index after it."""
+        tok, i = toks[i], i + 1
+        if tok[0] != "STRING":
+            term = atom(tok, position)
+        else:
+            value = tok[1]
+            # A literal read as a datatype is an error at the '^^' before it,
+            # once that literal is read; this loop reads the last of a chain.
+            outer = None
+            while toks[i][0] == "NAME" and toks[i][1] == "^^" and toks[i + 1][0] == "STRING":
+                outer, value, i = toks[i], toks[i + 1][1], i + 2
+            nxt = toks[i]
+            if nxt[0] == "AT":
+                if not _LANG_RE.match(nxt[1]):
+                    fail(f"malformed language tag @{nxt[1]}", nxt)
+                term, i = literal(value, language=nxt[1]), i + 1
+            elif nxt[0] == "NAME" and nxt[1].startswith("^^"):
+                if nxt[1] == "^^":  # the datatype is the next token
+                    dt, i = atom(toks[i + 1], "datatype"), i + 2
+                else:
+                    dt, i = atom(("NAME", nxt[1][2:], nxt[2]), "datatype"), i + 1
+                if not dt.is_iri:
+                    fail("datatype must be an IRI", nxt)
+                term = literal(value, datatype=dt.value)
+            else:
+                term = literal(value)
+            if outer is not None:
+                fail("datatype must be an IRI", outer)
+        if position in _IRI_POSITIONS and not term.is_iri:
+            fail(f"{_IRI_POSITIONS[position]} must be an IRI", tok)
+        return term, i
+
+    i = 0
+    while (tok := toks[i])[0] != "END":
+        typ = tok[0]
+        if typ == "AT":
+            if tok[1] != "prefix":
+                fail(f"unsupported directive @{tok[1]}", tok)
+            for j, wanted in enumerate(("NAME", "IRI", "DOT"), i + 1):
+                if toks[j][0] != wanted:
+                    unexpected(wanted, toks[j])
+                if wanted == "NAME" and not toks[j][1].endswith(":"):
+                    fail("prefix label must end with ':'", toks[j])
+            prefixes[toks[i + 1][1][:-1]] = toks[i + 2][1]
+            i += 4
+            continue
+        if typ == "NAME" and tok[1].upper() in ("PREFIX", "BASE"):
+            fail("SPARQL-style directives are not accepted; use @prefix", tok)
+        if typ != "IRI" and typ != "NAME":
+            unexpected("a graph block", tok)
+        if typ == "NAME" and tok[1].upper() == "GRAPH":
+            i += 1
+        graph_tok = toks[i]
+        graph, i = read_term(i, "graph")
+        if toks[i][0] != "LBRACE":
+            fail("statement outside a graph block (expected '{')", toks[i])
+        i += 1
+        while (typ := toks[i][0]) != "RBRACE":
+            if typ == "END":
+                fail("unterminated graph block", graph_tok)
+            subject, i = read_term(i, "subject")
+            predicate, i = read_term(i, "predicate")
+            while True:
+                obj, i = read_term(i, "object")
+                quads.append(Quad(subject, predicate, obj, graph))
+                sep = toks[i][0]
+                if sep == "COMMA":
+                    i += 1
+                elif sep == "SEMI" and toks[i + 1][0] not in ("DOT", "RBRACE"):
+                    predicate, i = read_term(i + 1, "predicate")
+                else:
+                    break
+            if sep == "SEMI":  # '; .' and '; }' also end a statement
+                i += 1
+                sep = toks[i][0]
+            if sep == "DOT":
+                i += 1
+            elif sep != "RBRACE":  # the final '.' inside a block is optional
+                unexpected("'.', ';' or ','", toks[i])
+        i += 1
+        if toks[i][0] == "DOT":  # optional trailing dot after a graph block
+            i += 1
+    return QuadDocument(quads, prefixes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A code is "RA" followed by 43 characters that encode the SHA-256 digest
 of the document's canonical form.  The canonical form blanks every
-self-reference (any IRI under the minting base, with any embedded code
-stripped), so a document hashes the same before and after minting.
+self-reference (any IRI under the minting base, with the embedded code
+stripped), so a document hashes the same before and after minting.  When
+verifying, only the claimed code is stripped, so a document that names
+another code under the base does not verify.
 """
 
 from __future__ import annotations
@@ -62,29 +64,34 @@ def extract_artifact_code(uri: str) -> str | None:
     return tail if is_artifact_code(tail) else None
 
 
-def _strip_codes(value: str, base: str) -> str:
-    """Drop every artifact code sitting directly after ``base``."""
+def _strip_codes(value: str, base: str, code: str | None = None) -> str:
+    """Drop ``code``, or every artifact code if it is None, sitting
+    directly after ``base``."""
     if not value.startswith(base):
         return value
-    end = _CODES_RE.match(value, len(base)).end()
+    if code is not None:
+        end = len(base) + len(code) if value.startswith(code, len(base)) else len(base)
+    else:
+        end = _CODES_RE.match(value, len(base)).end()
     return value if end == len(base) else base + value[end:]
 
 
-def _canonical_term(term: Term, base: str) -> str:
+def _canonical_term(term: Term, base: str, code: str | None) -> str:
     if term.is_iri:
-        return render_iri(_strip_codes(term.value, base))
+        return render_iri(_strip_codes(term.value, base, code))
     datatype = term.datatype
     if datatype is not None:
-        datatype = _strip_codes(datatype, base)
+        datatype = _strip_codes(datatype, base, code)
     return render_literal(term.value, datatype, term.language)
 
 
-def canonical_form(doc: QuadDocument | Nanopublication, base: str) -> str:
+def canonical_form(doc: QuadDocument | Nanopublication, base: str, code: str | None = None) -> str:
     """Deterministic text the code is computed from.
 
     One ``S P O G .`` line per quad with self-references blanked to the
     bare base, sorted by byte order, newline-joined with a trailing
     newline.  Invariant under quad reordering and prefix-table changes.
+    With ``code``, only that code is stripped after the base; without, any.
     """
     rendered: dict[Term, str] = {}  # each distinct term is rendered once
     lines = set()
@@ -93,7 +100,7 @@ def canonical_form(doc: QuadDocument | Nanopublication, base: str) -> str:
         for term in (q.subject, q.predicate, q.object, q.graph):
             text = rendered.get(term)
             if text is None:
-                text = rendered[term] = _canonical_term(term, base)
+                text = rendered[term] = _canonical_term(term, base, code)
             parts.append(text)
         parts.append(".")
         lines.add(" ".join(parts))
@@ -108,8 +115,8 @@ def encode_digest(digest: bytes) -> str:
     return base64.urlsafe_b64encode(padded)[:43].decode("ascii")
 
 
-def compute_code(doc: QuadDocument | Nanopublication, base: str) -> str:
-    digest = hashlib.sha256(canonical_form(doc, base).encode("utf-8")).digest()
+def compute_code(doc: QuadDocument | Nanopublication, base: str, code: str | None = None) -> str:
+    digest = hashlib.sha256(canonical_form(doc, base, code).encode("utf-8")).digest()
     return CODE_PREFIX + encode_digest(digest)
 
 
@@ -194,7 +201,7 @@ def verify_reason(doc: QuadDocument | Nanopublication, uri: TrustyUri | str) -> 
             return "IRI does not end in an artifact code"
         uri = TrustyUri(uri[:-CODE_LENGTH], code)
     try:
-        recomputed = compute_code(doc, uri.base)
+        recomputed = compute_code(doc, uri.base, uri.code)
     except ValueError as exc:
         return str(exc)
     if recomputed != uri.code:

@@ -27,9 +27,16 @@ def oracle_strip(iri_value: str, base: str) -> str:
     return base + rest
 
 
-def _render(term, base: str) -> str:
+def oracle_strip_claimed(iri_value: str, base: str, code: str) -> str:
+    """base + code [+ suffix] -> base [+ suffix], for the claimed code only."""
+    if not iri_value.startswith(base + code):
+        return iri_value
+    return base + iri_value[len(base + code):]
+
+
+def _render(term, strip) -> str:
     if term.is_iri:
-        return "<" + oracle_strip(term.value, base) + ">"
+        return "<" + strip(term.value) + ">"
     body = term.value
     for raw, esc in [
         ("\\", "\\\\"),
@@ -45,30 +52,45 @@ def _render(term, base: str) -> str:
     if term.language:
         out += "@" + term.language
     elif term.datatype:
-        out += "^^<" + oracle_strip(term.datatype, base) + ">"
+        out += "^^<" + strip(term.datatype) + ">"
     return out
 
 
-def oracle_canonical_form(doc, base: str) -> str:
+def oracle_canonical_form(doc, base: str, code: str | None = None) -> str:
+    """Self-references blanked: every code after the base is stripped, or
+    only ``code`` when one is claimed."""
+    if code is None:
+        strip = lambda value: oracle_strip(value, base)
+    else:
+        strip = lambda value: oracle_strip_claimed(value, base, code)
     lines = set()
     for q in doc:
         lines.add(
-            _render(q.subject, base)
+            _render(q.subject, strip)
             + " "
-            + _render(q.predicate, base)
+            + _render(q.predicate, strip)
             + " "
-            + _render(q.object, base)
+            + _render(q.object, strip)
             + " "
-            + _render(q.graph, base)
+            + _render(q.graph, strip)
             + " ."
         )
     return "".join(line + "\n" for line in sorted(lines, key=lambda s: s.encode("utf-8")))
 
 
-def oracle_code(doc, base: str) -> str:
-    digest = hashlib.sha256(oracle_canonical_form(doc, base).encode("utf-8")).digest()
+def oracle_code(doc, base: str, code: str | None = None) -> str:
+    digest = hashlib.sha256(oracle_canonical_form(doc, base, code).encode("utf-8")).digest()
     # 256-bit digest, left-padded by 2 zero bits, read as 43 six-bit groups
     bits = bin(int.from_bytes(digest, "big"))[2:].zfill(256)
     bits = "00" + bits
     chars = [ALPHABET[int(bits[i : i + 6], 2)] for i in range(0, 258, 6)]
     return "RA" + "".join(chars)
+
+
+def oracle_verify(doc, uri: str) -> bool:
+    """The URI ends in a code, and the document hashes to it with only that
+    code stripped after the base."""
+    base, code = uri[:-45], uri[-45:]
+    if not base or not _CODE_RE.fullmatch(code):
+        return False
+    return oracle_code(doc, base, code) == code

@@ -427,6 +427,11 @@ def _invalid_nanopub_body(np):
         pytest.param(lambda nps: "KIND GET_JOURNAL\nFROM 1\nPAGE_SIZE y\n\n", id="bad-page-size"),
         pytest.param(lambda nps: "KIND JOURNAL_PAGE\nNEXT_SEQ z\n\n", id="bad-next-seq"),
         pytest.param(lambda nps: "KIND JOURNAL_PAGE\nNEXT_SEQ 1\nENTRY x y\n\n", id="bad-entry-seq"),
+        pytest.param(lambda nps: "KIND GET_JOURNAL\nFROM \u0663\nPAGE_SIZE 1\n\n", id="arabic-indic-from"),
+        pytest.param(lambda nps: "KIND GET_JOURNAL\nFROM 1\nPAGE_SIZE -5\n\n", id="negative-page-size"),
+        pytest.param(lambda nps: "KIND GET_JOURNAL\nFROM  1\nPAGE_SIZE 1_0\n\n", id="spaced-or-underscored"),
+        pytest.param(lambda nps: "KIND JOURNAL_PAGE\nNEXT_SEQ +2\n\n", id="signed-next-seq"),
+        pytest.param(lambda nps: "KIND JOURNAL_PAGE\nNEXT_SEQ 2\nENTRY \uff11 y\n\n", id="fullwidth-entry-seq"),
         pytest.param(lambda nps: "KIND NANOPUB\n\n<broken", id="bad-trig"),
         pytest.param(lambda nps: _invalid_nanopub_body(nps[0]), id="invalid-nanopub"),
         pytest.param(lambda nps: "KIND PUBLISH\n\n", id="no-nanopub"),
@@ -440,6 +445,48 @@ def test_wire_decode_raises_only_protocol_error(nanopubs, make):
     data = make(nanopubs)
     with pytest.raises(ProtocolError):
         decode_message(data if isinstance(data, bytes) else data.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        Ok("a\n\nKIND OK"),
+        Get("a\rb"),
+        Get("trailing\n"),
+        PeerList(("n1", "a\nCODE b")),
+        JournalPage(((1, "RA\u2028x"),), 2),
+    ],
+)
+def test_wire_encode_refuses_value_spanning_lines(msg):
+    with pytest.raises(ProtocolError, match="spans lines"):
+        encode_message(msg)
+
+
+def test_wire_rejection_reason_is_sent_on_one_line():
+    reply = decode_message(encode_message(Rejected("a\n\nKIND OK\r\u2028")))
+    assert reply == Rejected("a\\n\\nKIND OK\\r\\u2028")
+
+
+def test_sync_round_stores_get_reply_only_for_the_code_asked(nanopubs):
+    wanted, other = nanopubs[0], nanopubs[1]
+    code = wanted.uri[-45:]
+    honest = ServerNode("a")
+    honest.handle(Publish(wanted))
+    lying = True
+
+    def send(dst, msg):
+        if lying and isinstance(msg, Get):
+            return NanopubResponse(other)  # valid, but not the one asked for
+        return honest.handle(msg)
+
+    b = ServerNode("b", peers=["a"], send=send)
+    assert b.sync_round() == 0
+    assert len(b.store) == 0
+    assert b.cursors == {}  # the page is asked for again next round
+    lying = False
+    assert b.sync_round() == 1
+    assert b.store.get(code) is not None
+    assert b.cursors == {"a": 2}
 
 
 def _start(server):
@@ -525,3 +572,17 @@ def test_sync_round_stops_on_page_that_does_not_advance(nanopubs):
     b = ServerNode("b", peers=["a", "c"], send=send, page_size=2)
     assert b.sync_round() == 1
     assert b.cursors == {"c": 2}  # peer a stays where it was
+
+
+def test_tcp_server_answers_rejection_of_line_breaking_input_on_one_line():
+    server = NodeServer(ServerNode("srv"))
+    thread = _start(server)
+    try:
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as conn:
+            conn.sendall(b"KIND PUBLISH\n\n<http://g> { <http://s> <http://p> <\\u000A> . }")
+            conn.shutdown(socket.SHUT_WR)
+            reply = decode_message(network._read_to_eof(conn))
+        assert reply == Rejected("body: relative IRI not allowed: <\\n> (line 1, column 36)")
+    finally:
+        _stop(server, thread)

@@ -1,4 +1,6 @@
+import gc
 import os
+import random
 import subprocess
 import sys
 
@@ -113,6 +115,17 @@ GOLDEN_ERRORS = [
     pytest.param(_G + _SP + "<http://ex.org/o> <http://ex.org/x> }", TrigSyntaxError, "expected '.', ';' or ',', got IRI 'http://ex.org/x'", 2, 57, id="bad-statement-end"),
     pytest.param(_G + _SP + '"x"@en- . }', TrigSyntaxError, "malformed language tag @en-", 2, 42, id="malformed-language-tag"),
     pytest.param(_G + _SP + '"x"^^ "y" . }', TrigSyntaxError, "datatype must be an IRI", 2, 42, id="literal-datatype"),
+    # a literal as datatype fails at the '^^' before the last literal of a chain
+    pytest.param(_G + _SP + '"x"^^"y"^^"z" . }', TrigSyntaxError, "datatype must be an IRI", 2, 47, id="literal-datatype-chain"),
+    pytest.param(_G + _SP + '"x"^^"y"^^<http://ex.org/d> . }', TrigSyntaxError, "datatype must be an IRI", 2, 42, id="typed-literal-datatype"),
+    pytest.param(_G + _SP + '"x"^^"y"@en- . }', TrigSyntaxError, "malformed language tag @en-", 2, 47, id="literal-datatype-language-tag"),
+    # the end of input is reported at the last token
+    pytest.param("\n GRAPH", TrigSyntaxError, "unexpected end of input", 2, 2, id="end-after-graph-keyword"),
+    pytest.param("@prefix ex:", TrigSyntaxError, "unexpected end of input", 1, 9, id="end-after-prefix-label"),
+    pytest.param("\n  <http://ex.org/g>", TrigSyntaxError, "statement outside a graph block (expected '{')", 2, 3, id="end-after-graph-label"),
+    pytest.param(_G + _SP + "<http://ex.org/o>", TrigSyntaxError, "unexpected end of input", 2, 39, id="end-after-object"),
+    pytest.param(_G + _SP + "<http://ex.org/o> ;", TrigSyntaxError, "unexpected end of input", 2, 57, id="end-after-semicolon"),
+    pytest.param(_G + _SP + '"x"^^', TrigSyntaxError, "unexpected end of input", 2, 42, id="end-after-datatype-marker"),
 ]
 
 
@@ -123,6 +136,56 @@ def test_syntax_error_message_and_position(text, error_class, message, line, col
     assert type(err.value) is error_class
     assert str(err.value) == f"{message} (line {line}, column {column})"
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        pytest.param(_G + _SP + "<http://ex.org/o> ; . }", 1, id="semicolon-dot"),
+        pytest.param(_G + _SP + "<http://ex.org/o> ; }", 1, id="semicolon-brace"),
+        pytest.param(_G + _SP + "<http://ex.org/o> } . " + _G + "} .", 1, id="dot-after-blocks"),
+        pytest.param("# nothing here\n  # but comments\n", 0, id="comments-only"),
+    ],
+)
+def test_optional_statement_endings_are_accepted(text, count):
+    assert len(parse_trig(text)) == count
+
+
+@pytest.mark.parametrize("text", [_G + _SP + '"x"^^<http://ex.org/d> . }', _G + _SP + '"x"^^"y" . }'])
+def test_parse_leaves_no_reference_cycle(text):
+    # a cycle would hold the whole token list until a full collection
+    gc.collect()
+    try:
+        parse_trig(text)
+    except TrigSyntaxError:
+        pass
+    assert gc.collect() == 0
+
+
+_MUTATION_SEEDS = [
+    '@prefix ex: <http://ex.org/> .\nGRAPH ex:g { ex:s a ex:T ; ex:p "x"@en, "y"^^ex:dt, 1, 1.5, 1e3, true ; . } .\n',
+    "<http://g> { <http://s> <http://p> 'a'^^<http://dt> ; <http://q> \"\"\"long\n\"\"\"@de-AT ; }\n# c\n",
+    "@prefix : <http://e/> .\n:g { :s :p <http://e/\\u0041> , -4 , +.5e+7 . :s :q false }",
+]
+_MUTATION_PIECES = [
+    "<", ">", "{", "}", ".", ";", ",", '"', "'", "@", "^^", "_:", "[", "(", "#", "\n", " ", "a",
+    ":", "ex:", "GRAPH", "@prefix", "PREFIX", "<http://x/>", '"s"', "1", "1.", "e", "-", "\\", "\\u0041",
+]
+
+
+def test_mutated_input_raises_only_trig_syntax_error():
+    rng = random.Random(20181001)
+    for _ in range(5000):
+        text = rng.choice(_MUTATION_SEEDS)
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(0, len(text))
+            b = min(len(text), a + rng.randint(0, 8))
+            piece = rng.choice(_MUTATION_PIECES)
+            text = rng.choice([text[:a] + text[b:], text[:a] + piece + text[a:], text[:a] + piece + text[b:], text[:a]])
+        try:
+            parse_trig(text)
+        except TrigSyntaxError:
+            pass
 
 
 def test_unexpected_character_after_long_whitespace_run_is_fast():

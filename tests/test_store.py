@@ -214,12 +214,24 @@ def _recoded_assertion(np, code):
     )
 
 
+def test_other_code_under_the_base_fails_verification(corpus200):
+    np = corpus200[0]
+    variant = _recoded_assertion(np, corpus200[1].uri[-45:])
+    assert not verify(variant, np.uri)  # only the claimed code is stripped
+    store = NanopubStore()
+    store.put(np)
+    with pytest.raises(StoreError, match="verification"):
+        store.put(variant)
+    assert store.get(np.uri[-45:]) is np
+
+
 def test_same_code_with_other_quads_is_integrity_error(corpus200):
     np = corpus200[0]
     assert np.assertion.iri == np.uri + "#assertion"
-    variant = _recoded_assertion(np, corpus200[1].uri[-45:])
+    variant = _recoded_assertion(np, "")
     assert frozenset(variant.quads) != frozenset(np.quads)
-    assert verify(variant, np.uri)  # the canonical form strips any code after the base
+    # base+C#assertion and the bare base#assertion have one canonical line
+    assert verify(variant, np.uri)
     store = NanopubStore()
     store.put(np)
     with pytest.raises(IntegrityError, match="already stored with different content"):

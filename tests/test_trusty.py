@@ -16,7 +16,7 @@ from nanokit.trusty import (
     verify,
 )
 
-from oracle_trusty import ALPHABET, oracle_canonical_form, oracle_code, oracle_strip
+from oracle_trusty import ALPHABET, oracle_canonical_form, oracle_code, oracle_strip, oracle_verify
 from strategies import documents
 
 BASE = "http://example.org/np/birddiet."
@@ -214,6 +214,41 @@ def test_strip_codes(suffix, expected):
     assert _strip_codes("http://other.example/" + CODE, base) == "http://other.example/" + CODE
 
 
+def test_strip_claimed_code_strips_it_once():
+    base = "http://example.org/np/"
+    other = "RA" + "B" * 43
+    assert _strip_codes(base + CODE + "#head", base, CODE) == base + "#head"
+    assert _strip_codes(base + CODE + CODE + "#head", base, CODE) == base + CODE + "#head"
+    assert _strip_codes(base + other + "#head", base, CODE) == base + other + "#head"
+
+
+def _recoded(doc, old, new):
+    """``doc`` with the IRI prefix ``old`` replaced by ``new`` in IRIs and datatypes."""
+
+    def swap(term):
+        if term.is_iri and term.value.startswith(old):
+            return iri(new + term.value[len(old) :])
+        if term.is_literal and term.datatype and term.datatype.startswith(old):
+            return literal(term.value, datatype=new + term.datatype[len(old) :])
+        return term
+
+    return QuadDocument(
+        (Quad(swap(q.subject), swap(q.predicate), swap(q.object), swap(q.graph)) for q in doc.quads),
+        doc.prefixes,
+    )
+
+
+def test_stacked_or_swapped_code_under_the_base_fails_verification(birddiet_doc):
+    own = BASE + BIRDDIET_CODE
+    assert verify(birddiet_doc, own) and oracle_verify(birddiet_doc, own)
+    for code in (CODE, BIRDDIET_CODE + BIRDDIET_CODE, BIRDDIET_CODE + CODE, CODE + BIRDDIET_CODE):
+        variant = _recoded(birddiet_doc, own, BASE + code)
+        assert variant != birddiet_doc
+        for claimed in {BIRDDIET_CODE, code[:45], code[-45:]}:
+            assert not verify(variant, BASE + claimed), (code, claimed)
+            assert not oracle_verify(variant, BASE + claimed), (code, claimed)
+
+
 def test_idempotent_remint_after_stripping(birddiet_doc, birddiet_uri):
     stripped = strip_trusty(birddiet_doc, BASE)
     uri, minted = mint(stripped, BASE)
@@ -243,3 +278,4 @@ def test_canonical_form_matches_oracle_everywhere(doc):
 def test_mint_verify_roundtrip_property(doc):
     uri, minted = mint(doc, "http://c.example/batch/")
     assert verify(minted, uri)
+    assert oracle_verify(minted, uri.uri)
