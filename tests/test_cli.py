@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -229,6 +230,33 @@ def test_analyze_outputs_five_reports(tmp_path, capsys):
     }
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["totals"]["nanopub_count"] == 25
+
+
+# SHA-256 of each output of analyze on gen-corpus seed 13, 80 nanopubs,
+# --top-k 3 and a --tool-uri that the corpus mentions
+ANALYZE_GOLDEN = {
+    "totals.tsv": "64dbc3421e133c77fc2ba5cf05608df9f79c7525114a9423349363244003c46e",
+    "creators.tsv": "2262e7c146aea93704933f6c9f375fa90a75d130ec748e401c151a031b10b35c",
+    "licenses.tsv": "a8d01b8c5b9f914601bb6d7a8da4bac903e7821eee5f44cda7c7934324d57dbd",
+    "namespaces.tsv": "e97220e6100adb96ab9a5dbb6272db4ef8065f25e9a72b79ee9c4549c9452918",
+    "types.tsv": "12544603649b981f16aad32ffcb91ddfecda6a86feaaf725ddfafa0afe993f80",
+    "report.json": "98fa4dbfe020e4f5be841c1406ae1eb6a6aecf927da266c8427689bc0594936c",
+}
+
+
+def test_analyze_outputs_pinned_for_dump_and_directory(tmp_path, capsys):
+    gen = ("--count", "80", "--seed", "13")
+    run(capsys, "gen-corpus", "--out", str(tmp_path / "dir"), *gen)
+    run(capsys, "gen-corpus", "--out", str(tmp_path / "one"), *gen, "--single-file")
+    options = ("--top-k", "3", "--tool-uri", "https://doi.org/10.5281/zenodo.999999")
+    outputs = {}
+    for corpus, out in ((tmp_path / "dir", "out-dir"), (tmp_path / "one" / "corpus.trig", "out-one")):
+        status, _, _ = run(capsys, "analyze", str(corpus), "--out", str(tmp_path / out), *options)
+        assert status == 0
+        outputs[out] = {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+    assert outputs["out-dir"] == outputs["out-one"]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs["out-one"].items()}
+    assert digests == ANALYZE_GOLDEN
 
 
 def test_gen_corpus_deterministic(tmp_path, capsys):
