@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from nanokit.analysis import corpus_totals, creator_stats, license_stats, write_reports
+from nanokit.analysis import analyze, write_reports
 from nanokit.corpusgen import CorpusConfig, generate_corpus
 
 
@@ -24,23 +24,21 @@ def main() -> None:
     parser.add_argument("--out", default="corpus-reports")
     args = parser.parse_args()
 
-    corpus = generate_corpus(CorpusConfig(count=args.count, seed=args.seed))
-    totals = corpus_totals(corpus)
+    report = analyze(generate_corpus(CorpusConfig(count=args.count, seed=args.seed)))
+    totals = report.totals
     print(f"nanopublications: {totals.nanopub_count}")
     print(f"triples: {totals.total_triples} (mean {totals.mean_triples:.1f} per nanopub)")
     print(f"provenance mean: {totals.mean_provenance_triples:.1f}")
 
-    creators = creator_stats(corpus)
-    for row in creators.rows:
+    for row in report.creators.rows:
         if row.total:
             print(f"creators[{row.identifier_type}]: {row.total} mentions, {row.unique} unique")
 
-    licenses = license_stats(corpus)
-    for license_iri, count in licenses.rows:
+    for license_iri, count in report.licenses.rows:
         print(f"license {license_iri}: {count}")
-    print(f"license unspecified: {licenses.unspecified}")
+    print(f"license unspecified: {report.licenses.unspecified}")
 
-    paths = write_reports(args.out, corpus)
+    paths = write_reports(args.out, report)
     print("reports:", ", ".join(str(p) for p in paths.values()))
 
 

@@ -1,11 +1,11 @@
 """Corpus statistics: totals, creators, licenses, namespaces, types.
 
 All statistics are exact counts or exact ratios over a corpus of valid
-nanopublications.  ``load_corpus`` reads each file whole and splits it
-into a list held in memory; ``write_reports`` then makes one pass over
-that list per analysis, five in all.  Creator and license scans look at
-pubinfo graphs only, type counts at assertion graphs only, the namespace
-table at all four.
+nanopublications.  ``load_corpus`` yields the nanopublications of one
+file at a time, so only the file being read is held in memory;
+``analyze`` computes all five reports in one pass that visits each quad
+once.  Creator and license counts look at pubinfo graphs only, type
+counts at assertion graphs only, the namespace table at all four.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 from urllib.parse import urlsplit
 
 from . import namespaces as ns
@@ -47,16 +47,23 @@ GRAPH_LABELS = ("head", "assertion", "provenance", "pubinfo")
 POSITIONS = ("subject", "predicate", "object")
 
 
-def load_corpus(path: str | Path) -> list[Nanopublication]:
-    """Read a directory of ``.trig`` files or one concatenated corpus file."""
+def load_corpus(path: str | Path) -> Iterator[Nanopublication]:
+    """Yield the nanopublications of a directory of ``.trig`` files or of
+    one concatenated corpus file, reading and splitting one file at a time.
+
+    A parse, validation or split error names the file it comes from.
+    """
     path = Path(path)
     files = sorted(path.glob("*.trig")) if path.is_dir() else [path]
-    return [
-        np for file in files for np in split_corpus(parse_trig(file.read_text(encoding="utf-8")))
-    ]
+    for file in files:
+        try:
+            nanopubs = split_corpus(parse_trig(file.read_text(encoding="utf-8")))
+        except ValueError as exc:  # every domain error is a ValueError
+            raise ValueError(f"{file}: {exc}") from exc
+        yield from nanopubs
 
 
-# -- totals -------------------------------------------------------------------
+# -- the five reports ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -88,20 +95,6 @@ class CorpusReport:
         if self.nanopub_count == 0:
             return None
         return self.provenance_triples / self.nanopub_count
-
-
-def corpus_totals(corpus: Iterable[Nanopublication]) -> CorpusReport:
-    count = head = assertion = provenance = pubinfo = 0
-    for np in corpus:
-        count += 1
-        head += len(np.head)
-        assertion += len(np.assertion)
-        provenance += len(np.provenance)
-        pubinfo += len(np.pubinfo)
-    return CorpusReport(count, head, assertion, provenance, pubinfo)
-
-
-# -- creators -----------------------------------------------------------------
 
 
 def classify_creator(term: Term, tool_uris: frozenset[str] = DEFAULT_TOOL_URIS) -> str:
@@ -138,67 +131,10 @@ class CreatorReport:
     unique: int
 
 
-def creator_stats(
-    corpus: Iterable[Nanopublication], tool_uris: frozenset[str] = DEFAULT_TOOL_URIS
-) -> CreatorReport:
-    """Creator/author mentions in pubinfo graphs, by identifier type.
-
-    Duplicate mentions within one nanopublication count separately.
-    """
-    counters: dict[str, Counter] = {t: Counter() for t in IDENTIFIER_TYPES}
-    for np in corpus:
-        for q in np.pubinfo.quads:
-            if q.predicate.value in CREATOR_PREDICATES:
-                row = classify_creator(q.object, tool_uris)
-                key = q.object.value
-                counters[row][key] += 1
-    rows = []
-    for identifier_type in IDENTIFIER_TYPES:
-        counter = counters[identifier_type]
-        total = sum(counter.values())
-        if counter:
-            top = max(counter.items(), key=lambda kv: (kv[1], kv[0]))
-            best_count = top[1]
-            example = min(k for k, v in counter.items() if v == best_count)
-        else:
-            example = None
-        rows.append(CreatorRow(identifier_type, total, len(counter), example))
-    return CreatorReport(
-        rows=tuple(rows),
-        total=sum(r.total for r in rows),
-        unique=sum(r.unique for r in rows),
-    )
-
-
-# -- licenses -----------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class LicenseReport:
     rows: tuple[tuple[str, int], ...]  # (license IRI, nanopub count), count desc
     unspecified: int
-
-
-def license_stats(corpus: Iterable[Nanopublication]) -> LicenseReport:
-    """One count per distinct license IRI a nanopublication declares in
-    its pubinfo; nanopublications declaring none are 'unspecified'."""
-    counts: Counter = Counter()
-    unspecified = 0
-    for np in corpus:
-        declared = {
-            q.object.value
-            for q in np.pubinfo.quads
-            if q.predicate.value in LICENSE_PREDICATES and q.object.is_iri
-        }
-        if not declared:
-            unspecified += 1
-        for license_iri in declared:
-            counts[license_iri] += 1
-    rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return LicenseReport(tuple(rows), unspecified)
-
-
-# -- namespace table ----------------------------------------------------------
 
 
 def namespace_of(value: str) -> str:
@@ -220,42 +156,6 @@ class NamespacePositionTable:
     cells: dict[tuple[str, str], tuple[tuple[str, int, float], ...]] = field(hash=False)
 
 
-def namespace_table(corpus: Iterable[Nanopublication], k: int) -> NamespacePositionTable:
-    """Per (graph, position): the top-k namespaces by the share of
-    nanopublications where the namespace occurs at least once there."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    counts: dict[tuple[str, str], Counter] = {
-        (g, p): Counter() for g in GRAPH_LABELS for p in POSITIONS
-    }
-    n = 0
-    for np in corpus:
-        n += 1
-        for label, part in zip(GRAPH_LABELS, np.parts()):
-            seen: dict[str, set[str]] = {p: set() for p in POSITIONS}
-            for q in part.quads:
-                for position, term in (
-                    ("subject", q.subject),
-                    ("predicate", q.predicate),
-                    ("object", q.object),
-                ):
-                    if term.is_iri:
-                        seen[position].add(namespace_of(term.value))
-            for position in POSITIONS:
-                for namespace in seen[position]:
-                    counts[(label, position)][namespace] += 1
-    cells = {}
-    for key, counter in counts.items():
-        ranked = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        cells[key] = tuple(
-            (namespace, count, 100.0 * count / n) for namespace, count in ranked
-        )
-    return NamespacePositionTable(n, cells)
-
-
-# -- type frequency -----------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class TypeFrequency:
     total: int
@@ -267,19 +167,105 @@ class TypeFrequency:
         return [(rank + 1, count) for rank, (_, count) in enumerate(self.rows)]
 
 
-def type_frequency(corpus: Iterable[Nanopublication]) -> TypeFrequency:
-    """rdf:type statements (with IRI objects) in assertion graphs:
-    individual-type assignments."""
-    counter: Counter = Counter()
+@dataclass(frozen=True)
+class CorpusAnalysis:
+    totals: CorpusReport
+    creators: CreatorReport
+    licenses: LicenseReport
+    namespaces: NamespacePositionTable
+    types: TypeFrequency
+
+
+def _ranked(counter: Counter) -> list[tuple[str, int]]:
+    return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def analyze(
+    corpus: Iterable[Nanopublication],
+    k: int = 10,
+    tool_uris: frozenset[str] = DEFAULT_TOOL_URIS,
+) -> CorpusAnalysis:
+    """All five reports in one pass over ``corpus``.
+
+    - totals: nanopublications and triples per graph;
+    - creators: creator/author mentions in pubinfo graphs, by identifier
+      type; duplicate mentions within one nanopublication count separately;
+    - licenses: one count per distinct license IRI a nanopublication
+      declares in its pubinfo; one declaring none is 'unspecified';
+    - namespaces: per (graph, position), the top-k namespaces by the share
+      of nanopublications where the namespace occurs at least once there;
+    - types: rdf:type statements (with IRI objects) in assertion graphs,
+      that is, individual-type assignments.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = 0
+    triples = dict.fromkeys(GRAPH_LABELS, 0)
+    creators: dict[str, Counter] = {t: Counter() for t in IDENTIFIER_TYPES}
+    licenses: Counter = Counter()
+    unspecified = 0
+    namespaces: dict[tuple[str, str], Counter] = {
+        (g, p): Counter() for g in GRAPH_LABELS for p in POSITIONS
+    }
+    types: Counter = Counter()
     for np in corpus:
-        for q in np.assertion.quads:
-            if q.predicate.value == ns.RDF_TYPE and q.object.is_iri:
-                counter[q.object.value] += 1
-    rows = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    return TypeFrequency(sum(counter.values()), len(counter), tuple(rows))
+        n += 1
+        declared: set[str] = set()
+        for label, part in zip(GRAPH_LABELS, np.parts()):
+            triples[label] += len(part)
+            seen = (set(), set(), set())  # namespaces per position
+            for q in part.quads:
+                for found, term in zip(seen, (q.subject, q.predicate, q.object)):
+                    if term.is_iri:
+                        found.add(namespace_of(term.value))
+                predicate, obj = q.predicate.value, q.object
+                if label == "pubinfo":
+                    if predicate in CREATOR_PREDICATES:
+                        creators[classify_creator(obj, tool_uris)][obj.value] += 1
+                    elif predicate in LICENSE_PREDICATES and obj.is_iri:
+                        declared.add(obj.value)
+                elif label == "assertion" and predicate == ns.RDF_TYPE and obj.is_iri:
+                    types[obj.value] += 1
+            for position, found in zip(POSITIONS, seen):
+                namespaces[(label, position)].update(found)
+        licenses.update(declared)
+        unspecified += not declared
+
+    creator_rows = tuple(
+        CreatorRow(t, sum(c.values()), len(c), _ranked(c)[0][0] if c else None)
+        for t, c in creators.items()
+    )
+    return CorpusAnalysis(
+        totals=CorpusReport(n, *triples.values()),
+        creators=CreatorReport(
+            creator_rows,
+            total=sum(r.total for r in creator_rows),
+            unique=sum(r.unique for r in creator_rows),
+        ),
+        licenses=LicenseReport(tuple(_ranked(licenses)), unspecified),
+        namespaces=NamespacePositionTable(
+            n,
+            {
+                key: tuple((nsv, count, 100.0 * count / n) for nsv, count in _ranked(c)[:k])
+                for key, c in namespaces.items()
+            },
+        ),
+        types=TypeFrequency(sum(types.values()), len(types), tuple(_ranked(types))),
+    )
 
 
 # -- report files ---------------------------------------------------------------
+
+TOTALS_FIELDS = (
+    "nanopub_count",
+    "head_triples",
+    "assertion_triples",
+    "provenance_triples",
+    "pubinfo_triples",
+    "total_triples",
+    "mean_triples",
+    "mean_provenance_triples",
+)
 
 
 def _fmt(value) -> str:
@@ -290,113 +276,60 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_reports(
-    outdir: str | Path,
-    corpus: list[Nanopublication],
-    k: int = 10,
-    tool_uris: frozenset[str] = DEFAULT_TOOL_URIS,
-) -> dict[str, Path]:
-    """Run all five analyses and write the tab-separated reports plus a
-    machine-readable ``report.json``; returns the written paths."""
+def write_reports(outdir: str | Path, report: CorpusAnalysis) -> dict[str, Path]:
+    """Write the five tab-separated reports plus a machine-readable
+    ``report.json``; returns the written paths.
+
+    Each report's rows are built once: ``report.json`` holds them as they
+    are, and each TSV file renders them one line per row.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    totals = corpus_totals(corpus)
-    creators = creator_stats(corpus, tool_uris)
-    licenses = license_stats(corpus)
-    table = namespace_table(corpus, k)
-    types = type_frequency(corpus)
-
-    paths = {}
-
-    lines = ["metric\tvalue"]
-    lines.append(f"nanopub_count\t{totals.nanopub_count}")
-    lines.append(f"head_triples\t{totals.head_triples}")
-    lines.append(f"assertion_triples\t{totals.assertion_triples}")
-    lines.append(f"provenance_triples\t{totals.provenance_triples}")
-    lines.append(f"pubinfo_triples\t{totals.pubinfo_triples}")
-    lines.append(f"total_triples\t{totals.total_triples}")
-    lines.append(f"mean_triples\t{_fmt(totals.mean_triples)}")
-    lines.append(f"mean_provenance_triples\t{_fmt(totals.mean_provenance_triples)}")
-    paths["totals"] = outdir / "totals.tsv"
-    paths["totals"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["type\ttotal\tunique\texample"]
-    for row in creators.rows:
-        lines.append(
-            f"{row.identifier_type}\t{row.total}\t{row.unique}\t{row.example or ''}"
-        )
-    lines.append(f"Total\t{creators.total}\t{creators.unique}\t")
-    paths["creators"] = outdir / "creators.tsv"
-    paths["creators"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["license\tnanopubs"]
-    for license_iri, count in licenses.rows:
-        lines.append(f"{license_iri}\t{count}")
-    lines.append(f"unspecified\t{licenses.unspecified}")
-    paths["licenses"] = outdir / "licenses.tsv"
-    paths["licenses"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["graph\tposition\trank\tnamespace\tnanopubs\tpercentage"]
-    for graph in GRAPH_LABELS:
-        for position in POSITIONS:
-            for rank, (namespace, count, pct) in enumerate(table.cells[(graph, position)]):
-                lines.append(
-                    f"{graph}\t{position}\t{rank + 1}\t{namespace}\t{count}\t{_fmt(pct)}"
-                )
-    paths["namespaces"] = outdir / "namespaces.tsv"
-    paths["namespaces"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["rank\ttype\tcount"]
-    for rank, (type_key, count) in enumerate(types.rows):
-        lines.append(f"{rank + 1}\t{type_key}\t{count}")
-    paths["types"] = outdir / "types.tsv"
-    paths["types"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    machine = {
-        "totals": {
-            "nanopub_count": totals.nanopub_count,
-            "head_triples": totals.head_triples,
-            "assertion_triples": totals.assertion_triples,
-            "provenance_triples": totals.provenance_triples,
-            "pubinfo_triples": totals.pubinfo_triples,
-            "total_triples": totals.total_triples,
-            "mean_triples": totals.mean_triples,
-            "mean_provenance_triples": totals.mean_provenance_triples,
-        },
+    rows = {
+        "totals": {name: getattr(report.totals, name) for name in TOTALS_FIELDS},
         "creators": {
             "rows": [
-                {
-                    "type": r.identifier_type,
-                    "total": r.total,
-                    "unique": r.unique,
-                    "example": r.example,
-                }
-                for r in creators.rows
+                {"type": r.identifier_type, "total": r.total, "unique": r.unique, "example": r.example}
+                for r in report.creators.rows
             ],
-            "total": creators.total,
-            "unique": creators.unique,
+            "total": report.creators.total,
+            "unique": report.creators.unique,
         },
-        "licenses": {
-            "rows": [[license_iri, count] for license_iri, count in licenses.rows],
-            "unspecified": licenses.unspecified,
-        },
+        "licenses": {"rows": report.licenses.rows, "unspecified": report.licenses.unspecified},
         "namespaces": {
-            f"{graph}/{position}": [
-                [namespace, count, pct]
-                for namespace, count, pct in table.cells[(graph, position)]
-            ]
+            f"{graph}/{position}": report.namespaces.cells[(graph, position)]
             for graph in GRAPH_LABELS
             for position in POSITIONS
         },
-        "types": {
-            "total": types.total,
-            "unique": types.unique,
-            "rows": [[t, c] for t, c in types.rows],
-        },
+        "types": {"total": report.types.total, "unique": report.types.unique, "rows": report.types.rows},
     }
+    creators, licenses = rows["creators"], rows["licenses"]
+    tables = {
+        "totals": [("metric", "value"), *rows["totals"].items()],
+        "creators": [
+            ("type", "total", "unique", "example"),
+            *((r["type"], r["total"], r["unique"], r["example"] or "") for r in creators["rows"]),
+            ("Total", creators["total"], creators["unique"], ""),
+        ],
+        "licenses": [("license", "nanopubs"), *licenses["rows"], ("unspecified", licenses["unspecified"])],
+        "namespaces": [
+            ("graph", "position", "rank", "namespace", "nanopubs", "percentage"),
+            *(
+                (*key.split("/"), rank, *cell)
+                for key, cells in rows["namespaces"].items()
+                for rank, cell in enumerate(cells, 1)
+            ),
+        ],
+        "types": [
+            ("rank", "type", "count"),
+            *((rank, *row) for rank, row in enumerate(rows["types"]["rows"], 1)),
+        ],
+    }
+    paths = {}
+    for name, table in tables.items():
+        paths[name] = outdir / f"{name}.tsv"
+        text = "".join("\t".join(map(_fmt, row)) + "\n" for row in table)
+        paths[name].write_text(text, encoding="utf-8")
     paths["json"] = outdir / "report.json"
-    paths["json"].write_text(
-        json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    paths["json"].write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return paths

@@ -21,6 +21,7 @@ from .index import (
     list_indexes,
     store_resolver,
 )
+from .network import SERVER_TIMEOUT
 from .rdf import QuadPattern, Term, iri, literal, serialize_trig
 from .store import NanopubStore
 from .trusty import extract_artifact_code
@@ -159,6 +160,8 @@ def _require(params: dict, key: str) -> str:
 
 
 class _ApiRequestHandler(BaseHTTPRequestHandler):
+    timeout = SERVER_TIMEOUT  # a client silent this long is dropped without a reply
+
     def log_message(self, fmt, *args):
         pass  # quiet; the CLI decides what to print
 

@@ -21,7 +21,7 @@ from .index import (
     list_indexes,
     store_resolver,
 )
-from .nanopub import NanopubValidationError, validate
+from .nanopub import validate
 from .network import (
     NodeServer,
     PublishEvent,
@@ -368,12 +368,12 @@ def cmd_node_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        corpus = analysis.load_corpus(args.corpus)
-    except (FileNotFoundError, NanopubValidationError, StoreError, TrigSyntaxError) as exc:
-        raise CliError(str(exc))
     tool_uris = frozenset(args.tool_uri) if args.tool_uri else analysis.DEFAULT_TOOL_URIS
-    paths = analysis.write_reports(args.out, corpus, k=args.top_k, tool_uris=tool_uris)
+    try:
+        report = analysis.analyze(analysis.load_corpus(args.corpus), args.top_k, tool_uris)
+    except FileNotFoundError as exc:
+        raise CliError(str(exc))
+    paths = analysis.write_reports(args.out, report)
     for name in ("totals", "creators", "licenses", "namespaces", "types", "json"):
         print(paths[name])
     return 0

@@ -215,7 +215,7 @@ def client_retrieve(code: str, known_nodes, send: Send | None = None) -> Nanopub
         any_reachable = True
         if isinstance(reply, NanopubResponse):
             np = reply.nanopub
-            if np.uri.endswith(code) and verify(np, np.uri):
+            if extract_artifact_code(np.uri) == code and verify(np, np.uri):
                 return np
     if not any_reachable:
         raise Unreachable(f"no reachable node for {code}")

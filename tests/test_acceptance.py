@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line and enforcing its runtime budget (run with ``pytest -v -s``)."""
 
+import json
 import os
 import random
 import time
@@ -9,14 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from nanokit import namespaces as ns
-from nanokit.analysis import (
-    DEFAULT_TOOL_URIS,
-    corpus_totals,
-    creator_stats,
-    license_stats,
-    namespace_table,
-    type_frequency,
-)
+from nanokit.analysis import DEFAULT_TOOL_URIS, analyze
 from nanokit.api import ApiService
 from nanokit.corpusgen import CorpusConfig, generate_corpus, synthetic_trusty_uris
 from nanokit.index import IndexMetadata, build_incremental, build_index, expand
@@ -324,8 +318,9 @@ def test_criterion_5_api_oracle_equivalence(store10k, corpus10k):
 def test_criterion_6_analysis_oracle_equivalence(corpus10k):
     with budget("6 analysis oracle equivalence", 60.0):
         corpus = corpus10k
+        report = analyze(corpus)
 
-        totals = corpus_totals(corpus)
+        totals = report.totals
         recount = recount_totals(corpus)
         assert totals.nanopub_count == recount["nanopub_count"] == 10_000
         assert totals.head_triples == recount["head"]
@@ -335,19 +330,19 @@ def test_criterion_6_analysis_oracle_equivalence(corpus10k):
         assert totals.total_triples == recount["total"]
         assert totals.mean_triples == recount["total"] / 10_000
 
-        creators = creator_stats(corpus)
+        creators = report.creators
         creator_recount = recount_creators(corpus, DEFAULT_TOOL_URIS)
         for row in creators.rows:
             want = creator_recount.get(row.identifier_type, {"total": 0, "unique": 0})
             assert (row.total, row.unique) == (want["total"], want["unique"])
         assert creators.total == sum(v["total"] for v in creator_recount.values())
 
-        licenses = license_stats(corpus)
+        licenses = report.licenses
         license_counts, unspecified = recount_licenses(corpus)
         assert dict(licenses.rows) == dict(license_counts)
         assert licenses.unspecified == unspecified
 
-        table = namespace_table(corpus, k=10)
+        table = report.namespaces
         for graph in ("head", "assertion", "provenance", "pubinfo"):
             for position in ("subject", "predicate", "object"):
                 counter = recount_namespace_cell(corpus, graph, position)
@@ -357,7 +352,7 @@ def test_criterion_6_analysis_oracle_equivalence(corpus10k):
                 for nsv, count, pct in cell:
                     assert pct == 100.0 * count / 10_000  # exact ratio
 
-        types = type_frequency(corpus)
+        types = report.types
         type_recount = recount_types(corpus)
         assert dict(types.rows) == dict(type_recount)
         assert types.total == sum(type_recount.values())
@@ -385,47 +380,83 @@ FULL_DATASET = {
 }
 
 
+# the FULL_DATASET figures that criterion 7 checks, besides the two means
+GATE_FIGURES = (
+    "nanopub_count",
+    "total_triples",
+    "assertion_triples",
+    "provenance_triples",
+    "pubinfo_triples",
+    "creator_total",
+    "creator_unique",
+    "type_assignments",
+    "type_unique",
+    "top_type_count",
+)
+
+
+def _gate_figures(report: dict) -> dict:
+    """The criterion-7 figures of an analyze ``report.json``."""
+    totals, creators, types = report["totals"], report["creators"], report["types"]
+    return {
+        **{k: totals[k] for k in GATE_FIGURES[:5]},
+        "mean_triples": round(totals["mean_triples"], 1),
+        "mean_provenance_triples": round(totals["mean_provenance_triples"], 1),
+        "creator_total": creators["total"],
+        "creator_unique": creators["unique"],
+        "type_assignments": types["total"],
+        "type_unique": types["unique"],
+        "top_type_count": types["rows"][0][1],
+    }
+
+
 def test_criterion_7_full_dataset_gate(tmp_path):
     """Desk-scale acceptance rests on criteria 1-6: the full-dataset totals
-    need the multi-gigabyte dump.  The analyze entry point must exist for
-    such a dump; with NANOPUB_DUMP set it runs and must match exactly."""
+    need the multi-gigabyte dump.  With NANOPUB_DUMP set, ``nanokit
+    analyze`` runs on it and must match the published figures exactly;
+    without it, the same path runs on a stand-in dump and must match the
+    oracle recount."""
+    from nanokit.cli import main
+    from nanokit.rdf import serialize_trig
+
     with budget("7 full-dataset analyze gate", 60.0):
         dump = os.environ.get("NANOPUB_DUMP")
         if dump:
-            from nanokit.analysis import load_corpus
-
-            corpus = load_corpus(dump)
-            totals = corpus_totals(corpus)
-            assert totals.nanopub_count == FULL_DATASET["nanopub_count"]
-            assert totals.total_triples == FULL_DATASET["total_triples"]
-            assert totals.assertion_triples == FULL_DATASET["assertion_triples"]
-            assert totals.provenance_triples == FULL_DATASET["provenance_triples"]
-            assert totals.pubinfo_triples == FULL_DATASET["pubinfo_triples"]
-            assert round(totals.mean_triples, 1) == 35.1
-            assert round(totals.mean_provenance_triples, 1) == 11.3
-            creators = creator_stats(corpus)
-            assert creators.total == FULL_DATASET["creator_total"]
-            assert creators.unique == FULL_DATASET["creator_unique"]
-            types = type_frequency(corpus)
-            assert types.total == FULL_DATASET["type_assignments"]
-            assert types.unique == FULL_DATASET["type_unique"]
-            assert types.rows[0][1] == FULL_DATASET["top_type_count"]
+            expected = {k: FULL_DATASET[k] for k in GATE_FIGURES}
+            expected.update(mean_triples=35.1, mean_provenance_triples=11.3)
         else:
             # the dump-shaped entry point: one concatenated corpus file
-            from nanokit.cli import main
-            from nanokit.rdf import serialize_trig
-
             corpus = generate_corpus(CorpusConfig(count=50, seed=77))
-            dump_file = tmp_path / "dump.trig"
-            dump_file.write_text(
+            dump = tmp_path / "dump.trig"
+            dump.write_text(
                 "".join(serialize_trig(np.to_document()) for np in corpus),
                 encoding="utf-8",
             )
-            out = tmp_path / "reports"
-            assert main(["analyze", str(dump_file), "--out", str(out)]) == 0
-            for name in ("totals.tsv", "creators.tsv", "licenses.tsv", "namespaces.tsv", "types.tsv"):
-                assert (out / name).exists()
+            totals = recount_totals(corpus)
+            creators = recount_creators(corpus, DEFAULT_TOOL_URIS).values()
+            types = recount_types(corpus)
+            n = totals["nanopub_count"]
+            expected = {
+                "nanopub_count": n,
+                "total_triples": totals["total"],
+                "assertion_triples": totals["assertion"],
+                "provenance_triples": totals["provenance"],
+                "pubinfo_triples": totals["pubinfo"],
+                "mean_triples": round(totals["total"] / n, 1),
+                "mean_provenance_triples": round(totals["provenance"] / n, 1),
+                "creator_total": sum(c["total"] for c in creators),
+                "creator_unique": sum(c["unique"] for c in creators),
+                "type_assignments": sum(types.values()),
+                "type_unique": len(types),
+                "top_type_count": max(types.values()),
+            }
             print(
                 "\n(criterion 7: NANOPUB_DUMP not set; analyze gate exercised on a "
                 "stand-in dump, full-corpus totals left to criteria 1-6)"
             )
+        out = tmp_path / "reports"
+        assert main(["analyze", str(dump), "--out", str(out)]) == 0
+        for name in ("totals.tsv", "creators.tsv", "licenses.tsv", "namespaces.tsv", "types.tsv"):
+            assert (out / name).exists()
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert _gate_figures(report) == expected

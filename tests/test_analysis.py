@@ -3,14 +3,10 @@ import pytest
 from nanokit import namespaces as ns
 from nanokit.analysis import (
     DEFAULT_TOOL_URIS,
+    analyze,
     classify_creator,
-    corpus_totals,
-    creator_stats,
-    license_stats,
     load_corpus,
     namespace_of,
-    namespace_table,
-    type_frequency,
     write_reports,
 )
 from nanokit.build import mint_nanopub, placeholders
@@ -53,9 +49,14 @@ def corpus1k():
     return generate_corpus(CorpusConfig(count=1000, seed=23))
 
 
+@pytest.fixture(scope="module")
+def report1k(corpus1k):
+    return analyze(corpus1k)
+
+
 def test_totals_single_minimal_nanopub():
     np = minimal_np("solo")
-    report = corpus_totals([np])
+    report = analyze([np]).totals
     assert report.nanopub_count == 1
     assert report.head_triples == 4
     assert report.total_triples == sum(len(p.quads) for p in np.parts())
@@ -63,15 +64,15 @@ def test_totals_single_minimal_nanopub():
 
 
 def test_totals_empty_corpus_flags_undefined_means():
-    report = corpus_totals([])
+    report = analyze([]).totals
     assert report.nanopub_count == 0
     assert report.total_triples == 0
     assert report.mean_triples is None
     assert report.mean_provenance_triples is None
 
 
-def test_totals_match_recount(corpus1k):
-    report = corpus_totals(corpus1k)
+def test_totals_match_recount(corpus1k, report1k):
+    report = report1k.totals
     recount = recount_totals(corpus1k)
     assert report.nanopub_count == recount["nanopub_count"]
     assert report.head_triples == recount["head"]
@@ -97,7 +98,7 @@ def test_classify_creator_partition():
 def test_creator_stats_three_mentions_one_unique():
     orcid = iri("http://orcid.org/0000-0001-2345-6789")
     corpus = [minimal_np(f"c{i}", creators=[orcid]) for i in range(3)]
-    report = creator_stats(corpus)
+    report = analyze(corpus).creators
     by_type = {row.identifier_type: row for row in report.rows}
     assert by_type["ORCID"].total == 3
     assert by_type["ORCID"].unique == 1
@@ -106,14 +107,14 @@ def test_creator_stats_three_mentions_one_unique():
     assert report.unique == 1
 
 
-def test_creator_stats_rows_sum_to_total(corpus1k):
-    report = creator_stats(corpus1k)
+def test_creator_stats_rows_sum_to_total(report1k):
+    report = report1k.creators
     assert sum(row.total for row in report.rows) == report.total
     assert all(row.unique <= row.total for row in report.rows if row.total)
 
 
-def test_creator_stats_match_recount(corpus1k):
-    report = creator_stats(corpus1k)
+def test_creator_stats_match_recount(corpus1k, report1k):
+    report = report1k.creators
     recount = recount_creators(corpus1k, DEFAULT_TOOL_URIS)
     for row in report.rows:
         want = recount.get(row.identifier_type, {"total": 0, "unique": 0})
@@ -132,7 +133,7 @@ def test_creator_scan_is_pubinfo_only():
         [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))],
         [(me, iri(ns.DCT + "description"), literal("no creators here"))],
     )
-    report = creator_stats([np])
+    report = analyze([np]).creators
     assert report.total == 0
 
 
@@ -143,20 +144,20 @@ def test_license_stats_planted():
         minimal_np("b", license_iri=cc4),
         minimal_np("c"),
     ]
-    report = license_stats(corpus)
+    report = analyze(corpus).licenses
     assert report.rows == ((cc4, 2),)
     assert report.unspecified == 1
 
 
 def test_license_stats_all_unspecified():
     corpus = [minimal_np(f"u{i}") for i in range(4)]
-    report = license_stats(corpus)
+    report = analyze(corpus).licenses
     assert report.rows == ()
     assert report.unspecified == 4
 
 
-def test_license_stats_match_recount(corpus1k):
-    report = license_stats(corpus1k)
+def test_license_stats_match_recount(corpus1k, report1k):
+    report = report1k.licenses
     counts, unspecified = recount_licenses(corpus1k)
     assert dict(report.rows) == dict(counts)
     assert report.unspecified == unspecified
@@ -170,7 +171,7 @@ def test_namespace_of_rules():
 
 
 def test_namespace_table_head_predicates_always_np(corpus1k):
-    table = namespace_table(corpus1k, k=3)
+    table = analyze(corpus1k, k=3).namespaces
     cell = dict((nsv, pct) for nsv, _, pct in table.cells[("head", "predicate")])
     # every head uses rdf:type plus the three np links
     assert cell[ns.NP] == 100.0
@@ -179,7 +180,7 @@ def test_namespace_table_head_predicates_always_np(corpus1k):
 
 def test_namespace_table_single_nanopub_everything_100():
     np = minimal_np("solo")
-    table = namespace_table([np], k=10)
+    table = analyze([np], k=10).namespaces
     for cell in table.cells.values():
         for _, count, pct in cell:
             assert count == 1
@@ -188,7 +189,7 @@ def test_namespace_table_single_nanopub_everything_100():
 
 def test_namespace_table_matches_recount(corpus1k):
     k = 8
-    table = namespace_table(corpus1k, k=k)
+    table = analyze(corpus1k, k=k).namespaces
     for graph in ("head", "assertion", "provenance", "pubinfo"):
         for position in ("subject", "predicate", "object"):
             counter = recount_namespace_cell(corpus1k, graph, position)
@@ -197,8 +198,8 @@ def test_namespace_table_matches_recount(corpus1k):
             assert got == expected, (graph, position)
 
 
-def test_namespace_table_percentages_monotone(corpus1k):
-    table = namespace_table(corpus1k, k=10)
+def test_namespace_table_percentages_monotone(report1k):
+    table = report1k.namespaces
     for cell in table.cells.values():
         pcts = [pct for _, _, pct in cell]
         assert all(0 <= p <= 100 for p in pcts)
@@ -207,7 +208,12 @@ def test_namespace_table_percentages_monotone(corpus1k):
 
 def test_namespace_table_rejects_bad_k(corpus1k):
     with pytest.raises(ValueError):
-        namespace_table(corpus1k[:1], k=0)
+        analyze(corpus1k[:1], k=0)
+
+
+def test_analyze_rejects_bad_k_before_reading_the_corpus(tmp_path):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        analyze(load_corpus(tmp_path / "missing.trig"), k=0)
 
 
 def test_type_frequency_none():
@@ -220,7 +226,7 @@ def test_type_frequency_none():
         [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))],
         [(me, iri(ns.DCT + "description"), literal("untyped"))],
     )
-    report = type_frequency([np])
+    report = analyze([np]).types
     assert report.total == 0
     assert report.unique == 0
 
@@ -232,20 +238,20 @@ def test_type_frequency_planted():
         minimal_np("t2", types=[a]),
         minimal_np("t3", types=[a, b]),
     ]
-    report = type_frequency(corpus)
+    report = analyze(corpus).types
     assert report.rows == ((a, 3), (b, 1))
     assert report.total == 4
     assert report.unique == 2
     assert report.rank_counts() == [(1, 3), (2, 1)]
 
 
-def test_type_frequency_matches_recount_and_is_order_invariant(corpus1k):
-    report = type_frequency(corpus1k)
+def test_type_frequency_matches_recount_and_is_order_invariant(corpus1k, report1k):
+    report = report1k.types
     counter = recount_types(corpus1k)
     assert dict(report.rows) == dict(counter)
     assert report.total == sum(counter.values())
     shuffled = list(reversed(corpus1k))
-    assert type_frequency(shuffled) == report
+    assert analyze(shuffled).types == report
 
 
 def test_write_reports_and_load_corpus_roundtrip(tmp_path, corpus1k):
@@ -258,12 +264,23 @@ def test_write_reports_and_load_corpus_roundtrip(tmp_path, corpus1k):
         (corpus_dir / f"{np.uri[-45:]}.trig").write_text(
             serialize_trig(np.to_document()), encoding="utf-8"
         )
-    loaded = load_corpus(corpus_dir)
+    loaded = list(load_corpus(corpus_dir))
     assert {np.uri for np in loaded} == {np.uri for np in chunk}
 
     outdir = tmp_path / "reports"
-    paths = write_reports(outdir, loaded, k=5)
+    paths = write_reports(outdir, analyze(loaded, k=5))
     for name in ("totals", "creators", "licenses", "namespaces", "types", "json"):
         assert paths[name].exists()
     totals_lines = paths["totals"].read_text().splitlines()
     assert totals_lines[1] == "nanopub_count\t40"
+
+
+def test_load_corpus_reads_one_file_at_a_time(tmp_path, corpus1k):
+    from nanokit.rdf import serialize_trig
+
+    (tmp_path / "a.trig").write_text(serialize_trig(corpus1k[0].to_document()), encoding="utf-8")
+    (tmp_path / "b.trig").write_text("<http://g> { <http://s> <http://p> <http://o> . }\n")
+    loaded = load_corpus(tmp_path)
+    assert next(loaded).uri == corpus1k[0].uri  # b.trig is not read yet
+    with pytest.raises(ValueError, match=r"b\.trig: 1 quads belong to no nanopublication"):
+        next(loaded)

@@ -1,9 +1,13 @@
+import socket
+import time
+
 import pytest
 import requests
 
 from nanokit import namespaces as ns
-from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError
+from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError, _ApiRequestHandler
 from nanokit.index import IndexMetadata, _mint_chain, build_index
+from nanokit.network import SERVER_TIMEOUT
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
@@ -225,3 +229,20 @@ def test_http_error_body_shape(http_base):
     got = requests.get(f"{http_base}/api/find_latest_nanopubs_with_uri")
     assert got.status_code == 400
     assert "uri is required" in got.text
+
+
+def test_http_server_drops_silent_client(monkeypatch):
+    assert _ApiRequestHandler.timeout == SERVER_TIMEOUT
+    monkeypatch.setattr(_ApiRequestHandler, "timeout", 0.5)
+    server = ApiServer(ApiService(NanopubStore()))
+    thread = server.serve_in_background()
+    try:
+        with socket.create_connection(server.server_address[:2], timeout=5) as conn:
+            started = time.monotonic()
+            assert conn.recv(65536) == b""  # closed, no reply
+            assert time.monotonic() - started < 4
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

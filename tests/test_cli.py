@@ -259,6 +259,19 @@ def test_analyze_outputs_pinned_for_dump_and_directory(tmp_path, capsys):
     assert digests == ANALYZE_GOLDEN
 
 
+def test_analyze_names_the_file_that_fails(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(capsys, "gen-corpus", "--out", str(corpus_dir), "--count", "3", "--seed", "1")
+    bad = corpus_dir / "zz-stray.trig"  # read after the three good files
+    bad.write_text("<http://g> { <http://s> <http://p> <http://o> . }\n", encoding="utf-8")
+    out_dir = tmp_path / "reports"
+    status, out, err = run(capsys, "analyze", str(corpus_dir), "--out", str(out_dir))
+    assert status == 1
+    assert out == ""
+    assert err == f"error: {bad}: 1 quads belong to no nanopublication (first graph: <http://g>)\n"
+    assert not (out_dir / "report.json").exists()
+
+
 def test_gen_corpus_deterministic(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run(capsys, "gen-corpus", "--out", str(dir_a), "--count", "8", "--seed", "4")

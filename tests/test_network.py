@@ -34,6 +34,7 @@ from nanokit.network import (
     tcp_request,
 )
 from nanokit.rdf import Quad, QuadDocument, literal, serialize_trig
+from nanokit.trusty import extract_artifact_code
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,19 @@ def test_client_retrieve_last_node_wins(nanopubs):
 def test_client_retrieve_nowhere_raises(nanopubs):
     with pytest.raises(KeyError):
         client_retrieve(nanopubs[0].uri[-45:], [ServerNode("e1"), ServerNode("e2")])
+
+
+def test_client_retrieve_accepts_only_the_code_asked(nanopubs):
+    np = nanopubs[0]
+    code = extract_artifact_code(np.uri)
+
+    def send(dst, msg):  # a node that answers every Get with one valid nanopub
+        return NanopubResponse(np)
+
+    for asked in ("", code[-10:], code[1:]):
+        with pytest.raises(KeyError):
+            client_retrieve(asked, ["x"], send=send)
+    assert client_retrieve(code, ["x"], send=send) is np
 
 
 def test_client_retrieve_all_unreachable(nanopubs):
