@@ -318,7 +318,7 @@ def test_criterion_5_api_oracle_equivalence(store10k, corpus10k):
 def test_criterion_6_analysis_oracle_equivalence(corpus10k):
     with budget("6 analysis oracle equivalence", 60.0):
         corpus = corpus10k
-        report = analyze(corpus)
+        report = analyze(corpus, k=10)
 
         totals = report.totals
         recount = recount_totals(corpus)
@@ -399,7 +399,7 @@ def _gate_figures(report: dict) -> dict:
     """The criterion-7 figures of an analyze ``report.json``."""
     totals, creators, types = report["totals"], report["creators"], report["types"]
     return {
-        **{k: totals[k] for k in GATE_FIGURES[:5]},
+        **{k: totals[k] for k in GATE_FIGURES if k in totals},
         "mean_triples": round(totals["mean_triples"], 1),
         "mean_provenance_triples": round(totals["mean_provenance_triples"], 1),
         "creator_total": creators["total"],

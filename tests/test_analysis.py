@@ -279,7 +279,9 @@ def test_load_corpus_reads_one_file_at_a_time(tmp_path, corpus1k):
     from nanokit.rdf import serialize_trig
 
     (tmp_path / "a.trig").write_text(serialize_trig(corpus1k[0].to_document()), encoding="utf-8")
-    (tmp_path / "b.trig").write_text("<http://g> { <http://s> <http://p> <http://o> . }\n")
+    (tmp_path / "b.trig").write_text(
+        "<http://g> { <http://s> <http://p> <http://o> . }\n", encoding="utf-8"
+    )
     loaded = load_corpus(tmp_path)
     assert next(loaded).uri == corpus1k[0].uri  # b.trig is not read yet
     with pytest.raises(ValueError, match=r"b\.trig: 1 quads belong to no nanopublication"):
