@@ -41,13 +41,14 @@ class NotFoundError(ApiError):
         super().__init__("not-found", message)
 
 
-def _page_slice(items: list, page: int, page_size: int) -> list:
+def _page_window(page: int, page_size: int) -> slice:
+    """The slice of one page; checked before any lookup runs."""
     if page < 1:
         raise ApiError("bad-page", f"page must be >= 1, got {page}")
     if not 1 <= page_size <= MAX_PAGE_SIZE:
         raise ApiError("bad-page-size", f"page_size must be in 1..{MAX_PAGE_SIZE}")
     start = (page - 1) * page_size
-    return items[start : start + page_size]
+    return slice(start, start + page_size)
 
 
 class ApiService:
@@ -55,6 +56,8 @@ class ApiService:
 
     def __init__(self, store: NanopubStore):
         self.store = store
+        # (len(store), list_indexes(store)); the store only grows
+        self._indexes: tuple[int, list[IndexSummary]] = (-1, [])
 
     # pattern / uri searches ------------------------------------------------
 
@@ -66,8 +69,9 @@ class ApiService:
         page: int = 1,
         page_size: int = DEFAULT_PAGE_SIZE,
     ) -> list[str]:
+        window = _page_window(page, page_size)
         pattern = QuadPattern(subject=subj, predicate=pred, object=obj)
-        return _page_slice(self.store.find_by_pattern(pattern, latest=True), page, page_size)
+        return self.store.find_by_pattern(pattern, latest=True)[window]
 
     def find_nanopubs_with_pattern(
         self,
@@ -77,31 +81,39 @@ class ApiService:
         page: int = 1,
         page_size: int = DEFAULT_PAGE_SIZE,
     ) -> list[str]:
+        window = _page_window(page, page_size)
         pattern = QuadPattern(subject=subj, predicate=pred, object=obj)
-        return _page_slice(self.store.find_by_pattern(pattern, latest=False), page, page_size)
+        return self.store.find_by_pattern(pattern, latest=False)[window]
 
     def find_latest_nanopubs_with_uri(
         self, uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
-        return _page_slice(self.store.find_by_uri(uri, latest=True), page, page_size)
+        window = _page_window(page, page_size)
+        return self.store.find_by_uri(uri, latest=True)[window]
 
     def find_nanopubs_with_uri(
         self, uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
-        return _page_slice(self.store.find_by_uri(uri, latest=False), page, page_size)
+        window = _page_window(page, page_size)
+        return self.store.find_by_uri(uri, latest=False)[window]
 
     # indexes ----------------------------------------------------------------
 
     def get_all_indexes(
         self, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[IndexSummary]:
-        return _page_slice(list_indexes(self.store), page, page_size)
+        window = _page_window(page, page_size)
+        size = len(self.store)  # read first: a put during list_indexes changes it
+        if self._indexes[0] != size:
+            self._indexes = (size, list_indexes(self.store))
+        return self._indexes[1][window]
 
     def get_index_elements(
         self, index_uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
         """Direct elements of the index record and its appends chain, head
         first; does not recurse into sub-indexes."""
+        window = _page_window(page, page_size)
         resolver = store_resolver(self.store)
         try:
             chain = _chain_oldest_first(resolver(index_uri), resolver)
@@ -112,7 +124,7 @@ class ApiService:
                 raise  # an appended link that is not an index: a 400, as for the head
             raise NotFoundError(str(exc)) from None
         elements = [e for record in reversed(chain) for e in record.elements]
-        return _page_slice(elements, page, page_size)
+        return elements[window]
 
     # single nanopublication ---------------------------------------------------
 
@@ -146,10 +158,14 @@ def _parse_int(params: dict, key: str, default: int) -> int:
     values = params.get(key)
     if not values:
         return default
-    try:
-        return int(values[0])
-    except ValueError:
-        raise ApiError("bad-parameter", f"{key} must be an integer") from None
+    value = values[0]
+    # ASCII digits only, as the wire and the journal take them
+    if value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ApiError("bad-parameter", f"{key} must be an integer")
 
 
 def _require(params: dict, key: str) -> str:

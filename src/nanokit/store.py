@@ -13,11 +13,15 @@ It re-parses and re-verifies every file; a missing, unparsable or
 unverifiable one, or one holding another code than its journal line, is
 a ``StoreError`` naming the file and its journal line.
 
-Lookup contract is oracle equivalence, not complexity.  The store keeps
-four postings, one per quad position (term -> codes).  A one-position
-pattern is answered from its posting, a multi-position pattern
-intersects them and confirms every candidate against its quads, and a
-URI mention is the union of the four postings for that IRI.
+Lookups read postings: key -> codes in ingest order, appended to by
+``put`` and never reordered.  There is one posting per quad position,
+keyed by the IRI string (an object literal by its value, datatype and
+language), and one per (predicate, object) pair.  A one-position or a
+predicate+object pattern is one posting, and so is exact; the wildcard
+is the journal.  Any other pattern confirms the codes of its smallest
+posting against their quads.  A URI mention is the union of the four
+position postings for that IRI.  Ingest order is the posting itself;
+latest order is a sorted view of it, cached until the posting grows.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from typing import Iterable, Optional
 
 from . import namespaces as ns
 from .nanopub import HEAD_LINKS, Nanopublication
-from .rdf import QuadPattern, Term, iri, parse_trig, serialize_trig
+from .rdf import QuadPattern, Term, parse_trig, serialize_trig
 from .trusty import extract_artifact_code, is_artifact_code, verify_reason
 from .util import parse_timestamp
 
 JOURNAL_NAME = "journal.log"
+POSITIONS = ("subject", "predicate", "object", "graph")
 
 
 class StoreError(ValueError):
@@ -58,6 +63,14 @@ def _latest_key(code: str, created: Optional[datetime]) -> tuple:
     if created is None:
         return (1, 0.0, code)
     return (0, -created.timestamp(), code)
+
+
+def _object_key(term: Term):
+    """Posting key of a term: an IRI by its string, a literal by
+    (value, datatype, language), so the two kinds never compare equal."""
+    if term.kind == "iri":
+        return term.value
+    return (term.value, term.datatype, term.language)
 
 
 def candidate_uris(doc) -> list[str]:
@@ -141,15 +154,13 @@ class NanopubStore:
         self._lock = threading.Lock()
         self._by_code: dict[str, StoredNanopub] = {}
         self._seq = 0
-        # (seq, code) in ascending seq order; only ever appended to
-        self._journal: list[tuple[int, str]] = []
-        # per-position postings: Term -> set of codes
-        self._pos_index: dict[str, dict[Term, set[str]]] = {
-            "subject": {},
-            "predicate": {},
-            "object": {},
-            "graph": {},
-        }
+        # the journal: seqs ascending, codes in ingest order; only ever appended to
+        self._seqs: list[int] = []
+        self._codes: list[str] = []
+        # posting name -> key -> codes in ingest order; only ever appended to
+        self._postings: dict[str, dict] = {name: {} for name in (*POSITIONS, "pair")}
+        # (posting name, key) or ("uri", uri, latest) -> (stamp, codes in order)
+        self._views: dict[tuple, tuple] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -160,13 +171,15 @@ class NanopubStore:
 
     def codes(self) -> list[str]:
         """All stored codes in ingest order."""
-        return [code for _, code in self._journal]
+        return self._codes[:]
 
     def journal_entries(self, from_seq: int = 1, limit: int | None = None) -> list[tuple[int, str]]:
         """Journal page: (seq, code) with seq >= from_seq, at most ``limit``."""
-        journal = self._journal
-        start = bisect.bisect_left(journal, (from_seq,))
-        return journal[start:] if limit is None else journal[start : start + max(limit, 0)]
+        seqs = self._seqs
+        start = bisect.bisect_left(seqs, from_seq)
+        stop = len(seqs) if limit is None else start + max(limit, 0)
+        # zip stops at the shorter list if a put lands between the slices
+        return list(zip(seqs[start:stop], self._codes[start:stop]))
 
     # -- ingest -----------------------------------------------------------
 
@@ -197,23 +210,24 @@ class NanopubStore:
     def _register(self, record: StoredNanopub):
         code = record.code
         self._by_code[code] = record
-        pos = self._pos_index
-        subjects, predicates, objects, graphs = (
-            pos["subject"], pos["predicate"], pos["object"], pos["graph"]
-        )
+        subjects, predicates, objects, graphs, pairs = self._postings.values()
         for q in record.nanopub.quads:
-            for index, term in (
-                (subjects, q.subject),
-                (predicates, q.predicate),
-                (objects, q.object),
-                (graphs, q.graph),
+            predicate = q.predicate.value
+            obj = _object_key(q.object)
+            for posting, key in (
+                (subjects, q.subject.value),
+                (predicates, predicate),
+                (objects, obj),
+                (graphs, q.graph.value),
+                (pairs, (predicate, obj)),
             ):
-                codes = index.get(term)
+                codes = posting.get(key)
                 if codes is None:
-                    index[term] = {code}
-                else:
-                    codes.add(code)
-        self._journal.append((record.ingested_at, code))
+                    posting[key] = [code]
+                elif codes[-1] != code:
+                    codes.append(code)
+        self._seqs.append(record.ingested_at)
+        self._codes.append(code)
 
     def _load(self):
         journal = self.directory / JOURNAL_NAME
@@ -270,48 +284,69 @@ class NanopubStore:
 
     def find_by_pattern(self, pattern: QuadPattern, latest: bool = True) -> list[str]:
         """Codes of nanopublications holding at least one matching quad."""
-        bound = self._bound_positions(pattern)
-        if not bound:
-            return self._ordered(list(self._by_code), latest)
-        sets = [self._pos_index[position].get(term, set()) for position, term in bound]
-        candidates = set(min(sets, key=len))
-        for s in sets:
-            candidates &= s
-        if len(bound) == 1:
-            # a position index is exact for single-position patterns
-            return self._ordered(candidates, latest)
-        hits = [
+        keys = {
+            name: _object_key(term)
+            for name in POSITIONS
+            if (term := getattr(pattern, name)) is not None
+        }
+        if "predicate" in keys and "object" in keys:
+            keys["pair"] = (keys.pop("predicate"), keys.pop("object"))
+        found = [(name, key, self._postings[name].get(key)) for name, key in keys.items()]
+        if any(codes is None for _, _, codes in found):
+            return []
+        found = found or [("all", None, self._codes)]
+        name, key, codes = min(found, key=lambda f: len(f[2]))
+        candidates = self._in_order(name, key, codes, latest)
+        if len(found) == 1:  # one posting is the exact answer
+            return candidates[:]
+        by_code = self._by_code
+        return [
             code
             for code in candidates
-            if any(pattern.matches(q) for q in self._by_code[code].nanopub.quads)
+            if any(pattern.matches(q) for q in by_code[code].nanopub.quads)
         ]
-        return self._ordered(hits, latest)
 
     def find_by_uri(self, uri: str, latest: bool = True) -> list[str]:
         """Codes of nanopublications mentioning the IRI ``uri`` in any term
         position: the union of the four position postings."""
-        try:
-            term = iri(uri)
-        except ValueError:  # not an IRI, so no quad mentions it
-            return []
-        hits = set().union(*(index.get(term, ()) for index in self._pos_index.values()))
-        return self._ordered(hits, latest)
-
-    @staticmethod
-    def _bound_positions(pattern: QuadPattern) -> list[tuple[str, Term]]:
-        return [
-            (position, term)
-            for position, term in (
-                ("subject", pattern.subject),
-                ("predicate", pattern.predicate),
-                ("object", pattern.object),
-                ("graph", pattern.graph),
-            )
-            if term is not None
+        found = [
+            (name, codes)
+            for name in POSITIONS
+            if (codes := self._postings[name].get(uri)) is not None
         ]
+        if not found:
+            return []
+        if len(found) == 1:
+            name, codes = found[0]
+            return self._in_order(name, uri, codes, latest)[:]
+        stamp = tuple((name, len(codes)) for name, codes in found)
+        return self._cached(
+            ("uri", uri, latest),
+            stamp,
+            lambda: self._ordered(
+                set().union(*(codes[:n] for (_, codes), (_, n) in zip(found, stamp))), latest
+            ),
+        )[:]
+
+    def _in_order(self, name: str, key, codes: list[str], latest: bool) -> list[str]:
+        """A posting's codes: the posting itself in ingest order, or its
+        cached latest-order view.  Callers copy before they hand it out."""
+        if not latest:
+            return codes
+        n = len(codes)
+        return self._cached((name, key), n, lambda: self._ordered(codes[:n], True))
+
+    def _cached(self, cache_key: tuple, stamp, build) -> list[str]:
+        # postings only grow, so an unchanged stamp means an unchanged answer;
+        # a racing reader at worst rebuilds the same view
+        cached = self._views.get(cache_key)
+        if cached is None or cached[0] != stamp:
+            cached = (stamp, build())
+            self._views[cache_key] = cached
+        return cached[1]
 
     def _ordered(self, codes: Iterable[str], latest: bool) -> list[str]:
+        by_code = self._by_code
         if not latest:
-            # unspecified but stable: ingest order
-            return sorted(codes, key=lambda c: self._by_code[c].ingested_at)
-        return sorted(codes, key=lambda c: self._by_code[c].latest_key)
+            return sorted(codes, key=lambda c: by_code[c].ingested_at)
+        return sorted(codes, key=lambda c: by_code[c].latest_key)

@@ -5,8 +5,9 @@ import pytest
 import requests
 
 from nanokit import namespaces as ns
+from nanokit import api as api_module
 from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError, _ApiRequestHandler
-from nanokit.index import IndexMetadata, _mint_chain, build_index
+from nanokit.index import IndexMetadata, _mint_chain, build_index, list_indexes
 from nanokit.network import SERVER_TIMEOUT
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
@@ -66,6 +67,50 @@ def test_page_parameter_validation(service):
         service.find_latest_nanopubs_with_pattern(page=0)
     with pytest.raises(ApiError):
         service.find_latest_nanopubs_with_pattern(page_size=10001)
+
+
+class _NoLookupStore:
+    """A store whose every lookup fails the test."""
+
+    def __len__(self):
+        return 0
+
+    def __getattr__(self, name):
+        raise AssertionError(f"store.{name} used before the page was checked")
+
+
+@pytest.mark.parametrize("page, page_size", [(0, 10), (-1, 10), (1, 0), (1, 10001)])
+def test_page_parameters_are_checked_before_the_lookup(page, page_size):
+    service = ApiService(_NoLookupStore())
+    calls = [
+        lambda **kw: service.find_latest_nanopubs_with_pattern(pred=iri(ns.RDF_TYPE), **kw),
+        lambda **kw: service.find_nanopubs_with_pattern(pred=iri(ns.RDF_TYPE), **kw),
+        lambda **kw: service.find_latest_nanopubs_with_uri(ns.RDF_TYPE, **kw),
+        lambda **kw: service.find_nanopubs_with_uri(ns.RDF_TYPE, **kw),
+        lambda **kw: service.get_all_indexes(**kw),
+        lambda **kw: service.get_index_elements("http://example.org/np/index", **kw),
+    ]
+    for call in calls:
+        with pytest.raises(ApiError) as info:
+            call(page=page, page_size=page_size)
+        assert info.value.code in ("bad-page", "bad-page-size")
+
+
+def test_get_all_indexes_lists_once_per_store_size(monkeypatch, indexed_store, corpus200):
+    store, *_ = indexed_store
+    grown = NanopubStore()
+    for code in store.codes():
+        grown.put(store.get(code))
+    calls = []
+    monkeypatch.setattr(api_module, "list_indexes", lambda s: calls.append(1) or list_indexes(s))
+    service = ApiService(grown)
+    first = service.get_all_indexes()
+    assert service.get_all_indexes(page=1, page_size=2) == first[:2]
+    assert service.get_all_indexes() == first
+    assert len(calls) == 1
+    grown.put(corpus200[150])
+    assert service.get_all_indexes() == first
+    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +274,17 @@ def test_http_error_body_shape(http_base):
     got = requests.get(f"{http_base}/api/find_latest_nanopubs_with_uri")
     assert got.status_code == 400
     assert "uri is required" in got.text
+
+
+@pytest.mark.parametrize("raw", ["%D9%A3", "1_0", "%2B2", "%202", "2%20", "-1", "0x2", "", "9" * 5000])
+def test_http_page_takes_ascii_digits_only(http_base, raw):
+    for key in ("page", "page_size"):
+        got = requests.get(f"{http_base}/api/find_latest_nanopubs_with_pattern?{key}={raw}")
+        assert got.status_code == 400
+        assert got.text == f"ERROR bad-parameter {key} must be an integer\n"
+    got = requests.get(f"{http_base}/api/find_latest_nanopubs_with_pattern?page=3&page_size=2")
+    assert got.status_code == 200
+    assert len(got.text.splitlines()) == 2
 
 
 def test_http_server_drops_silent_client(monkeypatch):

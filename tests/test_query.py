@@ -7,10 +7,13 @@ in ``latest_key`` order; any other answer is in ingest order.
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from nanokit import namespaces as ns
+from nanokit import store as store_module
 from nanokit.api import ApiService
 from nanokit.build import mint_nanopub, placeholders
 from nanokit.rdf import QuadPattern, iri, literal
@@ -197,3 +200,128 @@ def test_api_pages_concatenate_to_ordered_scan(oracle_store):
             assert _all_pages(service.find_nanopubs_with_uri, page_size, uri=uri) == ordered(
                 store, hits, ingest_order, False
             )
+
+
+# -- cost, counted in calls ------------------------------------------------------
+
+
+def test_exact_patterns_never_confirm_against_quads(oracle_store, monkeypatch):
+    store, nanopubs = oracle_store
+    calls = []
+    matches = QuadPattern.matches
+    monkeypatch.setattr(QuadPattern, "matches", lambda self, q: calls.append(q) or matches(self, q))
+    license_quad = next(q for q in nanopubs[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE)
+    exact = [QuadPattern(predicate=license_quad.predicate, object=license_quad.object)]
+    for q in (license_quad, nanopubs[1].assertion.quads[0], nanopubs[-3].assertion.quads[0]):
+        exact += [QuadPattern(**{p: getattr(q, p)}) for p in POSITIONS]
+    for pattern in exact:
+        for latest in (True, False):
+            assert store.find_by_pattern(pattern, latest=latest)
+    assert calls == []
+    # a three-position pattern does confirm, so the counter sees the calls
+    store.find_by_pattern(
+        QuadPattern(subject=license_quad.subject, predicate=license_quad.predicate, object=license_quad.object)
+    )
+    assert calls
+
+
+def test_repeated_latest_query_does_no_sort(corpus200, monkeypatch):
+    store = NanopubStore()
+    for np in corpus200[:60]:
+        store.put(np)
+    sorts = []
+    monkeypatch.setattr(
+        store_module, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k), raising=False
+    )
+    license_iri = next(
+        q.object for q in corpus200[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE
+    )
+    queries = [
+        lambda: store.find_by_pattern(QuadPattern()),
+        lambda: store.find_by_pattern(QuadPattern(predicate=iri(ns.RDF_TYPE))),
+        lambda: store.find_by_pattern(QuadPattern(predicate=iri(ns.DCT_LICENSE), object=license_iri)),
+        lambda: store.find_by_uri(license_iri.value),  # one position
+        lambda: store.find_by_uri(corpus200[5].assertion.iri),  # graph, subject and object
+    ]
+    for query in queries:
+        sorts.clear()
+        first = query()
+        assert sorts, "the first latest query sorts"
+        sorts.clear()
+        second = query()
+        assert sorts == []
+        assert second == first
+        second.clear()  # a fresh list: the cached view is untouched
+        assert query() == first
+    store.put(corpus200[60])
+    sorts.clear()
+    assert corpus200[60].uri[-45:] in queries[0]()
+    assert sorts  # the posting grew, so its view is rebuilt
+
+
+# -- concurrency -------------------------------------------------------------------
+
+
+def test_lookups_while_another_thread_puts(corpus200):
+    store = NanopubStore()
+    license_iri = next(
+        q.object for q in corpus200[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE
+    )
+    patterns = [
+        QuadPattern(),
+        QuadPattern(predicate=iri(ns.RDF_TYPE)),
+        QuadPattern(predicate=iri(ns.DCT_LICENSE), object=license_iri),
+        QuadPattern(object=license_iri),
+        QuadPattern(subject=iri(corpus200[0].uri), predicate=iri(ns.DCT_LICENSE)),
+    ]
+    uris = [license_iri.value, corpus200[3].uri, corpus200[150].assertion.iri, ns.RDF_TYPE]
+    errors, done = [], threading.Event()
+
+    def lookups():
+        for pattern in patterns:
+            for latest in (True, False):
+                yield store.find_by_pattern(pattern, latest=latest)
+        for uri in uris:
+            for latest in (False, True):
+                yield store.find_by_uri(uri, latest=latest)
+
+    def read():
+        try:
+            while not done.is_set():
+                for codes in lookups():
+                    assert all(store.get(code) is not None for code in codes)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    def write():
+        try:
+            for np in corpus200:
+                store.put(np)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    threads = [threading.Thread(target=read) for _ in range(2)] + [threading.Thread(target=write)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    pairs = as_pairs(corpus200)
+    ingest_order = [code for code, _ in pairs]
+    expected = []
+    for pattern in patterns:
+        hits = scan_pattern(pairs, pattern.subject, pattern.predicate, pattern.object)
+        expected += [ordered(store, hits, ingest_order, latest) for latest in (True, False)]
+    for uri in uris:
+        hits = scan_uri(pairs, uri)
+        expected += [ordered(store, hits, ingest_order, latest) for latest in (False, True)]
+    assert list(lookups()) == expected
+    assert all(expected)
