@@ -27,11 +27,12 @@ ABSENT = iri("http://absent.example/term")
 
 def _minted(label, triples, created=None):
     base = "http://test.example/np/"
-    me = iri(placeholders(base).uri)
+    ph = placeholders(base)
+    me = iri(ph.uri)
     pubinfo = [(me, iri(ns.DCT + "description"), literal(label))]
     if created is not None:
         pubinfo.append((me, iri(ns.DCT_CREATED), literal(created, datatype=ns.XSD_DATETIME)))
-    provenance = [(iri(placeholders(base).assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))]
+    provenance = [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))]
     return mint_nanopub(base, triples, provenance, pubinfo)[1]
 
 
@@ -144,7 +145,13 @@ def test_find_by_uri_equals_ordered_scan(oracle_store):
     pairs = as_pairs(nanopubs)
     ingest_order = [code for code, _ in pairs]
     uris = sorted(
-        {t.value for np in nanopubs[::7] for q in np.quads for t in (q.subject, q.predicate, q.object, q.graph) if t.is_iri}
+        {
+            term.value
+            for np in nanopubs[::7]
+            for q in np.quads
+            for term in (q.subject, q.predicate, q.object, q.graph)
+            if term.is_iri
+        }
     )
     uris += [
         "http://x",  # an IRI object in one nanopub, a literal in another
@@ -219,9 +226,8 @@ def test_exact_patterns_never_confirm_against_quads(oracle_store, monkeypatch):
             assert store.find_by_pattern(pattern, latest=latest)
     assert calls == []
     # a three-position pattern does confirm, so the counter sees the calls
-    store.find_by_pattern(
-        QuadPattern(subject=license_quad.subject, predicate=license_quad.predicate, object=license_quad.object)
-    )
+    q = license_quad
+    store.find_by_pattern(QuadPattern(subject=q.subject, predicate=q.predicate, object=q.object))
     assert calls
 
 
@@ -251,8 +257,9 @@ def test_repeated_latest_query_does_no_sort(corpus200, monkeypatch):
         second = query()
         assert sorts == []
         assert second == first
+        expected = list(first)
         second.clear()  # a fresh list: the cached view is untouched
-        assert query() == first
+        assert query() == expected
     store.put(corpus200[60])
     sorts.clear()
     assert corpus200[60].uri[-45:] in queries[0]()
