@@ -56,8 +56,6 @@ class ApiService:
 
     def __init__(self, store: NanopubStore):
         self.store = store
-        # (len(store), list_indexes(store)); the store only grows
-        self._indexes: tuple[int, list[IndexSummary]] = (-1, [])
 
     # pattern / uri searches ------------------------------------------------
 
@@ -103,10 +101,7 @@ class ApiService:
         self, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[IndexSummary]:
         window = _page_window(page, page_size)
-        size = len(self.store)  # read first: a put during list_indexes changes it
-        if self._indexes[0] != size:
-            self._indexes = (size, list_indexes(self.store))
-        return self._indexes[1][window]
+        return list_indexes(self.store)[window]
 
     def get_index_elements(
         self, index_uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE

@@ -21,7 +21,7 @@ predicate+object pattern is one posting, and so is exact; the wildcard
 is the journal.  Any other pattern confirms the codes of its smallest
 posting against their quads.  A URI mention is the union of the four
 position postings for that IRI.  Ingest order is the posting itself;
-latest order is a sorted view of it, cached until the posting grows.
+latest order sorts it per query, so ``put`` does no ordering work.
 """
 
 from __future__ import annotations
@@ -159,8 +159,6 @@ class NanopubStore:
         self._codes: list[str] = []
         # posting name -> key -> codes in ingest order; only ever appended to
         self._postings: dict[str, dict] = {name: {} for name in (*POSITIONS, "pair")}
-        # (posting name, key) or ("uri", uri, latest) -> (stamp, codes in order)
-        self._views: dict[tuple, tuple] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -291,62 +289,29 @@ class NanopubStore:
         }
         if "predicate" in keys and "object" in keys:
             keys["pair"] = (keys.pop("predicate"), keys.pop("object"))
-        found = [(name, key, self._postings[name].get(key)) for name, key in keys.items()]
-        if any(codes is None for _, _, codes in found):
+        postings = [self._postings[name].get(key) for name, key in keys.items()]
+        if any(codes is None for codes in postings):
             return []
-        found = found or [("all", None, self._codes)]
-        name, key, codes = min(found, key=lambda f: len(f[2]))
-        candidates = self._in_order(name, key, codes, latest)
-        if len(found) == 1:  # one posting is the exact answer
-            return candidates[:]
-        by_code = self._by_code
-        return [
-            code
-            for code in candidates
-            if any(pattern.matches(q) for q in by_code[code].nanopub.quads)
-        ]
+        codes = min(postings, key=len, default=self._codes)
+        if len(postings) > 1:
+            by_code = self._by_code
+            codes = [
+                code
+                for code in codes
+                if any(pattern.matches(q) for q in by_code[code].nanopub.quads)
+            ]
+        # a posting, and any filter of it, is already in ingest order
+        return self._ordered(codes, True) if latest else codes[:]
 
     def find_by_uri(self, uri: str, latest: bool = True) -> list[str]:
         """Codes of nanopublications mentioning the IRI ``uri`` in any term
         position: the union of the four position postings."""
-        found = [
-            (name, codes)
-            for name in POSITIONS
-            if (codes := self._postings[name].get(uri)) is not None
-        ]
-        if not found:
-            return []
+        found = [codes for name in POSITIONS if (codes := self._postings[name].get(uri))]
         if len(found) == 1:
-            name, codes = found[0]
-            return self._in_order(name, uri, codes, latest)[:]
-        stamp = tuple((name, len(codes)) for name, codes in found)
-        return self._cached(
-            ("uri", uri, latest),
-            stamp,
-            lambda: self._ordered(
-                set().union(*(codes[:n] for (_, codes), (_, n) in zip(found, stamp))), latest
-            ),
-        )[:]
-
-    def _in_order(self, name: str, key, codes: list[str], latest: bool) -> list[str]:
-        """A posting's codes: the posting itself in ingest order, or its
-        cached latest-order view.  Callers copy before they hand it out."""
-        if not latest:
-            return codes
-        n = len(codes)
-        return self._cached((name, key), n, lambda: self._ordered(codes[:n], True))
-
-    def _cached(self, cache_key: tuple, stamp, build) -> list[str]:
-        # postings only grow, so an unchanged stamp means an unchanged answer;
-        # a racing reader at worst rebuilds the same view
-        cached = self._views.get(cache_key)
-        if cached is None or cached[0] != stamp:
-            cached = (stamp, build())
-            self._views[cache_key] = cached
-        return cached[1]
+            return self._ordered(found[0], True) if latest else found[0][:]
+        return self._ordered(set().union(*found), latest)
 
     def _ordered(self, codes: Iterable[str], latest: bool) -> list[str]:
-        by_code = self._by_code
         if not latest:
-            return sorted(codes, key=lambda c: by_code[c].ingested_at)
-        return sorted(codes, key=lambda c: by_code[c].latest_key)
+            return sorted(codes, key=lambda c: self._by_code[c].ingested_at)
+        return sorted(codes, key=lambda c: self._by_code[c].latest_key)

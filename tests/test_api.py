@@ -5,9 +5,8 @@ import pytest
 import requests
 
 from nanokit import namespaces as ns
-from nanokit import api as api_module
 from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError, _ApiRequestHandler
-from nanokit.index import IndexMetadata, _mint_chain, build_index, list_indexes
+from nanokit.index import IndexMetadata, _mint_chain, build_index
 from nanokit.network import SERVER_TIMEOUT
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
@@ -72,9 +71,6 @@ def test_page_parameter_validation(service):
 class _NoLookupStore:
     """A store whose every lookup fails the test."""
 
-    def __len__(self):
-        return 0
-
     def __getattr__(self, name):
         raise AssertionError(f"store.{name} used before the page was checked")
 
@@ -94,23 +90,6 @@ def test_page_parameters_are_checked_before_the_lookup(page, page_size):
         with pytest.raises(ApiError) as info:
             call(page=page, page_size=page_size)
         assert info.value.code in ("bad-page", "bad-page-size")
-
-
-def test_get_all_indexes_lists_once_per_store_size(monkeypatch, indexed_store, corpus200):
-    store, *_ = indexed_store
-    grown = NanopubStore()
-    for code in store.codes():
-        grown.put(store.get(code))
-    calls = []
-    monkeypatch.setattr(api_module, "list_indexes", lambda s: calls.append(1) or list_indexes(s))
-    service = ApiService(grown)
-    first = service.get_all_indexes()
-    assert service.get_all_indexes(page=1, page_size=2) == first[:2]
-    assert service.get_all_indexes() == first
-    assert len(calls) == 1
-    grown.put(corpus200[150])
-    assert service.get_all_indexes() == first
-    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")

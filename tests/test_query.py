@@ -231,39 +231,38 @@ def test_exact_patterns_never_confirm_against_quads(oracle_store, monkeypatch):
     assert calls
 
 
-def test_repeated_latest_query_does_no_sort(corpus200, monkeypatch):
+def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, monkeypatch):
     store = NanopubStore()
     for np in corpus200[:60]:
         store.put(np)
-    sorts = []
+    sorted_sizes = []
     monkeypatch.setattr(
-        store_module, "sorted", lambda *a, **k: sorts.append(1) or sorted(*a, **k), raising=False
+        store_module,
+        "sorted",
+        lambda codes, **k: sorted_sizes.append(len(codes)) or sorted(codes, **k),
+        raising=False,
     )
     license_iri = next(
         q.object for q in corpus200[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE
     )
     queries = [
-        lambda: store.find_by_pattern(QuadPattern()),
-        lambda: store.find_by_pattern(QuadPattern(predicate=iri(ns.RDF_TYPE))),
-        lambda: store.find_by_pattern(QuadPattern(predicate=iri(ns.DCT_LICENSE), object=license_iri)),
-        lambda: store.find_by_uri(license_iri.value),  # one position
-        lambda: store.find_by_uri(corpus200[5].assertion.iri),  # graph, subject and object
+        lambda latest: store.find_by_pattern(QuadPattern(), latest=latest),
+        lambda latest: store.find_by_pattern(QuadPattern(predicate=iri(ns.RDF_TYPE)), latest=latest),
+        lambda latest: store.find_by_pattern(
+            QuadPattern(predicate=iri(ns.DCT_LICENSE), object=license_iri), latest=latest
+        ),
+        lambda latest: store.find_by_uri(license_iri.value, latest=latest),  # one position
     ]
     for query in queries:
-        sorts.clear()
-        first = query()
-        assert sorts, "the first latest query sorts"
-        sorts.clear()
-        second = query()
-        assert sorts == []
-        assert second == first
+        sorted_sizes.clear()
+        first = query(False)
+        assert sorted_sizes == []
         expected = list(first)
-        second.clear()  # a fresh list: the cached view is untouched
-        assert query() == expected
-    store.put(corpus200[60])
-    sorts.clear()
-    assert corpus200[60].uri[-45:] in queries[0]()
-    assert sorts  # the posting grew, so its view is rebuilt
+        first.clear()  # a fresh list: the posting is untouched
+        assert query(False) == expected
+        latest = query(True)
+        assert sorted_sizes == [len(expected)]
+        assert sorted(latest) == sorted(expected)
 
 
 # -- concurrency -------------------------------------------------------------------
