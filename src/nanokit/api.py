@@ -69,7 +69,7 @@ class ApiService:
     ) -> list[str]:
         window = _page_window(page, page_size)
         pattern = QuadPattern(subject=subj, predicate=pred, object=obj)
-        return self.store.find_by_pattern(pattern, latest=True)[window]
+        return self.store.find_by_pattern(pattern, latest=True, stop=window.stop)[window]
 
     def find_nanopubs_with_pattern(
         self,
@@ -81,19 +81,19 @@ class ApiService:
     ) -> list[str]:
         window = _page_window(page, page_size)
         pattern = QuadPattern(subject=subj, predicate=pred, object=obj)
-        return self.store.find_by_pattern(pattern, latest=False)[window]
+        return self.store.find_by_pattern(pattern, latest=False, stop=window.stop)[window]
 
     def find_latest_nanopubs_with_uri(
         self, uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
         window = _page_window(page, page_size)
-        return self.store.find_by_uri(uri, latest=True)[window]
+        return self.store.find_by_uri(uri, latest=True, stop=window.stop)[window]
 
     def find_nanopubs_with_uri(
         self, uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
         window = _page_window(page, page_size)
-        return self.store.find_by_uri(uri, latest=False)[window]
+        return self.store.find_by_uri(uri, latest=False, stop=window.stop)[window]
 
     # indexes ----------------------------------------------------------------
 
@@ -141,8 +141,12 @@ def _parse_term(params: dict, key: str) -> Optional[Term]:
     if not values:
         return None
     value = values[0]
-    if key == "obj" and params.get("objtype", ["iri"])[0] == "literal":
-        return literal(value)
+    if key == "obj":
+        objtype = params.get("objtype", ["iri"])[0]
+        if objtype == "literal":
+            return literal(value)
+        if objtype != "iri":
+            raise ApiError("bad-parameter", "objtype must be iri or literal")
     try:
         return iri(value)
     except ValueError as exc:

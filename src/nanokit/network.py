@@ -12,8 +12,11 @@ nanopublication payloads).  The ``_WIRE`` table describes every kind
 once, for both ``encode_message`` and ``decode_message``; any input
 that cannot be decoded is a ``ProtocolError``, which a node answers
 with ``REJECTED``.  A header value is one line, and a number is ASCII
-digits.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``,
-and a node drops a client that stays silent for ``SERVER_TIMEOUT``.
+digits.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``; a node
+discards up to as much again of a longer request before it answers
+``REJECTED``, and a client reads that answer even when the node stopped
+reading before the client had sent everything.  A node drops a client
+that stays silent for ``SERVER_TIMEOUT``.
 """
 
 from __future__ import annotations
@@ -341,6 +344,14 @@ def _read_to_eof(sock: socket.socket) -> bytes:
     return bytes(data)
 
 
+def _drain(sock: socket.socket) -> None:
+    """Read and discard what is left of a refused request, up to one more
+    MAX_MESSAGE_BYTES, so that the reply reaches a client still sending."""
+    left = MAX_MESSAGE_BYTES
+    while left > 0 and (chunk := sock.recv(min(left, 65536))):
+        left -= len(chunk)
+
+
 def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
     """One request/response exchange with ``host:port``; ProtocolError
     for any reply that cannot be decoded or exceeds MAX_MESSAGE_BYTES."""
@@ -348,9 +359,19 @@ def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
     host, _, port_text = address.rpartition(":")
     try:
         with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
-            conn.sendall(request)
-            conn.shutdown(socket.SHUT_WR)
+            unsent = None
+            try:
+                conn.sendall(request)
+                conn.shutdown(socket.SHUT_WR)
+            except TimeoutError:
+                raise
+            except OSError as exc:
+                # a node that refuses a request stops reading it, and may
+                # have answered before the connection broke
+                unsent = exc
             reply = _read_to_eof(conn)
+        if unsent and not reply:
+            raise unsent
         return decode_message(reply)
     except OSError as exc:
         raise Unreachable(f"{address}: {exc}") from exc
@@ -367,6 +388,10 @@ class _NodeRequestHandler(socketserver.BaseRequestHandler):
             return  # silent for SERVER_TIMEOUT, or gone: dropped without a reply
         except ProtocolError as exc:
             reply = Rejected(str(exc))
+            try:
+                _drain(self.request)
+            except OSError:
+                return
         else:
             reply = self.server.node.handle(msg)
         self.request.sendall(encode_message(reply))

@@ -13,15 +13,18 @@ It re-parses and re-verifies every file; a missing, unparsable or
 unverifiable one, or one holding another code than its journal line, is
 a ``StoreError`` naming the file and its journal line.
 
-Lookups read postings: key -> codes in ingest order, appended to by
-``put`` and never reordered.  There is one posting per quad position,
-keyed by the IRI string (an object literal by its value, datatype and
-language), and one per (predicate, object) pair.  A one-position or a
-predicate+object pattern is one posting, and so is exact; the wildcard
-is the journal.  Any other pattern confirms the codes of its smallest
-posting against their quads.  A URI mention is the union of the four
-position postings for that IRI.  Ingest order is the posting itself;
-latest order sorts it per query, so ``put`` does no ordering work.
+Lookups read postings: key -> ingest positions (indexes into the
+journal's codes), ascending, appended to by ``put`` and never reordered.
+There is one posting per quad position, keyed by the IRI string (an
+object literal by its value, datatype and language), and one per
+(predicate, object) pair.  A one-position or a predicate+object pattern
+is one posting, and so is exact; the wildcard is the journal.  Any other
+pattern confirms the positions of its smallest posting against their
+quads.  A URI mention is the union of the four position postings for
+that IRI.  Ingest order is the posting itself.  Latest order is one
+store-wide list of every position in ``latest_key`` order, which ``put``
+keeps with one insort; a latest page walks it and stops at the page end
+when the hits are dense, and sorts only the hits when they are sparse.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import namespaces as ns
 from .nanopub import HEAD_LINKS, Nanopublication
@@ -154,11 +157,15 @@ class NanopubStore:
         self._lock = threading.Lock()
         self._by_code: dict[str, StoredNanopub] = {}
         self._seq = 0
-        # the journal: seqs ascending, codes in ingest order; only ever appended to
+        # the journal: seqs ascending, codes in ingest order, and the
+        # latest_key of each ingest position; only ever appended to
         self._seqs: list[int] = []
         self._codes: list[str] = []
-        # posting name -> key -> codes in ingest order; only ever appended to
+        self._keys: list[tuple] = []
+        # posting name -> key -> ingest positions, ascending; only ever appended to
         self._postings: dict[str, dict] = {name: {} for name in (*POSITIONS, "pair")}
+        # every ingest position in latest_key order
+        self._latest: list[int] = []
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -206,8 +213,14 @@ class NanopubStore:
             return code
 
     def _register(self, record: StoredNanopub):
+        # publish the record, then the journal, then the postings, then the
+        # latest order: every position a reader finds has a code and a record
         code = record.code
         self._by_code[code] = record
+        pos = len(self._codes)  # one int object, shared by every posting
+        self._codes.append(code)
+        self._keys.append(record.latest_key)
+        self._seqs.append(record.ingested_at)
         subjects, predicates, objects, graphs, pairs = self._postings.values()
         for q in record.nanopub.quads:
             predicate = q.predicate.value
@@ -219,13 +232,12 @@ class NanopubStore:
                 (graphs, q.graph.value),
                 (pairs, (predicate, obj)),
             ):
-                codes = posting.get(key)
-                if codes is None:
-                    posting[key] = [code]
-                elif codes[-1] != code:
-                    codes.append(code)
-        self._seqs.append(record.ingested_at)
-        self._codes.append(code)
+                positions = posting.get(key)
+                if positions is None:
+                    posting[key] = [pos]
+                elif positions[-1] != pos:
+                    positions.append(pos)
+        bisect.insort(self._latest, pos, key=self._keys.__getitem__)
 
     def _load(self):
         journal = self.directory / JOURNAL_NAME
@@ -280,38 +292,72 @@ class NanopubStore:
             raise KeyError(uri)
         return record.nanopub
 
-    def find_by_pattern(self, pattern: QuadPattern, latest: bool = True) -> list[str]:
-        """Codes of nanopublications holding at least one matching quad."""
+    def find_by_pattern(
+        self, pattern: QuadPattern, latest: bool = True, stop: int | None = None
+    ) -> list[str]:
+        """Codes of nanopublications holding at least one matching quad,
+        up to ``stop`` of them (all when ``None``)."""
         keys = {
             name: _object_key(term)
             for name in POSITIONS
             if (term := getattr(pattern, name)) is not None
         }
+        if not keys:
+            if latest:
+                return list(map(self._codes.__getitem__, self._latest[:stop]))
+            return self._codes[:stop]
         if "predicate" in keys and "object" in keys:
             keys["pair"] = (keys.pop("predicate"), keys.pop("object"))
         postings = [self._postings[name].get(key) for name, key in keys.items()]
-        if any(codes is None for codes in postings):
+        if any(positions is None for positions in postings):
             return []
-        codes = min(postings, key=len, default=self._codes)
+        hits = min(postings, key=len)
         if len(postings) > 1:
-            by_code = self._by_code
-            codes = [
-                code
-                for code in codes
-                if any(pattern.matches(q) for q in by_code[code].nanopub.quads)
+            codes, by_code = self._codes, self._by_code
+            hits = [
+                pos
+                for pos in hits
+                if any(pattern.matches(q) for q in by_code[codes[pos]].nanopub.quads)
             ]
-        # a posting, and any filter of it, is already in ingest order
-        return self._ordered(codes, True) if latest else codes[:]
+        return self._page([hits], latest, stop)
 
-    def find_by_uri(self, uri: str, latest: bool = True) -> list[str]:
+    def find_by_uri(self, uri: str, latest: bool = True, stop: int | None = None) -> list[str]:
         """Codes of nanopublications mentioning the IRI ``uri`` in any term
-        position: the union of the four position postings."""
-        found = [codes for name in POSITIONS if (codes := self._postings[name].get(uri))]
-        if len(found) == 1:
-            return self._ordered(found[0], True) if latest else found[0][:]
-        return self._ordered(set().union(*found), latest)
+        position, up to ``stop`` of them: the union of the four position
+        postings."""
+        found = [positions for name in POSITIONS if (positions := self._postings[name].get(uri))]
+        return self._page(found, latest, stop)
 
-    def _ordered(self, codes: Iterable[str], latest: bool) -> list[str]:
+    def _page(self, postings: list[list[int]], latest: bool, stop: int | None) -> list[str]:
+        """Codes of the positions that ``postings`` (each ascending) hold,
+        in latest or ingest order, up to ``stop`` of them."""
+        total = sum(map(len, postings))  # a URI union may count a position twice
+        want = total if stop is None else min(stop, total)
+        if want <= 0:
+            return []
         if not latest:
-            return sorted(codes, key=lambda c: self._by_code[c].ingested_at)
-        return sorted(codes, key=lambda c: self._by_code[c].latest_key)
+            union = postings[0] if len(postings) == 1 else sorted(set().union(*postings))
+            return list(map(self._codes.__getitem__, union[:stop]))
+        if total * total >= want * len(self._codes):
+            # dense: the walk reads about want * n / total positions of the
+            # latest order, no more than the total hits a sort would read
+            order = self._walk(postings, want)
+        else:
+            union = postings[0] if len(postings) == 1 else set().union(*postings)
+            order = sorted(union, key=self._keys.__getitem__)[:stop]
+        return list(map(self._codes.__getitem__, order))
+
+    def _walk(self, postings: list[list[int]], want: int) -> list[int]:
+        """The first ``want`` positions of the latest order that some
+        posting holds, each once: a ``put`` that inserts in front of the
+        walk shifts a position it has already passed under it again."""
+        found: dict[int, None] = {}
+        for pos in self._latest:
+            for positions in postings:
+                i = bisect.bisect_left(positions, pos)
+                if i < len(positions) and positions[i] == pos:
+                    found[pos] = None
+                    if len(found) == want:
+                        return list(found)
+                    break
+        return list(found)

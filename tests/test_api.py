@@ -236,6 +236,18 @@ def test_http_literal_object_flag(http_base, store200, corpus200):
     assert got.text.splitlines() == expected
 
 
+@pytest.mark.parametrize(
+    "obj, objtype",
+    [("http://purl.org/dc/terms/x", "literl"), ("hello", "Literal"), ("http://x.example/", "IRI"), ("hello", "")],
+)
+def test_http_objtype_is_iri_or_literal(http_base, obj, objtype):
+    url = f"{http_base}/api/find_nanopubs_with_pattern"
+    got = requests.get(url, params={"obj": obj, "objtype": objtype})
+    assert got.status_code == 400
+    assert got.text == "ERROR bad-parameter objtype must be iri or literal\n"
+    assert requests.get(url, params={"obj": "http://x.example/", "objtype": "iri"}).status_code == 200
+
+
 def test_http_get_nanopub_returns_trig(http_base, corpus200):
     got = requests.get(f"{http_base}/api/get_nanopub", params={"uri": corpus200[5].uri})
     assert got.status_code == 200

@@ -529,6 +529,20 @@ def test_tcp_server_rejects_message_over_cap(monkeypatch):
         _stop(server, thread)
 
 
+@pytest.mark.parametrize("size", [200_000, 2_000_000])
+def test_tcp_server_rejects_oversize_request_larger_than_socket_buffers(monkeypatch, size):
+    # the client is still sending when the server stops reading at the cap
+    monkeypatch.setattr(network, "MAX_MESSAGE_BYTES", 1024)
+    server = NodeServer(ServerNode("srv"))
+    thread = _start(server)
+    try:
+        request = Get("RA" + "A" * size)
+        replies = [tcp_request(server.address, request, timeout=5) for _ in range(50)]
+        assert all(isinstance(reply, Rejected) for reply in replies)
+    finally:
+        _stop(server, thread)
+
+
 def test_tcp_server_drops_silent_client(monkeypatch):
     monkeypatch.setattr(network, "SERVER_TIMEOUT", 0.5)
     server = NodeServer(ServerNode("srv"))

@@ -1,8 +1,9 @@
 """Store and API lookups against a brute-force scan, as ordered lists.
 
 Every combination of bound positions over subject, predicate, object and
-graph is checked with ``latest`` true and false.  A ``latest`` answer is
-in ``latest_key`` order; any other answer is in ingest order.
+graph is checked with ``latest`` true and false, whole and cut at page
+ends around both edges of the answer.  A ``latest`` answer is in
+``latest_key`` order; any other answer is in ingest order.
 """
 
 import itertools
@@ -75,6 +76,11 @@ def ordered(store, hits, ingest_order, latest):
     return [code for code in ingest_order if code in hits]
 
 
+def _stops(size):
+    """Page ends around both edges of an answer of ``size`` codes."""
+    return sorted({0, 1, 7, max(size - 1, 0), size, size + 1}) + [None]
+
+
 def _patterns(nanopubs):
     """Patterns for all 16 bound-position combinations: bound from one
     quad, from two quads of one nanopub, and with one absent term."""
@@ -125,6 +131,9 @@ def test_every_bound_combination_equals_ordered_scan(oracle_store):
         for latest in (True, False):
             expected = ordered(store, hits, ingest_order, latest)
             assert store.find_by_pattern(pattern, latest=latest) == expected, (terms, latest)
+            for stop in _stops(len(expected)):
+                got = store.find_by_pattern(pattern, latest=latest, stop=stop)
+                assert got == expected[:stop], (terms, latest, stop)
     assert len(found) == 16
 
 
@@ -165,6 +174,9 @@ def test_find_by_uri_equals_ordered_scan(oracle_store):
         for latest in (True, False):
             expected = ordered(store, hits, ingest_order, latest)
             assert store.find_by_uri(uri, latest=latest) == expected, (uri, latest)
+            for stop in _stops(len(expected)):
+                got = store.find_by_uri(uri, latest=latest, stop=stop)
+                assert got == expected[:stop], (uri, latest, stop)
     assert store.find_by_uri("http://x") == [nanopubs[-8].uri[-45:]]
     assert store.find_by_uri("http://only-literal.example/y") == []
 
@@ -246,13 +258,34 @@ def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, mo
         q.object for q in corpus200[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE
     )
     queries = [
-        lambda latest: store.find_by_pattern(QuadPattern(), latest=latest),
-        lambda latest: store.find_by_pattern(QuadPattern(predicate=iri(ns.RDF_TYPE)), latest=latest),
-        lambda latest: store.find_by_pattern(
-            QuadPattern(predicate=iri(ns.DCT_LICENSE), object=license_iri), latest=latest
+        lambda latest, stop=None: store.find_by_pattern(QuadPattern(), latest=latest, stop=stop),
+        lambda latest, stop=None: store.find_by_pattern(
+            QuadPattern(predicate=iri(ns.RDF_TYPE)), latest=latest, stop=stop
         ),
-        lambda latest: store.find_by_uri(license_iri.value, latest=latest),  # one position
+        lambda latest, stop=None: store.find_by_pattern(
+            QuadPattern(predicate=iri(ns.DCT_LICENSE), object=license_iri), latest=latest, stop=stop
+        ),
+        # one position
+        lambda latest, stop=None: store.find_by_uri(license_iri.value, latest=latest, stop=stop),
     ]
+
+    class Probed(list):
+        """The latest order, counting the positions a lookup reads."""
+
+        probes = 0
+
+        def __iter__(self):
+            for pos in super().__iter__():
+                self.probes += 1
+                yield pos
+
+        def __getitem__(self, index):
+            got = super().__getitem__(index)
+            self.probes += len(got) if isinstance(index, slice) else 1
+            return got
+
+    store._latest = Probed(store._latest)
+    n, stop = len(store), 5
     for query in queries:
         sorted_sizes.clear()
         first = query(False)
@@ -261,15 +294,19 @@ def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, mo
         first.clear()  # a fresh list: the posting is untouched
         assert query(False) == expected
         latest = query(True)
-        assert sorted_sizes == [len(expected)]
         assert sorted(latest) == sorted(expected)
+        # a latest page walks the latest order and stops at the page end
+        sorted_sizes.clear()
+        store._latest.probes = 0
+        assert query(True, stop) == latest[:stop]
+        assert sorted_sizes == []
+        assert 0 < store._latest.probes <= 2 * stop * n / len(expected)
 
 
 # -- concurrency -------------------------------------------------------------------
 
 
 def test_lookups_while_another_thread_puts(corpus200):
-    store = NanopubStore()
     license_iri = next(
         q.object for q in corpus200[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE
     )
@@ -281,7 +318,7 @@ def test_lookups_while_another_thread_puts(corpus200):
         QuadPattern(subject=iri(corpus200[0].uri), predicate=iri(ns.DCT_LICENSE)),
     ]
     uris = [license_iri.value, corpus200[3].uri, corpus200[150].assertion.iri, ns.RDF_TYPE]
-    errors, done = [], threading.Event()
+    errors = []
 
     def lookups():
         for pattern in patterns:
@@ -291,11 +328,20 @@ def test_lookups_while_another_thread_puts(corpus200):
             for latest in (False, True):
                 yield store.find_by_uri(uri, latest=latest)
 
+    def latest_pages():
+        for stop in (1, 10):
+            for pattern in patterns:
+                yield store.find_by_pattern(pattern, stop=stop)
+            for uri in uris:
+                yield store.find_by_uri(uri, stop=stop)
+
     def read():
         try:
             while not done.is_set():
-                for codes in lookups():
+                for codes in itertools.chain(lookups(), latest_pages()):
                     assert all(store.get(code) is not None for code in codes)
+                    # a put that inserts ahead of a walk must not repeat a code
+                    assert len(set(codes)) == len(codes)
         except Exception as exc:  # reported by the assertions below
             errors.append(exc)
 
@@ -308,18 +354,22 @@ def test_lookups_while_another_thread_puts(corpus200):
         finally:
             done.set()
 
-    threads = [threading.Thread(target=read) for _ in range(2)] + [threading.Thread(target=write)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    # a walk that a put shifts shows in most rounds, so three rarely all miss it
+    for _ in range(3):
+        store, done = NanopubStore(), threading.Event()
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
     pairs = as_pairs(corpus200)
     ingest_order = [code for code, _ in pairs]
     expected = []
@@ -331,3 +381,9 @@ def test_lookups_while_another_thread_puts(corpus200):
         expected += [ordered(store, hits, ingest_order, latest) for latest in (False, True)]
     assert list(lookups()) == expected
     assert all(expected)
+    latest = [
+        ordered(store, scan_pattern(pairs, p.subject, p.predicate, p.object), ingest_order, True)
+        for p in patterns
+    ]
+    latest += [ordered(store, scan_uri(pairs, uri), ingest_order, True) for uri in uris]
+    assert list(latest_pages()) == [codes[:stop] for stop in (1, 10) for codes in latest]
