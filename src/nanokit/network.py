@@ -14,9 +14,9 @@ that cannot be decoded is a ``ProtocolError``, which a node answers
 with ``REJECTED``.  A header value is one line, and a number is ASCII
 digits.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``; a node
 discards up to as much again of a longer request before it answers
-``REJECTED``, and a client reads that answer even when the node stopped
-reading before the client had sent everything.  A node drops a client
-that stays silent for ``SERVER_TIMEOUT``.
+``REJECTED``, and a client keeps that answer when its send breaks or
+the node, having stopped reading, resets the connection.  A node drops
+a client that stays silent for ``SERVER_TIMEOUT``.
 """
 
 from __future__ import annotations
@@ -333,10 +333,11 @@ def decode_message(data: bytes) -> Message:
 # -- TCP transport ------------------------------------------------------------
 
 
-def _read_to_eof(sock: socket.socket) -> bytes:
-    """All bytes until the peer shuts down writing; ProtocolError past
-    MAX_MESSAGE_BYTES."""
-    data = bytearray()
+def _read_to_eof(sock: socket.socket, data: bytearray | None = None) -> bytes:
+    """All bytes until the peer shuts down writing, gathered in ``data``
+    when given, so that the caller keeps what came before an error;
+    ProtocolError past MAX_MESSAGE_BYTES."""
+    data = bytearray() if data is None else data
     while chunk := sock.recv(65536):
         data += chunk
         if len(data) > MAX_MESSAGE_BYTES:
@@ -357,22 +358,32 @@ def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
     for any reply that cannot be decoded or exceeds MAX_MESSAGE_BYTES."""
     request = encode_message(msg)
     host, _, port_text = address.rpartition(":")
+    reply = bytearray()
     try:
         with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
-            unsent = None
+            broken = None
             try:
                 conn.sendall(request)
                 conn.shutdown(socket.SHUT_WR)
             except TimeoutError:
                 raise
             except OSError as exc:
-                # a node that refuses a request stops reading it, and may
-                # have answered before the connection broke
-                unsent = exc
-            reply = _read_to_eof(conn)
-        if unsent and not reply:
-            raise unsent
-        return decode_message(reply)
+                broken = exc
+            try:
+                _read_to_eof(conn, reply)
+            except ConnectionResetError as exc:
+                broken = exc
+        if broken is None:
+            return decode_message(bytes(reply))
+        # a node that refuses a request stops reading it, and may answer
+        # REJECTED before the connection breaks or is reset
+        try:
+            answer = decode_message(bytes(reply))
+        except ProtocolError:
+            answer = None
+        if not isinstance(answer, Rejected):
+            raise broken
+        return answer
     except OSError as exc:
         raise Unreachable(f"{address}: {exc}") from exc
     except ProtocolError as exc:

@@ -23,13 +23,17 @@ pattern confirms the positions of its smallest posting against their
 quads.  A URI mention is the union of the four position postings for
 that IRI.  Ingest order is the posting itself.  Latest order is one
 store-wide list of every position in ``latest_key`` order, which ``put``
-keeps with one insort; a latest page walks it and stops at the page end
-when the hits are dense, and sorts only the hits when they are sparse.
+keeps with one insort.  A latest page walks it and stops at the page end
+when the hits are dense enough that, spread evenly, they would fill the
+page within as many positions as there are hits; it sorts only the hits
+when they are sparse, or when the walk reads twice that many positions
+without filling the page (hits bunched late in the order).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import threading
 from dataclasses import dataclass
 from datetime import datetime
@@ -338,21 +342,29 @@ class NanopubStore:
         if not latest:
             union = postings[0] if len(postings) == 1 else sorted(set().union(*postings))
             return list(map(self._codes.__getitem__, union[:stop]))
-        if total * total >= want * len(self._codes):
-            # dense: the walk reads about want * n / total positions of the
-            # latest order, no more than the total hits a sort would read
-            order = self._walk(postings, want)
-        else:
+        # the walk pays when the hits are spread evenly over the latest
+        # order: it then finds the page within want * n / total positions,
+        # no more than the total hits a sort reads; it gives up after twice
+        # that, so hits bunched at the tail (old or undated) cost at most
+        # about two sorts
+        n = len(self._codes)
+        order = None
+        if total * total >= want * n:
+            order = self._walk(postings, want, 2 * want * n // total)
+        if order is None:
             union = postings[0] if len(postings) == 1 else set().union(*postings)
             order = sorted(union, key=self._keys.__getitem__)[:stop]
         return list(map(self._codes.__getitem__, order))
 
-    def _walk(self, postings: list[list[int]], want: int) -> list[int]:
+    def _walk(self, postings: list[list[int]], want: int, budget: int) -> Optional[list[int]]:
         """The first ``want`` positions of the latest order that some
-        posting holds, each once: a ``put`` that inserts in front of the
-        walk shifts a position it has already passed under it again."""
+        posting holds, each once, reading at most ``budget`` positions;
+        None when the budget runs out first.  A ``put`` that inserts in
+        front of the walk shifts a position it has already passed under it
+        again."""
+        latest = self._latest
         found: dict[int, None] = {}
-        for pos in self._latest:
+        for pos in itertools.islice(latest, budget):
             for positions in postings:
                 i = bisect.bisect_left(positions, pos)
                 if i < len(positions) and positions[i] == pos:
@@ -360,4 +372,6 @@ class NanopubStore:
                     if len(found) == want:
                         return list(found)
                     break
+        if budget < len(latest):
+            return None
         return list(found)

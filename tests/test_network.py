@@ -1,6 +1,7 @@
 import hashlib
 import socket
 import socketserver
+import struct
 import threading
 import time
 
@@ -541,6 +542,51 @@ def test_tcp_server_rejects_oversize_request_larger_than_socket_buffers(monkeypa
         assert all(isinstance(reply, Rejected) for reply in replies)
     finally:
         _stop(server, thread)
+
+
+
+
+def test_tcp_server_reads_all_of_a_request_up_to_twice_the_cap(monkeypatch):
+    # the node discards the rest of a refused request instead of closing
+    # on unread bytes, so the client's send never breaks
+    monkeypatch.setattr(network, "MAX_MESSAGE_BYTES", 64 * 1024)
+    server = NodeServer(ServerNode("srv"))
+    thread = _start(server)
+    host, port = server.server_address[:2]
+    request = encode_message(Get("RA" + "A" * 150_000))
+    try:
+        for _ in range(50):
+            with socket.create_connection((host, port), timeout=5) as conn:
+                conn.sendall(request)
+                conn.shutdown(socket.SHUT_WR)
+                assert isinstance(decode_message(network._read_to_eof(conn)), Rejected)
+    finally:
+        _stop(server, thread)
+
+
+def test_tcp_request_keeps_rejected_sent_before_a_reset():
+    # a node that stops reading answers REJECTED, then its close with
+    # unread bytes resets the connection
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()[:2]
+
+    def refuse(count):
+        for _ in range(count):
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(16)
+                conn.sendall(encode_message(Rejected("too large")))
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    thread = threading.Thread(target=refuse, args=(20,), daemon=True)
+    thread.start()
+    try:
+        for _ in range(20):
+            reply = tcp_request(f"{host}:{port}", Get("RA" + "A" * 1000), timeout=5)
+            assert reply == Rejected("too large")
+    finally:
+        thread.join(timeout=5)
+        listener.close()
 
 
 def test_tcp_server_drops_silent_client(monkeypatch):

@@ -243,6 +243,22 @@ def test_exact_patterns_never_confirm_against_quads(oracle_store, monkeypatch):
     assert calls
 
 
+class Probed(list):
+    """The latest order, counting the positions a lookup reads."""
+
+    probes = 0
+
+    def __iter__(self):
+        for pos in super().__iter__():
+            self.probes += 1
+            yield pos
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        self.probes += len(got) if isinstance(index, slice) else 1
+        return got
+
+
 def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, monkeypatch):
     store = NanopubStore()
     for np in corpus200[:60]:
@@ -269,21 +285,6 @@ def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, mo
         lambda latest, stop=None: store.find_by_uri(license_iri.value, latest=latest, stop=stop),
     ]
 
-    class Probed(list):
-        """The latest order, counting the positions a lookup reads."""
-
-        probes = 0
-
-        def __iter__(self):
-            for pos in super().__iter__():
-                self.probes += 1
-                yield pos
-
-        def __getitem__(self, index):
-            got = super().__getitem__(index)
-            self.probes += len(got) if isinstance(index, slice) else 1
-            return got
-
     store._latest = Probed(store._latest)
     n, stop = len(store), 5
     for query in queries:
@@ -301,6 +302,46 @@ def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, mo
         assert query(True, stop) == latest[:stop]
         assert sorted_sizes == []
         assert 0 < store._latest.probes <= 2 * stop * n / len(expected)
+
+
+def test_latest_walk_gives_up_on_hits_late_in_the_order(corpus200, monkeypatch):
+    # undated nanopubs come last in latest order; their hits are dense
+    # enough to walk, but an even spread would have filled the page early
+    loop = iri("http://test.example/data/loop")
+    undated = [_minted(f"undated{i}", [(loop, loop, loop)]) for i in range(30)]
+    dated = [np for np in corpus200 if store_module._created_of(np) is not None][:150]
+    store = NanopubStore()
+    for np in [*dated, *undated]:
+        store.put(np)
+    store._latest = Probed(store._latest)
+    sorted_sizes = []
+    monkeypatch.setattr(
+        store_module,
+        "sorted",
+        lambda codes, **k: sorted_sizes.append(len(codes)) or sorted(codes, **k),
+        raising=False,
+    )
+    pairs = as_pairs([*dated, *undated])
+    ingest_order = [code for code, _ in pairs]
+    expected = ordered(store, scan_uri(pairs, loop.value), ingest_order, True)
+    assert sorted(expected) == sorted(store.codes()[150:])
+    n, h = len(store), len(expected)
+    queries = [
+        # one posting of h positions
+        (lambda stop: store.find_by_pattern(QuadPattern(predicate=loop), stop=stop), h, 5),
+        # a union that counts each of its h positions three times, with a
+        # page end past h: the walk can never fill the page
+        (lambda stop: store.find_by_uri(loop.value, stop=stop), 3 * h, 40),
+    ]
+    for query, total, stop in queries:
+        want = min(stop, total)
+        assert total * total >= want * n  # dense: the walk is tried
+        sorted_sizes.clear()
+        store._latest.probes = 0
+        assert query(stop) == expected[:stop]
+        assert sorted_sizes == [h]
+        assert store._latest.probes <= 2 * want * n / total < n
+        assert query(None) == expected
 
 
 # -- concurrency -------------------------------------------------------------------
