@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import namespaces as ns
 from .build import mint_nanopub, placeholders
 from .nanopub import Nanopublication
-from .rdf import QuadPattern, iri, literal
+from .rdf import Quad, iri, literal
 from .trusty import extract_artifact_code
 from .util import content_tag, parse_timestamp
 
@@ -70,7 +70,8 @@ class IndexRecord:
     @classmethod
     def from_nanopub(cls, np: Nanopublication) -> "IndexRecord":
         uri = np.uri
-        typed = False
+        if not is_index(np):
+            raise NotAnIndexError(f"<{uri}> is not typed npx:NanopubIndex")
         elements: list[str] = []
         subs: list[str] = []
         appends: list[str] = []
@@ -78,16 +79,12 @@ class IndexRecord:
             if q.subject.value != uri:
                 continue
             pred = q.predicate.value
-            if pred == ns.RDF_TYPE and q.object.is_iri and q.object.value == ns.NPX_NANOPUB_INDEX:
-                typed = True
-            elif pred == ns.NPX_INCLUDES_ELEMENT and q.object.is_iri:
+            if pred == ns.NPX_INCLUDES_ELEMENT and q.object.is_iri:
                 elements.append(q.object.value)
             elif pred == ns.NPX_INCLUDES_SUBINDEX and q.object.is_iri:
                 subs.append(q.object.value)
             elif pred == ns.NPX_APPENDS_INDEX and q.object.is_iri:
                 appends.append(q.object.value)
-        if not typed:
-            raise NotAnIndexError(f"<{uri}> is not typed npx:NanopubIndex")
         if len(appends) > 1:
             raise IndexError_(f"<{uri}> appends more than one index")
         if appends and appends[0] == uri:
@@ -122,10 +119,23 @@ class IndexRecord:
         )
 
 
+def is_index(np: Nanopublication) -> bool:
+    """Whether the assertion types the nanopublication itself npx:NanopubIndex."""
+    typed = Quad(iri(np.uri), iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX), iri(np.assertion.iri))
+    return typed in np.assertion.quads
+
+
 def store_resolver(store) -> Resolver:
-    """Resolve index URIs against a store: KeyError for an unknown URI,
-    NotAnIndexError for a stored nanopublication that is not an index."""
-    return lambda uri: IndexRecord.from_nanopub(store.get_by_uri(uri))
+    """Resolve index URIs against a store: from its index table, else by
+    parsing the stored nanopublication, which raises KeyError for an
+    unknown URI, NotAnIndexError for one that is not an index, and
+    IndexError_ for a malformed index."""
+
+    def resolve(uri: str) -> IndexRecord:
+        record = store.index_record(uri)
+        return record if record is not None else IndexRecord.from_nanopub(store.get_by_uri(uri))
+
+    return resolve
 
 
 def _resolve(resolver: Resolver, uri: str) -> IndexRecord:
@@ -367,52 +377,33 @@ def build_incremental(
     return _mint_chain(f"{base}{tag}/", remaining, kept_subs, appends, metadata, capacity)
 
 
+def _listing_key(record: IndexRecord):
+    stamp = parse_timestamp(record.created) if record.created else None
+    code = extract_artifact_code(record.uri) or ""
+    if stamp is None:
+        return (1, "", code)
+    return (0, stamp.astimezone(timezone.utc).isoformat(), code)
+
+
 def list_indexes(store) -> list[IndexSummary]:
     """One summary per complete index head, date order then code order.
 
-    A record is listed when it is an index, carries no incomplete
-    marker, and no other stored record appends it.
+    A record is listed when it is a well-formed index, carries no
+    incomplete marker, no other stored record appends it, and its
+    expansion resolves.  A head with a dangling or cyclic link is left
+    out, as an incomplete link is, until the record it lacks is stored.
     """
-    records: list[IndexRecord] = []
-    appended: set[str] = set()
-    typed = QuadPattern(predicate=iri(ns.RDF_TYPE), object=iri(ns.NPX_NANOPUB_INDEX))
-    for code in store.find_by_pattern(typed, latest=False):
+    records = store.index_records()
+    appended = {record.appends for record in records}
+    heads = [r for r in records if not r.is_incomplete and r.uri not in appended]
+    heads.sort(key=_listing_key)
+    resolver = store_resolver(store)
+    rows: list[IndexSummary] = []
+    for record in heads:
         try:
-            record = IndexRecord.from_nanopub(store.get(code))
-        except NotAnIndexError:  # types some other subject as an index
+            size = len(expand(record, resolver))
+        except IndexError_:  # a dangling or cyclic link
             continue
-        records.append(record)
-        if record.appends is not None:
-            appended.add(record.appends)
-
-    by_uri = {record.uri: record for record in records}
-    from_store = store_resolver(store)
-
-    def resolver(uri: str) -> IndexRecord:
-        return by_uri.get(uri) or from_store(uri)
-
-    heads = [
-        record
-        for record in records
-        if not record.is_incomplete and record.uri not in appended
-    ]
-
-    def sort_key(record: IndexRecord):
-        stamp = parse_timestamp(record.created) if record.created else None
-        code = extract_artifact_code(record.uri) or ""
-        if stamp is None:
-            return (1, "", code)
-        return (0, stamp.astimezone(timezone.utc).isoformat(), code)
-
-    heads.sort(key=sort_key)
-    return [
-        IndexSummary(
-            number=i + 1,
-            uri=record.uri,
-            title=record.title,
-            date=record.created,
-            sub_count=len(record.sub_indexes),
-            size=len(expand(record, resolver)),
-        )
-        for i, record in enumerate(heads)
-    ]
+        number, subs = len(rows) + 1, len(record.sub_indexes)
+        rows.append(IndexSummary(number, record.uri, record.title, record.created, subs, size))
+    return rows

@@ -28,6 +28,15 @@ when the hits are dense enough that, spread evenly, they would fill the
 page within as many positions as there are hits; it sorts only the hits
 when they are sparse, or when the walk reads twice that many positions
 without filling the page (hits bunched late in the order).
+
+Index nanopublications are parsed once, by ``put``, into an index table:
+a nanopub is a candidate when the (rdf:type, npx:NanopubIndex) pair
+posting has just gained its position, and it goes in when its assertion
+types itself an index and it parses as an ``IndexRecord`` (a malformed
+one stays out).  The table is an append-only list in ingest order plus a
+dict by URI, published last, after the latest order; readers take a
+slice of the list, as of the journal, and look records up in the dict.
+Reopening rebuilds it through the same path.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import namespaces as ns
+from .index import IndexError_, IndexRecord, is_index
 from .nanopub import HEAD_LINKS, Nanopublication
 from .rdf import QuadPattern, Term, parse_trig, serialize_trig
 from .trusty import extract_artifact_code, is_artifact_code, verify_reason
@@ -48,6 +58,7 @@ from .util import parse_timestamp
 
 JOURNAL_NAME = "journal.log"
 POSITIONS = ("subject", "predicate", "object", "graph")
+_INDEX_PAIR = (ns.RDF_TYPE, ns.NPX_NANOPUB_INDEX)  # the pair posting of index candidates
 
 
 class StoreError(ValueError):
@@ -170,6 +181,9 @@ class NanopubStore:
         self._postings: dict[str, dict] = {name: {} for name in (*POSITIONS, "pair")}
         # every ingest position in latest_key order
         self._latest: list[int] = []
+        # the index records, in ingest order and by URI; only ever appended to
+        self._indexes: list[IndexRecord] = []
+        self._index_by_uri: dict[str, IndexRecord] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -218,7 +232,8 @@ class NanopubStore:
 
     def _register(self, record: StoredNanopub):
         # publish the record, then the journal, then the postings, then the
-        # latest order: every position a reader finds has a code and a record
+        # latest order, then the index table: every position a reader finds
+        # has a code and a record, and every index record its postings
         code = record.code
         self._by_code[code] = record
         pos = len(self._codes)  # one int object, shared by every posting
@@ -242,6 +257,14 @@ class NanopubStore:
                 elif positions[-1] != pos:
                     positions.append(pos)
         bisect.insort(self._latest, pos, key=self._keys.__getitem__)
+        typed = pairs.get(_INDEX_PAIR)
+        if typed is not None and typed[-1] == pos and is_index(record.nanopub):
+            try:
+                index = IndexRecord.from_nanopub(record.nanopub)
+            except IndexError_:  # malformed: its resolution raises on demand
+                return
+            self._index_by_uri[index.uri] = index
+            self._indexes.append(index)
 
     def _load(self):
         journal = self.directory / JOURNAL_NAME
@@ -288,6 +311,14 @@ class NanopubStore:
 
     def get_record(self, code: str) -> Optional[StoredNanopub]:
         return self._by_code.get(code)
+
+    def index_records(self) -> list[IndexRecord]:
+        """Every well-formed index record stored, in ingest order."""
+        return self._indexes[:]
+
+    def index_record(self, uri: str) -> Optional[IndexRecord]:
+        """The stored index record of ``uri``; None if there is none."""
+        return self._index_by_uri.get(uri)
 
     def get_by_uri(self, uri: str) -> Nanopublication:
         # put files every nanopub under the code of its own URI

@@ -1,18 +1,29 @@
+import random
 import socket
+import sys
+import threading
 import time
 
 import pytest
 import requests
 
 from nanokit import namespaces as ns
-from nanokit.api import ApiError, ApiServer, ApiService, NotFoundError, _ApiRequestHandler
-from nanokit.index import IndexMetadata, _mint_chain, build_index
+from nanokit.api import (
+    MAX_PAGE_SIZE,
+    ApiError,
+    ApiServer,
+    ApiService,
+    NotFoundError,
+    _ApiRequestHandler,
+)
+from nanokit.corpusgen import synthetic_trusty_uris
+from nanokit.index import IndexMetadata, _mint_chain, build_incremental, build_index
 from nanokit.network import SERVER_TIMEOUT
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
 
-from oracles import as_pairs, scan_pattern, scan_uri
+from oracles import as_pairs, scan_pattern, scan_uri, transitive_union
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +188,117 @@ def test_http_get_index_elements_missing_link_404_non_index_400(indexed_store):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_http_get_all_indexes_leaves_out_a_dangling_head(corpus200):
+    store = NanopubStore()
+    for np in corpus200[:20]:
+        store.put(np)
+    (good,) = build_index(
+        [np.uri for np in corpus200[:20]], metadata=IndexMetadata(title="Twenty")
+    )
+    missing = "http://example.org/missing/RA" + "A" * 43
+    (dangling,) = _mint_chain(
+        "http://example.org/idx/dangling/", [], [], missing, IndexMetadata(title="t"), 1
+    )
+    store.put(good.nanopub)
+    store.put(dangling.nanopub)
+    server = ApiServer(ApiService(store))
+    server.serve_in_background()
+    try:
+        got = requests.get(f"http://{server.address}/api/get_all_indexes")
+        assert got.status_code == 200
+        assert got.text == f"1\t{good.uri}\tTwenty\t\t0\t20\n"
+        url = f"http://{server.address}/api/get_index_elements"
+        got = requests.get(url, params={"index_uri": dangling.uri})
+        assert got.status_code == 404
+        assert got.text == f"ERROR not-found cannot resolve index <{missing}>\n"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_index_queries_while_another_thread_puts_chains():
+    rng = random.Random(5)
+    pool = synthetic_trusty_uris(300)
+    chains = []
+    for i in range(8):
+        chains.append(
+            build_index(
+                rng.sample(pool, rng.randint(0, 40)),
+                sub_indexes=[chain[-1].uri for chain in chains if rng.random() < 0.3],
+                metadata=IndexMetadata(title=f"idx-{i}", created=f"2018-01-0{i + 1}T00:00:00Z"),
+                capacity=7,
+            )
+        )
+    by_uri = {record.uri: record for chain in chains for record in chain}
+    chains.append(  # a new version that reuses the full links of an old one
+        build_incremental(
+            chains[3][-1],
+            added=pool[:9],
+            removed=set(chains[3][0].elements[-1:]) - set(pool[:9]),
+            metadata=IndexMetadata(title="idx-3 v2", created="2018-02-01T00:00:00Z"),
+            resolver=by_uri.__getitem__,
+            capacity=7,
+        )
+    )
+    records = [record for chain in chains for record in chain]
+    by_uri = {record.uri: record for record in records}
+    elements_of = {uri: set(record.elements) for uri, record in by_uri.items()}
+    subs_of = {uri: record.sub_indexes for uri, record in by_uri.items()}
+    appends_of = {uri: record.appends for uri, record in by_uri.items()}
+
+    def direct_elements(uri):
+        out = []
+        while uri is not None:
+            out += by_uri[uri].elements
+            uri = by_uri[uri].appends
+        return out
+
+    errors, listings = [], []
+
+    def read():
+        try:
+            while not done.is_set():
+                rows = service.get_all_indexes()
+                assert [row.number for row in rows] == list(range(1, len(rows) + 1))
+                for row in rows:
+                    union = transitive_union(row.uri, elements_of, subs_of, appends_of)
+                    assert row.size == len(union)
+                    got = service.get_index_elements(row.uri, page_size=MAX_PAGE_SIZE)
+                    assert got == direct_elements(row.uri)
+                listings.append(len(rows))
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    def write():
+        try:
+            for record in records:  # oldest first, link by link
+                store.put(record.nanopub)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    for _ in range(3):
+        store, done = NanopubStore(), threading.Event()
+        service = ApiService(store)
+        threads = [threading.Thread(target=read), threading.Thread(target=write)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+    assert listings
+    heads = {row.uri for row in service.get_all_indexes()}
+    # the old version stays listed next to the new one that reuses its links
+    assert heads == {chain[-1].uri for chain in chains}
 
 
 def test_get_nanopub_reverifies(service, corpus200):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nanokit import namespaces as ns
+from nanokit.api import ApiService
 from nanokit.build import mint_nanopub, placeholders
 from nanokit.corpusgen import synthetic_trusty_uris
 from nanokit.index import (
@@ -11,10 +12,12 @@ from nanokit.index import (
     IndexMetadata,
     IndexRecord,
     UnresolvableIndexError,
+    _mint_chain,
     build_incremental,
     build_index,
     expand,
     list_indexes,
+    store_resolver,
 )
 from nanokit.nanopub import validate
 from nanokit.rdf import iri, literal
@@ -337,3 +340,152 @@ def test_list_indexes_skips_nanopub_typing_another_subject_as_index():
     store.put(typer)
     store.put(index.nanopub)
     assert [s.uri for s in list_indexes(store)] == [index.uri]
+
+
+# -- the store's index table ---------------------------------------------------------
+
+MISSING = "http://example.org/missing/RA" + "A" * 43
+
+
+def _minted_index(label, links):
+    """An index nanopub with ``(predicate, object)`` links about itself;
+    the object ``None`` stands for its own URI."""
+    base = f"http://example.org/raw/{label}/"
+    ph = placeholders(base)
+    me = iri(ph.uri)
+    assertion = [(me, iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX))]
+    assertion += [(me, iri(pred), me if obj is None else iri(obj)) for pred, obj in links]
+    provenance = [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))]
+    pubinfo = [(me, iri(ns.DCT_TITLE), literal(label))]
+    return mint_nanopub(base, assertion, provenance, pubinfo)[1]
+
+
+def _unlistable_heads():
+    """Index heads that cannot be expanded or parsed, by label."""
+    (dangling_append,) = _mint_chain(
+        "http://example.org/idx/dangling/", [], [], MISSING, IndexMetadata(title="t"), 1
+    )
+    (dangling_sub,) = build_index([], sub_indexes=[MISSING], metadata=META)
+    return {
+        "dangling append": dangling_append.nanopub,
+        "dangling sub-index": dangling_sub.nanopub,
+        "self-append": _minted_index("self-append", [(ns.NPX_APPENDS_INDEX, None)]),
+        "self-sub-index": _minted_index("self-sub", [(ns.NPX_INCLUDES_SUBINDEX, None)]),
+        "two appends": _minted_index(
+            "two-appends",
+            [(ns.NPX_APPENDS_INDEX, MISSING), (ns.NPX_APPENDS_INDEX, MISSING[:-1] + "B")],
+        ),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_unlistable_heads()))
+def test_list_indexes_leaves_out_an_unlistable_head(label):
+    good = build_index(synthetic_trusty_uris(25), metadata=META, capacity=10)
+    store = NanopubStore()
+    for record in good:
+        store.put(record.nanopub)
+    bad = _unlistable_heads()[label]
+    store.put(bad)
+    summaries = list_indexes(store)
+    assert [(s.number, s.uri, s.size) for s in summaries] == [(1, good[-1].uri, 25)]
+    with pytest.raises(IndexError_):  # its resolution still fails as before
+        expand(store_resolver(store)(bad.uri), store_resolver(store))
+
+
+def test_list_indexes_lists_a_dangling_head_once_its_link_is_stored():
+    links = build_index(synthetic_trusty_uris(25), metadata=META, capacity=10)
+    store = NanopubStore()
+    store.put(links[-1].nanopub)  # the head first: the links it appends are absent
+    assert list_indexes(store) == []
+    for record in links[:-1]:
+        store.put(record.nanopub)
+    assert [(s.uri, s.size) for s in list_indexes(store)] == [(links[-1].uri, 25)]
+
+
+@pytest.fixture
+def count_parses(monkeypatch):
+    """URIs passed to ``IndexRecord.from_nanopub`` from now on."""
+    calls = []
+    parse = IndexRecord.from_nanopub
+
+    def counting(cls, np):
+        calls.append(np.uri)
+        return parse(np)
+
+    monkeypatch.setattr(IndexRecord, "from_nanopub", classmethod(counting))
+    return calls
+
+
+def _three_indexes(uris):
+    chain = build_index(
+        uris[:25],
+        metadata=IndexMetadata(title="Chain", created="2017-01-01T00:00:00Z"),
+        capacity=10,
+    )
+    solo = build_index(
+        uris[25:30], metadata=IndexMetadata(title="Solo", created="2017-02-01T00:00:00Z")
+    )
+    union = build_index(
+        [],
+        sub_indexes=[chain[-1].uri, solo[-1].uri],
+        metadata=IndexMetadata(title="Union", created="2017-03-01T00:00:00Z"),
+    )
+    return chain, solo, union
+
+
+def test_put_parses_each_index_once_and_queries_parse_none(count_parses, corpus200):
+    base = "http://example.org/np/"
+    ph = placeholders(base)
+    _, typer = mint_nanopub(
+        base,
+        [(iri("http://example.org/data/some-index"), iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX))],
+        [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))],
+        [(iri(ph.uri), iri(ns.DCT_TITLE), literal("not an index"))],
+    )
+    chain, solo, union = _three_indexes([np.uri for np in corpus200])
+    count_parses.clear()  # minting parses each link once
+    store = NanopubStore()
+    for np in corpus200[:30]:
+        store.put(np)
+    store.put(typer)
+    assert count_parses == []
+    records = chain + solo + union
+    for record in records:
+        store.put(record.nanopub)
+        store.put(record.nanopub)  # a duplicate put registers nothing
+    assert count_parses == [record.uri for record in records]
+
+    count_parses.clear()
+    service = ApiService(store)
+    assert [row.size for row in service.get_all_indexes()] == [25, 5, 30]
+    assert len(service.get_index_elements(chain[-1].uri)) == 25
+    assert service.get_index_elements(solo[-1].uri, page_size=2) == list(solo[-1].elements[:2])
+    assert service.get_index_elements(union[-1].uri) == []
+    assert count_parses == []
+
+
+def test_reopen_rebuilds_the_index_table(tmp_path, corpus200, count_parses):
+    chain, solo, union = _three_indexes([np.uri for np in corpus200])
+    store = NanopubStore(tmp_path / "s")
+    for np in corpus200[:30]:
+        store.put(np)
+    for record in chain + solo + union:
+        store.put(record.nanopub)
+    service = ApiService(store)
+    heads = [chain[-1].uri, solo[-1].uri, union[-1].uri]
+
+    def answers(service):
+        pages = [
+            service.get_index_elements(uri, page=page, page_size=10)
+            for uri in heads
+            for page in (1, 2, 3, 4)
+        ]
+        return service.get_all_indexes(), pages
+
+    before = answers(service)
+    count_parses.clear()
+    reopened = NanopubStore(tmp_path / "s")
+    assert count_parses == [record.uri for record in chain + solo + union]
+    assert reopened.index_records() == store.index_records()
+    assert answers(ApiService(reopened)) == before
+    assert [row.title for row in before[0]] == ["Chain", "Solo", "Union"]
