@@ -151,7 +151,8 @@ class ServerNode:
         Pages each peer's journal from the stored cursor; cursors only
         advance over pages that were fully processed, so an unreachable
         peer is simply retried from the same place next round, as is an
-        undecodable journal page; an undecodable Get reply is skipped.
+        undecodable journal page; a Get reply that is undecodable or fails
+        verification is skipped.
         A page whose ``next_seq`` does not pass the cursor, or a Get reply
         that holds another nanopub than the one asked for, ends that
         peer's round.

@@ -2,7 +2,8 @@
 
 A ``Nanopublication`` is valid by construction, so ``put`` checks only
 what the container rules cannot: it verifies the content against the
-artifact code on every call, and refuses a known code whose quads differ.
+artifact code on every call.  A code names exactly one set of quads, so
+a verified nanopub whose code is stored already is that one.
 
 Layout on disk: one ``<code>.trig`` file per nanopublication in a flat
 directory plus an append-only ``journal.log`` whose lines are
@@ -53,7 +54,7 @@ from . import namespaces as ns
 from .index import IndexError_, IndexRecord, is_index
 from .nanopub import HEAD_LINKS, Nanopublication
 from .rdf import QuadPattern, Term, parse_trig, serialize_trig
-from .trusty import extract_artifact_code, is_artifact_code, verify_reason
+from .trusty import CODE_LENGTH, extract_artifact_code, is_artifact_code, verify_reason
 from .util import parse_timestamp
 
 JOURNAL_NAME = "journal.log"
@@ -63,10 +64,6 @@ _INDEX_PAIR = (ns.RDF_TYPE, ns.NPX_NANOPUB_INDEX)  # the pair posting of index c
 
 class StoreError(ValueError):
     pass
-
-
-class IntegrityError(StoreError):
-    """Same artifact code, different content: the store refuses to choose."""
 
 
 @dataclass(frozen=True)
@@ -208,17 +205,12 @@ class NanopubStore:
 
     def put(self, np: Nanopublication) -> str:
         """Store a trusty-verified nanopublication; idempotent by code."""
-        code = extract_artifact_code(np.uri)
-        if code is None:
-            raise StoreError(f"nanopublication URI carries no artifact code: <{np.uri}>")
         reason = verify_reason(np, np.uri)
         if reason is not None:
             raise StoreError(f"verification failed for <{np.uri}>: {reason}")
+        code = np.uri[-CODE_LENGTH:]
         with self._lock:
-            existing = self._by_code.get(code)
-            if existing is not None:
-                if frozenset(existing.nanopub.quads) != frozenset(np.quads):
-                    raise IntegrityError(f"code {code} already stored with different content")
+            if code in self._by_code:
                 return code
             self._seq += 1
             record = StoredNanopub(code, np, self._seq, _latest_key(code, _created_of(np)))

@@ -4,8 +4,8 @@ A code is "RA" followed by 43 characters that encode the SHA-256 digest
 of the document's canonical form.  The canonical form blanks every
 self-reference (any IRI under the minting base, with the embedded code
 stripped), so a document hashes the same before and after minting.  When
-verifying, only the claimed code is stripped, so a document that names
-another code under the base does not verify.
+verifying, only the claimed code is stripped, and a term under the base
+without it fails, so each code names exactly one set of quads.
 """
 
 from __future__ import annotations
@@ -66,13 +66,15 @@ def extract_artifact_code(uri: str) -> str | None:
 
 def _strip_codes(value: str, base: str, code: str | None = None) -> str:
     """Drop ``code``, or every artifact code if it is None, sitting
-    directly after ``base``."""
+    directly after ``base``; a value under the base without ``code`` is a
+    ValueError."""
     if not value.startswith(base):
         return value
     if code is not None:
-        end = len(base) + len(code) if value.startswith(code, len(base)) else len(base)
-    else:
-        end = _CODES_RE.match(value, len(base)).end()
+        if not value.startswith(code, len(base)):
+            raise ValueError(f"{value!r} is under the base but lacks code {code}")
+        return base + value[len(base) + len(code):]
+    end = _CODES_RE.match(value, len(base)).end()
     return value if end == len(base) else base + value[end:]
 
 
@@ -91,7 +93,8 @@ def canonical_form(doc: QuadDocument | Nanopublication, base: str, code: str | N
     One ``S P O G .`` line per quad with self-references blanked to the
     bare base, sorted by byte order, newline-joined with a trailing
     newline.  Invariant under quad reordering and prefix-table changes.
-    With ``code``, only that code is stripped after the base; without, any.
+    Without ``code``, any code after the base is stripped.  With it, only
+    that code is, and a term under the base that lacks it is a ValueError.
     """
     rendered: dict[Term, str] = {}  # each distinct term is rendered once
     lines = set()
@@ -195,12 +198,12 @@ def verify(doc: QuadDocument | Nanopublication, uri: TrustyUri | str) -> bool:
 
 def verify_reason(doc: QuadDocument | Nanopublication, uri: TrustyUri | str) -> str | None:
     """None when verification passes, else a short failure reason."""
-    if isinstance(uri, str):
-        code = extract_artifact_code(uri)
-        if code is None:
-            return "IRI does not end in an artifact code"
-        uri = TrustyUri(uri[:-CODE_LENGTH], code)
     try:
+        if isinstance(uri, str):
+            code = extract_artifact_code(uri)
+            if code is None:
+                return "IRI does not end in an artifact code"
+            uri = TrustyUri(uri[:-CODE_LENGTH], code)
         recomputed = compute_code(doc, uri.base, uri.code)
     except ValueError as exc:
         return str(exc)

@@ -34,7 +34,7 @@ from nanokit.network import (
     run_simulation,
     tcp_request,
 )
-from nanokit.rdf import Quad, QuadDocument, literal, serialize_trig
+from nanokit.rdf import Quad, QuadDocument, iri, literal, serialize_trig
 from nanokit.trusty import extract_artifact_code
 
 
@@ -626,6 +626,57 @@ def test_tcp_request_stops_reading_endless_reply(monkeypatch):
             tcp_request(f"{host}:{port}", PeersRequest(), timeout=5)
     finally:
         _stop(server, thread)
+
+
+def _hostile(np):
+    """``np`` renamed under a base that ends in neither '/', '#' nor '.',
+    keeping its code: a nanopub whose URI is no trusty URI."""
+    own = np.uri
+    uri = own[:-45] + "x" + own[-45:]
+
+    def swap(term):
+        if term.is_iri and term.value.startswith(own):
+            return iri(uri + term.value[len(own) :])
+        return term
+
+    return Nanopublication(
+        uri, (Quad(swap(q.subject), swap(q.predicate), swap(q.object), swap(q.graph)) for q in np.quads)
+    )
+
+
+def test_sync_round_skips_a_reply_that_is_no_trusty_uri(nanopubs):
+    code = nanopubs[0].uri[-45:]
+    honest = ServerNode("c")
+    honest.handle(Publish(nanopubs[1]))
+
+    def send(dst, msg):
+        if dst == "c":
+            return honest.handle(msg)
+        if isinstance(msg, GetJournal):
+            return JournalPage(((1, code),), 2)
+        return NanopubResponse(_hostile(nanopubs[0]))
+
+    b = ServerNode("b", peers=["h", "c"], send=send)
+    assert b.sync_round() == 1
+    assert b.store.codes() == [nanopubs[1].uri[-45:]]
+    assert b.cursors == {"h": 2, "c": 2}  # past the hostile entry
+
+
+def test_publish_of_no_trusty_uri_is_rejected(nanopubs):
+    node = ServerNode("n0")
+    assert isinstance(node.handle(Publish(_hostile(nanopubs[0]))), Rejected)
+    assert len(node.store) == 0
+
+
+def test_client_retrieve_skips_a_copy_that_is_no_trusty_uri(nanopubs):
+    np = nanopubs[0]
+    honest = ServerNode("c")
+    honest.handle(Publish(np))
+
+    def send(dst, msg):
+        return honest.handle(msg) if dst == "c" else NanopubResponse(_hostile(np))
+
+    assert client_retrieve(np.uri[-45:], ["h", "c"], send=send) is np
 
 
 def test_sync_round_stops_on_page_that_does_not_advance(nanopubs):

@@ -12,7 +12,7 @@ from nanokit.build import mint_nanopub, placeholders
 from nanokit import nanopub as nanopub_module
 from nanokit.nanopub import Nanopublication, NanopubValidationError
 from nanokit.rdf import Quad, QuadDocument, QuadPattern, iri, literal, parse_trig, serialize_trig
-from nanokit.store import IntegrityError, NanopubStore, StoreError, parse_nanopub, split_corpus
+from nanokit.store import NanopubStore, StoreError, parse_nanopub, split_corpus
 from nanokit.trusty import verify
 
 from oracles import as_pairs, scan_pattern, scan_uri
@@ -225,19 +225,37 @@ def test_other_code_under_the_base_fails_verification(corpus200):
     assert store.get(np.uri[-45:]) is np
 
 
-def test_same_code_with_other_quads_is_integrity_error(corpus200):
+def test_same_code_with_other_quads_fails_verification(corpus200):
     np = corpus200[0]
     assert np.assertion.iri == np.uri + "#assertion"
     variant = _recoded_assertion(np, "")
     assert frozenset(variant.quads) != frozenset(np.quads)
-    # base+C#assertion and the bare base#assertion have one canonical line
-    assert verify(variant, np.uri)
+    # the bare base#assertion lacks the claimed code, so it does not verify
+    assert not verify(variant, np.uri)
     store = NanopubStore()
     store.put(np)
-    with pytest.raises(IntegrityError, match="already stored with different content"):
+    with pytest.raises(StoreError, match="verification"):
         store.put(variant)
     assert len(store) == 1
     assert store.get(np.uri[-45:]) is np
+
+
+def test_bare_base_variant_is_refused_by_a_fresh_store(corpus200):
+    variant = _recoded_assertion(corpus200[0], "")
+    store = NanopubStore()
+    with pytest.raises(StoreError, match="verification failed .* lacks code"):
+        store.put(variant)
+    assert len(store) == 0 and store.codes() == []
+
+
+def test_reopen_rejects_trig_holding_a_bare_base_variant(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    np = corpus200[0]
+    code = _disk_store(directory, [np]).codes()[0]
+    variant = _recoded_assertion(np, "")
+    (directory / f"{code}.trig").write_text(serialize_trig(variant), encoding="utf-8")
+    with pytest.raises(StoreError, match=f"journal.log line 1: {code}.trig: verification failed"):
+        NanopubStore(directory)
 
 
 def test_same_quads_in_another_order_put_is_idempotent(corpus200):

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanokit.rdf import Quad, QuadDocument, iri, literal
 from nanokit.trusty import (
@@ -14,6 +15,7 @@ from nanokit.trusty import (
     mint,
     strip_trusty,
     verify,
+    verify_reason,
 )
 
 from oracle_trusty import ALPHABET, oracle_canonical_form, oracle_code, oracle_strip, oracle_verify
@@ -219,7 +221,8 @@ def test_strip_claimed_code_strips_it_once():
     other = "RA" + "B" * 43
     assert _strip_codes(base + CODE + "#head", base, CODE) == base + "#head"
     assert _strip_codes(base + CODE + CODE + "#head", base, CODE) == base + CODE + "#head"
-    assert _strip_codes(base + other + "#head", base, CODE) == base + other + "#head"
+    with pytest.raises(ValueError, match="lacks code"):
+        _strip_codes(base + other + "#head", base, CODE)
 
 
 def _recoded(doc, old, new):
@@ -247,6 +250,47 @@ def test_stacked_or_swapped_code_under_the_base_fails_verification(birddiet_doc)
         for claimed in {BIRDDIET_CODE, code[:45], code[-45:]}:
             assert not verify(variant, BASE + claimed), (code, claimed)
             assert not oracle_verify(variant, BASE + claimed), (code, claimed)
+
+
+@pytest.mark.parametrize("where", ["iri", "datatype"])
+@pytest.mark.parametrize("source", ["birddiet", "corpus"])
+def test_bare_base_variant_fails_verification(request, source, where):
+    if source == "birddiet":
+        doc, uri = request.getfixturevalue("birddiet_doc"), request.getfixturevalue("birddiet_uri")
+    else:
+        np = request.getfixturevalue("corpus200")[0]
+        doc, uri = np.to_document(), np.uri
+    base, suffix = uri[:-CODE_LENGTH], "#assertion"  # an IRI
+    if where == "datatype":  # re-mint with one literal typed under the base
+        plain, suffix = strip_trusty(doc, base), "#unit"
+        q = plain.quads[0]
+        typed = Quad(q.subject, iri("http://a.example/size"), literal("3", datatype=base + suffix), q.graph)
+        minted, doc = mint(QuadDocument(list(plain.quads) + [typed], plain.prefixes), base)
+        uri = minted.uri
+    assert verify(doc, uri) and oracle_verify(doc, uri)
+    variant = _recoded(doc, uri + suffix, base + suffix)
+    assert variant != doc
+    assert not verify(variant, uri)
+    assert not oracle_verify(variant, uri)
+
+
+@settings(max_examples=100)
+@given(
+    documents,
+    st.one_of(
+        st.text(),
+        st.tuples(
+            st.one_of(
+                st.text(),
+                st.sampled_from(["http://alpha.example/", "http://alpha.example/a", "http://beta.example/ns"]),
+            ),
+            st.sampled_from([CODE, BIRDDIET_CODE]),
+        ).map("".join),
+    ),
+)
+def test_verify_reason_never_raises(doc, uri):
+    reason = verify_reason(doc, uri)
+    assert reason is None or isinstance(reason, str)
 
 
 def test_idempotent_remint_after_stripping(birddiet_doc, birddiet_uri):
