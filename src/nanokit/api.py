@@ -14,13 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
-from .index import (
-    IndexSummary,
-    UnresolvableIndexError,
-    _chain_oldest_first,
-    list_indexes,
-    store_resolver,
-)
+from .index import IndexSummary, UnresolvableIndexError, list_indexes, store_resolver, walk
 from .network import SERVER_TIMEOUT
 from .rdf import QuadPattern, Term, iri, literal, serialize_trig
 from .store import NanopubStore
@@ -107,18 +101,18 @@ class ApiService:
         self, index_uri: str, page: int = 1, page_size: int = DEFAULT_PAGE_SIZE
     ) -> list[str]:
         """Direct elements of the index record and its appends chain, head
-        first; does not recurse into sub-indexes."""
+        first; does not recurse into sub-indexes.  A missing head or link
+        is not-found; a head or link that is not an index, or a cycle,
+        is a bad request."""
         window = _page_window(page, page_size)
         resolver = store_resolver(self.store)
         try:
-            chain = _chain_oldest_first(resolver(index_uri), resolver)
+            chain = walk(resolver(index_uri), resolver, subs=False)
         except KeyError:
             raise NotFoundError(f"unknown index <{index_uri}>") from None
         except UnresolvableIndexError as exc:
-            if not isinstance(exc.__cause__, KeyError):
-                raise  # an appended link that is not an index: a 400, as for the head
             raise NotFoundError(str(exc)) from None
-        elements = [e for record in reversed(chain) for e in record.elements]
+        elements = [e for record in chain for e in record.elements]
         return elements[window]
 
     # single nanopublication ---------------------------------------------------

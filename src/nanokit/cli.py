@@ -28,6 +28,7 @@ from .network import (
     ServerNode,
     SimConfig,
     Simulation,
+    parse_address,
     tcp_request,
 )
 from .rdf import QuadPattern, TrigSyntaxError, iri, literal, parse_trig, serialize_trig
@@ -269,8 +270,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_node_run(args) -> int:
-    store = _open_store(args)
     peers = list(args.peer or ())
+    for peer in peers:
+        parse_address(peer)  # a bad --peer is refused before the store opens
+    store = _open_store(args)
     node = ServerNode("self", store, peers, send=lambda peer, msg: tcp_request(peer, msg))
     server = NodeServer(node, host=args.host, port=args.port)
     print(f"node listening on {server.address}, peers: {', '.join(peers) or 'none'}")

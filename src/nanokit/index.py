@@ -69,9 +69,8 @@ class IndexRecord:
 
     @classmethod
     def from_nanopub(cls, np: Nanopublication) -> "IndexRecord":
+        """Parse a nanopub the caller found ``is_index``; IndexError_ if malformed."""
         uri = np.uri
-        if not is_index(np):
-            raise NotAnIndexError(f"<{uri}> is not typed npx:NanopubIndex")
         elements: list[str] = []
         subs: list[str] = []
         appends: list[str] = []
@@ -133,19 +132,53 @@ def store_resolver(store) -> Resolver:
 
     def resolve(uri: str) -> IndexRecord:
         record = store.index_record(uri)
-        return record if record is not None else IndexRecord.from_nanopub(store.get_by_uri(uri))
+        if record is None:
+            np = store.get_by_uri(uri)
+            if not is_index(np):
+                raise NotAnIndexError(f"<{uri}> is not typed npx:NanopubIndex")
+            record = IndexRecord.from_nanopub(np)
+        return record
 
     return resolve
 
 
 def _resolve(resolver: Resolver, uri: str) -> IndexRecord:
     try:
-        record = resolver(uri)
-    except (KeyError, NotAnIndexError) as exc:
+        return resolver(uri)
+    except KeyError as exc:
         raise UnresolvableIndexError(f"cannot resolve index <{uri}>") from exc
-    if record is None:
-        raise UnresolvableIndexError(f"cannot resolve index <{uri}>")
-    return record
+
+
+def walk(head: IndexRecord, resolver: Resolver, subs: bool = True) -> list[IndexRecord]:
+    """Every record reachable from ``head`` through ``appends`` and, when
+    ``subs``, through sub-indexes, each once, depth first with the appends
+    link first: with ``subs=False``, the chain, head first.  Iterative, so
+    any chain length fits the recursion limit.  IndexCycleError for a link
+    reached again while still on the path to it (shared sub-structure is
+    fine), UnresolvableIndexError for a missing link, and NotAnIndexError
+    for one that is not an index."""
+
+    def links(record: IndexRecord):
+        chained = (record.appends,) if record.appends else ()
+        return iter(chained + record.sub_indexes if subs else chained)
+
+    records, seen, path = [head], {head.uri}, {head.uri}
+    stack = [(head, links(head))]
+    while stack:
+        record, todo = stack[-1]
+        uri = next(todo, None)
+        if uri is None:
+            stack.pop()
+            path.discard(record.uri)
+        elif uri in path:
+            raise IndexCycleError(f"cycle through <{uri}>")
+        elif uri not in seen:
+            link = _resolve(resolver, uri)
+            records.append(link)
+            seen.add(uri)
+            path.add(uri)
+            stack.append((link, links(link)))
+    return records
 
 
 @dataclass(frozen=True)
@@ -254,56 +287,9 @@ def build_index(
 
 
 def expand(record: IndexRecord, resolver: Resolver) -> set[str]:
-    """All nanopub URIs the index contains: own elements, elements along
-    the appends chain, and the expansion of every sub-index, deduplicated.
-
-    Raises on unresolvable references and on reference cycles (shared
-    sub-structure is fine, it is a DAG).
-    """
-    elements: set[str] = set()
-    gray: set[str] = set()
-    done: set[str] = set()
-    stack: list[tuple[str, object]] = [("enter", record)]
-    while stack:
-        action, item = stack.pop()
-        if action == "exit":
-            gray.discard(item)  # type: ignore[arg-type]
-            done.add(item)  # type: ignore[arg-type]
-            continue
-        rec = item if isinstance(item, IndexRecord) else None
-        if rec is None:
-            uri = item
-            if uri in gray:
-                raise IndexCycleError(f"cycle through <{uri}>")
-            if uri in done:
-                continue
-            rec = _resolve(resolver, uri)
-        elif rec.uri in gray or rec.uri in done:
-            if rec.uri in gray:
-                raise IndexCycleError(f"cycle through <{rec.uri}>")
-            continue
-        gray.add(rec.uri)
-        stack.append(("exit", rec.uri))
-        elements.update(rec.elements)
-        if rec.appends is not None:
-            stack.append(("enter", rec.appends))
-        for sub in rec.sub_indexes:
-            stack.append(("enter", sub))
-    return elements
-
-
-def _chain_oldest_first(head: IndexRecord, resolver: Resolver) -> list[IndexRecord]:
-    chain = [head]
-    seen = {head.uri}
-    current = head
-    while current.appends is not None:
-        if current.appends in seen:
-            raise IndexCycleError(f"cycle through <{current.appends}>")
-        current = _resolve(resolver, current.appends)
-        seen.add(current.uri)
-        chain.append(current)
-    chain.reverse()
-    return chain
+    """All nanopub URIs the index contains: the elements of every record
+    ``walk`` reaches from it, deduplicated.  Raises as ``walk`` does."""
+    return set().union(*[r.elements for r in walk(record, resolver)])
 
 
 def build_incremental(
@@ -331,7 +317,7 @@ def build_incremental(
         sample = sorted(unknown)[0]
         raise IndexError_(f"removal of URI not in previous version: <{sample}>")
 
-    chain = _chain_oldest_first(previous, resolver)
+    chain = walk(previous, resolver, subs=False)[::-1]  # oldest first
 
     reused: list[IndexRecord] = []
     for link in chain[:-1]:  # the previous head is never reused

@@ -354,14 +354,27 @@ def _drain(sock: socket.socket) -> None:
         left -= len(chunk)
 
 
+def parse_address(address: str) -> tuple[str, int]:
+    """``host:port`` as ``(host, port)``; ValueError unless the host is
+    not empty and the port is ASCII digits in 1..65535."""
+    host, _, port = address.rpartition(":")
+    if host and len(port) <= 5 and port.isascii() and port.isdigit() and 0 < int(port) < 65536:
+        return host, int(port)
+    raise ValueError(f"not host:port with a port in 1..65535: {address!r}")
+
+
 def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
-    """One request/response exchange with ``host:port``; ProtocolError
-    for any reply that cannot be decoded or exceeds MAX_MESSAGE_BYTES."""
+    """One request/response exchange with ``host:port``; Unreachable for
+    an address ``parse_address`` refuses, ProtocolError for any reply
+    that cannot be decoded or exceeds MAX_MESSAGE_BYTES."""
     request = encode_message(msg)
-    host, _, port_text = address.rpartition(":")
+    try:
+        host_port = parse_address(address)
+    except ValueError as exc:
+        raise Unreachable(str(exc)) from None
     reply = bytearray()
     try:
-        with socket.create_connection((host, int(port_text)), timeout=timeout) as conn:
+        with socket.create_connection(host_port, timeout=timeout) as conn:
             broken = None
             try:
                 conn.sendall(request)

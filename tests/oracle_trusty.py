@@ -88,11 +88,11 @@ def oracle_code(doc, base: str, code: str | None = None) -> str:
 
 
 def oracle_verify(doc, uri: str) -> bool:
-    """The URI ends in a code, every IRI and datatype under the base goes
-    on with that code, and the document hashes to it with only that code
-    stripped after the base."""
+    """The URI is a base ending in '/', '#' or '.' and then a code, every
+    IRI and datatype under the base goes on with that code, and the
+    document hashes to it with only that code stripped after the base."""
     base, code = uri[:-45], uri[-45:]
-    if not base or not _CODE_RE.fullmatch(code):
+    if not base.endswith(("/", "#", ".")) or not _CODE_RE.fullmatch(code):
         return False
     for q in doc:
         for term in (q.subject, q.predicate, q.object, q.graph):

@@ -7,6 +7,7 @@ import time
 import pytest
 import requests
 
+from nanokit import api
 from nanokit import namespaces as ns
 from nanokit.api import (
     MAX_PAGE_SIZE,
@@ -17,7 +18,7 @@ from nanokit.api import (
     _ApiRequestHandler,
 )
 from nanokit.corpusgen import synthetic_trusty_uris
-from nanokit.index import IndexMetadata, _mint_chain, build_incremental, build_index
+from nanokit.index import IndexMetadata, IndexRecord, _mint_chain, build_incremental, build_index
 from nanokit.network import SERVER_TIMEOUT
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
@@ -185,6 +186,33 @@ def test_http_get_index_elements_missing_link_404_non_index_400(indexed_store):
             got = requests.get(url, params={"index_uri": index_uri})
             assert got.status_code == 400
             assert got.text.startswith("ERROR ")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_get_index_elements_lists_the_chain_head_first(indexed_store):
+    store, chain, _, _, uris = indexed_store
+    assert [len(link.elements) for link in chain] == [12, 12, 6]
+    got = ApiService(store).get_index_elements(chain[-1].uri)
+    assert got == uris[24:30] + uris[12:24] + uris[:12]
+
+
+def test_http_get_index_elements_cycle_is_400(monkeypatch):
+    # content-hashed links cannot append each other, so the resolver is forged
+    a, b = ("http://example.org/forged/" + name for name in "ab")
+    cyclic = {
+        uri: IndexRecord(uri, None, (uri + "/e",), (), appends, False)
+        for uri, appends in ((a, b), (b, a))
+    }
+    monkeypatch.setattr(api, "store_resolver", lambda store: cyclic.__getitem__)
+    server = ApiServer(ApiService(NanopubStore()))
+    server.serve_in_background()
+    try:
+        url = f"http://{server.address}/api/get_index_elements"
+        got = requests.get(url, params={"index_uri": a})
+        assert got.status_code == 400
+        assert got.text.startswith("ERROR bad-request cycle through ")
     finally:
         server.shutdown()
         server.server_close()

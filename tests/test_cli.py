@@ -4,6 +4,7 @@ import json
 import pytest
 
 from nanokit.cli import main
+from nanokit.network import NodeServer
 from nanokit.rdf import parse_trig
 from nanokit.store import NanopubStore, candidate_uris
 from nanokit.trusty import verify
@@ -331,3 +332,32 @@ def test_env_var_store_dir(tmp_path, capsys, monkeypatch):
     status, out, _ = run(capsys, "store", "ingest", *files)
     assert status == 0
     assert "ingested 3" in out
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """Node servers that ``node run`` went on to serve; serving returns at once."""
+    servers = []
+    monkeypatch.setattr(NodeServer, "serve_forever", lambda self: servers.append(self))
+    yield servers
+    for server in servers:
+        server.server_close()
+
+
+@pytest.mark.parametrize("peer", ["localhost", "localhost:", "localhost:99999", "localhost:0"])
+def test_node_run_refuses_a_bad_peer_before_it_opens_the_store(tmp_path, capsys, served, peer):
+    store_dir = tmp_path / "store"
+    argv = ["node", "run", "--store-dir", str(store_dir), "--port", "0", "--sync-interval", "0"]
+    status, _, err = run(capsys, *argv, "--peer", "127.0.0.1:8765", "--peer", peer)
+    assert status == 1
+    assert repr(peer) in err
+    assert served == []
+    assert not store_dir.exists()
+
+
+def test_node_run_serves_with_good_peers(tmp_path, capsys, served):
+    argv = ["node", "run", "--store-dir", str(tmp_path / "store"), "--port", "0"]
+    status, out, _ = run(capsys, *argv, "--sync-interval", "0", "--peer", "127.0.0.1:8765")
+    assert status == 0
+    assert len(served) == 1
+    assert "peers: 127.0.0.1:8765" in out

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from nanokit import index as index_module
 from nanokit import namespaces as ns
+from nanokit import store as store_module
 from nanokit.api import ApiService
 from nanokit.build import mint_nanopub, placeholders
 from nanokit.corpusgen import synthetic_trusty_uris
@@ -11,6 +13,7 @@ from nanokit.index import (
     IndexError_,
     IndexMetadata,
     IndexRecord,
+    NotAnIndexError,
     UnresolvableIndexError,
     _mint_chain,
     build_incremental,
@@ -18,6 +21,7 @@ from nanokit.index import (
     expand,
     list_indexes,
     store_resolver,
+    walk,
 )
 from nanokit.nanopub import validate
 from nanokit.rdf import iri, literal
@@ -489,3 +493,91 @@ def test_reopen_rebuilds_the_index_table(tmp_path, corpus200, count_parses):
     assert reopened.index_records() == store.index_records()
     assert answers(ApiService(reopened)) == before
     assert [row.title for row in before[0]] == ["Chain", "Solo", "Union"]
+
+
+# -- the one walk ---------------------------------------------------------------------
+
+FORGED = "http://example.org/forged/"
+
+
+def _forged(name, elements=(), subs=(), appends=None):
+    """An index record built by hand: the walk reads only its links."""
+    return IndexRecord(
+        uri=FORGED + name,
+        nanopub=None,
+        elements=tuple(elements),
+        sub_indexes=tuple(FORGED + sub for sub in subs),
+        appends=None if appends is None else FORGED + appends,
+        is_incomplete=False,
+    )
+
+
+def test_walk_resolves_each_record_of_a_dag_once_appends_first():
+    # top appends older; top -> a, b; a -> c; b -> c; c appends d
+    records = [
+        _forged("top", ["e1"], subs=["a", "b"], appends="older"),
+        _forged("older", ["e2"]),
+        _forged("a", ["e3"], subs=["c"]),
+        _forged("b", ["e4"], subs=["c"]),
+        _forged("c", ["e5"], appends="d"),
+        _forged("d", ["e1", "e6"]),
+    ]
+    calls, resolver = [], make_resolver(records)
+
+    def resolve(uri):
+        calls.append(uri)
+        return resolver(uri)
+
+    walked = walk(records[0], resolve)
+    assert [r.uri[len(FORGED):] for r in walked] == ["top", "older", "a", "c", "d", "b"]
+    assert sorted(calls) == sorted(r.uri for r in records[1:])  # each once, the head never
+    calls.clear()
+    assert expand(records[0], resolve) == {"e1", "e2", "e3", "e4", "e5", "e6"}
+    assert len(calls) == 5
+    calls.clear()
+    assert walk(records[0], resolve, subs=False) == records[:2]
+    assert walk(records[2], resolve, subs=False) == [records[2]]
+
+
+def test_walk_without_subs_finds_a_cycle_in_the_chain():
+    a = _forged("a", appends="b")
+    b = _forged("b", appends="a")
+    with pytest.raises(IndexCycleError):
+        walk(a, make_resolver([a, b]), subs=False)
+
+
+def test_walk_of_a_3000_link_chain_stays_within_the_recursion_limit():
+    links = [_forged("0", ["e0"])]
+    links += [_forged(str(i), [f"e{i}"], appends=str(i - 1)) for i in range(1, 3000)]
+    head, resolver = links[-1], make_resolver(links)
+    assert walk(head, resolver, subs=False) == links[::-1]
+    assert expand(head, resolver) == {f"e{i}" for i in range(3000)}
+
+
+def test_expand_raises_not_an_index_for_an_appended_plain_nanopub(corpus200):
+    plain = corpus200[0]
+    (appends_plain,) = _mint_chain(
+        "http://example.org/idx/plain/", [], [], plain.uri, IndexMetadata(title="t"), 1
+    )
+    store = NanopubStore()
+    store.put(plain)
+    store.put(appends_plain.nanopub)
+    resolver = store_resolver(store)
+    with pytest.raises(NotAnIndexError):
+        expand(resolver(appends_plain.uri), resolver)
+
+
+def test_one_index_put_checks_is_index_once(monkeypatch):
+    calls = []
+    check = index_module.is_index
+
+    def counting(np):
+        calls.append(np.uri)
+        return check(np)
+
+    for module in (index_module, store_module):
+        monkeypatch.setattr(module, "is_index", counting, raising=False)
+    (record,) = build_index(synthetic_trusty_uris(3), metadata=META)
+    calls.clear()
+    NanopubStore().put(record.nanopub)
+    assert calls == [record.uri]

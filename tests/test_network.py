@@ -31,6 +31,7 @@ from nanokit.network import (
     client_retrieve,
     decode_message,
     encode_message,
+    parse_address,
     run_simulation,
     tcp_request,
 )
@@ -709,5 +710,47 @@ def test_tcp_server_answers_rejection_of_line_breaking_input_on_one_line():
             conn.shutdown(socket.SHUT_WR)
             reply = decode_message(network._read_to_eof(conn))
         assert reply == Rejected("body: relative IRI not allowed: <\\n> (line 1, column 36)")
+    finally:
+        _stop(server, thread)
+
+
+@pytest.mark.parametrize(
+    "address, expected",
+    [
+        ("localhost:8765", ("localhost", 8765)),
+        ("127.0.0.1:1", ("127.0.0.1", 1)),
+        ("node.example:65535", ("node.example", 65535)),
+        ("::1:8765", ("::1", 8765)),
+    ],
+)
+def test_parse_address_takes_host_and_port(address, expected):
+    assert parse_address(address) == expected
+
+
+@pytest.mark.parametrize(
+    "address",
+    ["localhost", "localhost:", ":8765", "host:0", "host:65536", "host:99999", "host:8x",
+     "host:+80", "host: 80", "host:\u0668\u0660", pytest.param("host:" + "9" * 5000, id="long")],
+)
+def test_parse_address_refuses_a_bad_port_or_no_host(address):
+    with pytest.raises(ValueError):
+        parse_address(address)
+
+
+@pytest.mark.parametrize("address", ["localhost", "127.0.0.1:99999"])
+def test_tcp_request_to_a_bad_address_is_unreachable(address):
+    with pytest.raises(Unreachable):
+        tcp_request(address, Get("RA" + "A" * 43), timeout=0.5)
+
+
+def test_sync_round_goes_on_past_a_bad_peer_address(nanopubs):
+    source = ServerNode("srv")
+    source.handle(Publish(nanopubs[0]))
+    server = NodeServer(source)
+    thread = _start(server)
+    try:
+        node = ServerNode("self", peers=["localhost", server.address], send=tcp_request)
+        assert node.sync_round() == 1
+        assert node.store.get(extract_artifact_code(nanopubs[0].uri)) is not None
     finally:
         _stop(server, thread)

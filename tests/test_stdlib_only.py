@@ -28,3 +28,17 @@ def test_runtime_imports_only_the_standard_library(path):
 
 def test_the_package_is_found():
     assert "__init__.py" in {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_from_another(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "nanokit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -323,3 +323,13 @@ def test_mint_verify_roundtrip_property(doc):
     uri, minted = mint(doc, "http://c.example/batch/")
     assert verify(minted, uri)
     assert oracle_verify(minted, uri.uri)
+
+
+@pytest.mark.parametrize("base", ["http://b.example/x", "http://b.example/x/"])
+def test_verify_and_oracle_agree_on_the_base_ending(base):
+    # one quad with no term under the base, claimed under base + its code
+    doc = QuadDocument(
+        [quad("http://a.example/s", "http://a.example/p", "http://a.example/o", "http://a.example/g")]
+    )
+    uri = base + oracle_code(doc, base)
+    assert verify(doc, uri) == oracle_verify(doc, uri) == base.endswith("/")
