@@ -19,8 +19,8 @@ from urllib.parse import urlsplit
 
 from . import namespaces as ns
 from .nanopub import Nanopublication
-from .rdf import Term, parse_trig
-from .store import split_corpus
+from .rdf import Term
+from .store import read_corpus
 
 DEFAULT_TOOL_URIS = frozenset({"https://doi.org/10.5281/zenodo.1212599"})
 
@@ -56,11 +56,7 @@ def load_corpus(path: str | Path) -> Iterator[Nanopublication]:
     path = Path(path)
     files = sorted(path.glob("*.trig")) if path.is_dir() else [path]
     for file in files:
-        try:
-            nanopubs = split_corpus(parse_trig(file.read_text(encoding="utf-8")))
-        except ValueError as exc:  # every domain error is a ValueError
-            raise ValueError(f"{file}: {exc}") from exc
-        yield from nanopubs
+        yield from read_corpus(file)
 
 
 # -- the five reports ---------------------------------------------------------

@@ -19,6 +19,7 @@ from .network import SERVER_TIMEOUT
 from .rdf import QuadPattern, Term, iri, literal, serialize_trig
 from .store import NanopubStore
 from .trusty import extract_artifact_code
+from .util import parse_digits
 
 DEFAULT_PAGE_SIZE = 1000
 MAX_PAGE_SIZE = 10000
@@ -151,14 +152,10 @@ def _parse_int(params: dict, key: str, default: int) -> int:
     values = params.get(key)
     if not values:
         return default
-    value = values[0]
-    # ASCII digits only, as the wire and the journal take them
-    if value.isascii() and value.isdigit():
-        try:
-            return int(value)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ApiError("bad-parameter", f"{key} must be an integer")
+    try:
+        return parse_digits(values[0])
+    except ValueError:
+        raise ApiError("bad-parameter", f"{key} must be an integer") from None
 
 
 def _require(params: dict, key: str) -> str:

@@ -32,7 +32,7 @@ from .network import (
     tcp_request,
 )
 from .rdf import QuadPattern, TrigSyntaxError, iri, literal, parse_trig, serialize_trig
-from .store import NanopubStore, StoreError, sole_uri, split_corpus
+from .store import NanopubStore, StoreError, read_corpus, sole_uri
 from .trusty import MintError, extract_artifact_code, mint, verify_reason
 
 LICENSE_ALIASES = {
@@ -153,8 +153,7 @@ def cmd_store_ingest(args) -> int:
     store = _open_store(args)
     count = 0
     for path in args.files:
-        doc = _read_doc(path)
-        for np in split_corpus(doc):
+        for np in read_corpus(path):
             try:
                 store.put(np)
             except StoreError as exc:
@@ -372,10 +371,7 @@ def cmd_node_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     tool_uris = frozenset(args.tool_uri) if args.tool_uri else analysis.DEFAULT_TOOL_URIS
-    try:
-        report = analysis.analyze(analysis.load_corpus(args.corpus), args.top_k, tool_uris)
-    except FileNotFoundError as exc:
-        raise CliError(str(exc))
+    report = analysis.analyze(analysis.load_corpus(args.corpus), args.top_k, tool_uris)
     paths = analysis.write_reports(args.out, report)
     for name in ("totals", "creators", "licenses", "namespaces", "types", "json"):
         print(paths[name])

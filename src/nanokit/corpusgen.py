@@ -43,6 +43,10 @@ SHAPES = (
     "pathway-membership",
 )
 
+CREATORS_PER_NANOPUB = (1, 3)  # inclusive bounds
+CREATED_YEARS = (2015, 2018)  # inclusive bounds of dct:created
+MISSING_DATE_RATE = 0.05  # share of nanopubs with no dct:created
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -59,8 +63,6 @@ class CorpusConfig:
             "other": 0.001,
         }
     )
-    creators_min: int = 1
-    creators_max: int = 3
     license_weights: dict = field(
         default_factory=lambda: {
             LICENSE_CC_BY_3: 0.50,
@@ -71,9 +73,6 @@ class CorpusConfig:
         }
     )
     type_pool: int = 40
-    date_start: int = 2015
-    date_end: int = 2018
-    missing_date_rate: float = 0.05
     shape_cycle: bool = False  # cycle shapes round-robin instead of sampling
 
 
@@ -188,7 +187,7 @@ def generate_nanopub(
 
     me = iri(ph.uri)
     pubinfo = []
-    n_creators = rng.randint(config.creators_min, config.creators_max)
+    n_creators = rng.randint(*CREATORS_PER_NANOPUB)
     creator_preds = (ns.DCT_CREATOR, ns.DCE_CREATOR, ns.PAV_CREATED_BY, ns.PAV_AUTHORED_BY, ns.PROV_WAS_ATTRIBUTED_TO)
     for _ in range(n_creators):
         kind = _weighted(rng, config.creator_weights)
@@ -198,8 +197,8 @@ def generate_nanopub(
     if license_iri is not None:
         pred = ns.DCT_LICENSE if rng.random() < 0.9 else ns.DCT_RIGHTS
         pubinfo.append((me, iri(pred), iri(license_iri)))
-    if rng.random() >= config.missing_date_rate:
-        year = rng.randint(config.date_start, config.date_end)
+    if rng.random() >= MISSING_DATE_RATE:
+        year = rng.randint(*CREATED_YEARS)
         month, day = rng.randint(1, 12), rng.randint(1, 28)
         hour, minute, second = rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59)
         stamp = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"

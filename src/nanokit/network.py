@@ -31,6 +31,7 @@ from .nanopub import Nanopublication
 from .rdf import serialize_trig
 from .store import NanopubStore, StoreError, parse_nanopub
 from .trusty import extract_artifact_code, verify
+from .util import parse_digits
 
 DEFAULT_PAGE_SIZE = 100
 # The largest message today is a capacity-1000 index link at ~208 KB.
@@ -239,16 +240,9 @@ class _Header(NamedTuple):
     repeated: bool = False  # one line per item of a tuple attribute
 
 
-def _digits(text: str) -> int:
-    # ASCII digits only, as in journal lines: int() would take "-5", " 5" or "٣"
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a number in ASCII digits: {text!r}")
-    return int(text)
-
-
 def _parse_entry(text: str) -> tuple[int, str]:
     seq, _, code = text.partition(" ")
-    return _digits(seq), code
+    return parse_digits(seq), code
 
 
 # Every character that str.splitlines() ends a line at, as its escape.
@@ -269,11 +263,11 @@ _ENTRY = _Header("ENTRY", "entries", _parse_entry, lambda entry: f"{entry[0]} {e
 _WIRE: dict[type, tuple[str, tuple[_Header, ...]]] = {
     Publish: ("PUBLISH", (_BODY,)),
     Get: ("GET", (_CODE,)),
-    GetJournal: ("GET_JOURNAL", (_Header("FROM", "from_seq", _digits), _Header("PAGE_SIZE", "page_size", _digits))),
+    GetJournal: ("GET_JOURNAL", (_Header("FROM", "from_seq", parse_digits), _Header("PAGE_SIZE", "page_size", parse_digits))),
     PeersRequest: ("PEERS_REQUEST", ()),
     Ok: ("OK", (_CODE,)),
     NanopubResponse: ("NANOPUB", (_BODY,)),
-    JournalPage: ("JOURNAL_PAGE", (_Header("NEXT_SEQ", "next_seq", _digits), _ENTRY)),
+    JournalPage: ("JOURNAL_PAGE", (_Header("NEXT_SEQ", "next_seq", parse_digits), _ENTRY)),
     PeerList: ("PEER_LIST", (_Header("PEER", "ids", str, repeated=True),)),
     NotFound: ("NOT_FOUND", ()),
     Rejected: ("REJECTED", (_Header("REASON", "reason", str, _one_line),)),
@@ -355,15 +349,22 @@ def _drain(sock: socket.socket) -> None:
 
 
 def parse_address(address: str) -> tuple[str, int]:
-    """``host:port`` as ``(host, port)``; ValueError unless the host is
-    not empty and the port is ASCII digits in 1..65535."""
+    """``host:port`` or ``[IPv6 address]:port`` as ``(host, port)``,
+    without the brackets; ValueError unless the host is not empty and the
+    port is ASCII digits in 1..65535."""
     host, _, port = address.rpartition(":")
-    if host and len(port) <= 5 and port.isascii() and port.isdigit() and 0 < int(port) < 65536:
-        return host, int(port)
+    if host[:1] == "[" and host[-1:] == "]":
+        host = host[1:-1]
+    try:
+        number = parse_digits(port)
+        if host and "[" not in host and "]" not in host and 0 < number < 65536:
+            return host, number
+    except ValueError:
+        pass
     raise ValueError(f"not host:port with a port in 1..65535: {address!r}")
 
 
-def tcp_request(address: str, msg: Message, timeout: float = 10.0) -> Message:
+def tcp_request(address: str, msg: Message, timeout: float = SERVER_TIMEOUT) -> Message:
     """One request/response exchange with ``host:port``; Unreachable for
     an address ``parse_address`` refuses, ProtocolError for any reply
     that cannot be decoded or exceeds MAX_MESSAGE_BYTES."""

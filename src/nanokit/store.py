@@ -14,8 +14,10 @@ It re-parses and re-verifies every file; a missing, unparsable or
 unverifiable one, or one holding another code than its journal line, is
 a ``StoreError`` naming the file and its journal line.
 
-Lookups read postings: key -> ingest positions (indexes into the
-journal's codes), ascending, appended to by ``put`` and never reordered.
+The store keeps each nanopub once, in a dict by code.  The journal's
+seqs and codes and each nanopub's ``latest_key`` are lists indexed by
+ingest position.  Lookups read postings: key -> ingest positions,
+ascending, appended to by ``put`` and never reordered.
 There is one posting per quad position, keyed by the IRI string (an
 object literal by its value, datatype and language), and one per
 (predicate, object) pair.  A one-position or a predicate+object pattern
@@ -45,7 +47,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import threading
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Optional
@@ -55,7 +56,7 @@ from .index import IndexError_, IndexRecord, is_index
 from .nanopub import HEAD_LINKS, Nanopublication
 from .rdf import QuadPattern, Term, parse_trig, serialize_trig
 from .trusty import CODE_LENGTH, extract_artifact_code, is_artifact_code, verify_reason
-from .util import parse_timestamp
+from .util import parse_digits, parse_timestamp
 
 JOURNAL_NAME = "journal.log"
 POSITIONS = ("subject", "predicate", "object", "graph")
@@ -66,15 +67,8 @@ class StoreError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StoredNanopub:
-    code: str
-    nanopub: Nanopublication
-    ingested_at: int
-    latest_key: tuple = ()  # created desc, missing last, ties by code asc
-
-
 def _latest_key(code: str, created: Optional[datetime]) -> tuple:
+    # created desc, missing last, ties by code asc
     if created is None:
         return (1, 0.0, code)
     return (0, -created.timestamp(), code)
@@ -115,22 +109,21 @@ def parse_nanopub(text: str) -> Nanopublication:
 def split_corpus(doc) -> list[Nanopublication]:
     """Split a concatenated corpus document into its nanopublications.
 
-    One pass groups the quads by graph.  Each nanopublication's head is
-    the graph of its first ``np:hasAssertion`` quad; its quads are those
-    of that graph and of the graphs the head links to.  Nanopublications come
-    in ``candidate_uris`` order.  Every quad must belong to exactly one
-    nanopublication; leftovers are an error.
+    One pass groups the quads by graph and finds the heads: a head is the
+    graph of a nanopub's first ``np:hasAssertion`` link to an IRI, as in
+    ``candidate_uris``, whose order they keep.  Its nanopub's quads are
+    those of the head and of the graphs it links to.  Every quad must
+    belong to exactly one nanopublication; leftovers are an error.
     """
     graphs: dict[str, list] = {}
-    heads: dict[str, str] = {}  # nanopub URI -> graph of its first hasAssertion quad
+    heads: dict[str, str] = {}  # nanopub URI -> graph of its first hasAssertion link
     for q in doc.quads:
         graphs.setdefault(q.graph.value, []).append(q)
-        if q.predicate.value == ns.NP_HAS_ASSERTION:
+        if q.predicate.value == ns.NP_HAS_ASSERTION and q.object.is_iri:
             heads.setdefault(q.subject.value, q.graph.value)
     nanopubs = []
     claimed = set()
-    for uri in candidate_uris(doc):
-        head_iri = heads[uri]
+    for uri, head_iri in heads.items():
         graph_iris = {head_iri: None}
         for q in graphs[head_iri]:
             if q.subject.value == uri and q.object.is_iri and q.predicate.value in HEAD_LINKS:
@@ -145,6 +138,17 @@ def split_corpus(doc) -> list[Nanopublication]:
             f"{count} quads belong to no nanopublication (first graph: <{stray[0]}>)"
         )
     return nanopubs
+
+
+def read_corpus(path: str | Path) -> list[Nanopublication]:
+    """The nanopublications of one TriG file; a missing file, or a parse,
+    validation or split error, is a ValueError naming the file."""
+    try:
+        return split_corpus(parse_trig(Path(path).read_text(encoding="utf-8")))
+    except FileNotFoundError:
+        raise ValueError(f"no such file: {path}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _created_of(np: Nanopublication) -> Optional[datetime]:
@@ -167,7 +171,7 @@ class NanopubStore:
 
     def __init__(self, directory: str | Path | None = None):
         self._lock = threading.Lock()
-        self._by_code: dict[str, StoredNanopub] = {}
+        self._by_code: dict[str, Nanopublication] = {}
         self._seq = 0
         # the journal: seqs ascending, codes in ingest order, and the
         # latest_key of each ingest position; only ever appended to
@@ -213,27 +217,25 @@ class NanopubStore:
             if code in self._by_code:
                 return code
             self._seq += 1
-            record = StoredNanopub(code, np, self._seq, _latest_key(code, _created_of(np)))
             if self.directory is not None:
                 path = self.directory / f"{code}.trig"
                 path.write_text(serialize_trig(np), encoding="utf-8")
                 with (self.directory / JOURNAL_NAME).open("a", encoding="utf-8") as fh:
                     fh.write(f"{self._seq} {code}\n")
-            self._register(record)
+            self._register(code, np, self._seq)
             return code
 
-    def _register(self, record: StoredNanopub):
-        # publish the record, then the journal, then the postings, then the
+    def _register(self, code: str, np: Nanopublication, seq: int):
+        # publish the nanopub, then the journal, then the postings, then the
         # latest order, then the index table: every position a reader finds
-        # has a code and a record, and every index record its postings
-        code = record.code
-        self._by_code[code] = record
+        # has a code and a nanopub, and every index record its postings
+        self._by_code[code] = np
         pos = len(self._codes)  # one int object, shared by every posting
         self._codes.append(code)
-        self._keys.append(record.latest_key)
-        self._seqs.append(record.ingested_at)
+        self._keys.append(_latest_key(code, _created_of(np)))
+        self._seqs.append(seq)
         subjects, predicates, objects, graphs, pairs = self._postings.values()
-        for q in record.nanopub.quads:
+        for q in np.quads:
             predicate = q.predicate.value
             obj = _object_key(q.object)
             for posting, key in (
@@ -250,9 +252,9 @@ class NanopubStore:
                     positions.append(pos)
         bisect.insort(self._latest, pos, key=self._keys.__getitem__)
         typed = pairs.get(_INDEX_PAIR)
-        if typed is not None and typed[-1] == pos and is_index(record.nanopub):
+        if typed is not None and typed[-1] == pos and is_index(np):
             try:
-                index = IndexRecord.from_nanopub(record.nanopub)
+                index = IndexRecord.from_nanopub(np)
             except IndexError_:  # malformed: its resolution raises on demand
                 return
             self._index_by_uri[index.uri] = index
@@ -274,9 +276,12 @@ class NanopubStore:
             if not line.strip():
                 continue
             seq_text, _, code = line.partition(" ")
-            if not (seq_text.isascii() and seq_text.isdigit() and is_artifact_code(code)):
-                raise StoreError(f"{JOURNAL_NAME} line {number}: malformed entry {line!r}")
-            seq = int(seq_text)
+            try:
+                seq = parse_digits(seq_text)
+                if not is_artifact_code(code):
+                    raise ValueError(code)
+            except ValueError:
+                raise StoreError(f"{JOURNAL_NAME} line {number}: malformed entry {line!r}") from None
             if seq <= self._seq:
                 raise StoreError(f"{JOURNAL_NAME} line {number}: seq {seq} after {self._seq}")
             if code in self._by_code:
@@ -292,16 +297,12 @@ class NanopubStore:
                 raise StoreError(f"{where}: verification failed: {reason}")
             if extract_artifact_code(np.uri) != code:
                 raise StoreError(f"{where}: holds <{np.uri}>, not code {code}")
-            self._register(StoredNanopub(code, np, seq, _latest_key(code, _created_of(np))))
+            self._register(code, np, seq)
             self._seq = seq
 
     # -- retrieval --------------------------------------------------------
 
     def get(self, code: str) -> Optional[Nanopublication]:
-        record = self._by_code.get(code)
-        return record.nanopub if record is not None else None
-
-    def get_record(self, code: str) -> Optional[StoredNanopub]:
         return self._by_code.get(code)
 
     def index_records(self) -> list[IndexRecord]:
@@ -314,10 +315,10 @@ class NanopubStore:
 
     def get_by_uri(self, uri: str) -> Nanopublication:
         # put files every nanopub under the code of its own URI
-        record = self._by_code.get(extract_artifact_code(uri))
-        if record is None or record.nanopub.uri != uri:
+        np = self._by_code.get(extract_artifact_code(uri))
+        if np is None or np.uri != uri:
             raise KeyError(uri)
-        return record.nanopub
+        return np
 
     def find_by_pattern(
         self, pattern: QuadPattern, latest: bool = True, stop: int | None = None
@@ -344,7 +345,7 @@ class NanopubStore:
             hits = [
                 pos
                 for pos in hits
-                if any(pattern.matches(q) for q in by_code[codes[pos]].nanopub.quads)
+                if any(pattern.matches(q) for q in by_code[codes[pos]].quads)
             ]
         return self._page([hits], latest, stop)
 

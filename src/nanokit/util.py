@@ -20,6 +20,14 @@ def parse_timestamp(text: str) -> datetime | None:
     return stamp
 
 
+def parse_digits(text: str) -> int:
+    """``text`` as a number; ValueError unless it is ASCII digits (int()
+    would take "-5", " 5" or "٣") that int() converts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(text)
+
+
 def content_tag(*parts: str) -> str:
     """Short stable tag derived from the given strings."""
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()

@@ -5,6 +5,7 @@ indexes, no shared code with the lookup structures under test.
 """
 
 from collections import Counter
+from datetime import datetime, timezone
 
 from nanokit import namespaces as ns
 
@@ -63,6 +64,30 @@ def transitive_union(head_uri, elements_of, subs_of, appends_of):
         if appends_of[uri] is not None:
             todo.append(appends_of[uri])
     return out
+
+
+def latest_key(np):
+    """Sort key of "latest" order as the README states it: descending
+    dct:created, falling back to pav:createdOn, read from the nanopub's
+    own pubinfo statements (a naive timestamp is UTC, an unparsable one
+    is skipped); undated last; ties by artifact code."""
+
+    def created(predicate):
+        for q in np.pubinfo.quads:
+            if q.subject.value == np.uri and q.predicate.value == predicate and q.object.is_literal:
+                try:
+                    stamp = datetime.fromisoformat(q.object.value)
+                except ValueError:
+                    continue
+                return stamp if stamp.tzinfo else stamp.replace(tzinfo=timezone.utc)
+        return None
+
+    stamp = created(ns.DCT_CREATED) or created(ns.PAV_CREATED_ON)
+    code = np.uri[-45:]
+    if stamp is None:
+        return (1, code)
+    # the older the stamp, the larger the gap: ascending keys are newest first
+    return (0, datetime.max.replace(tzinfo=timezone.utc) - stamp, code)
 
 
 # -- analysis recounts ----------------------------------------------------------

@@ -244,7 +244,7 @@ def test_criterion_5_api_oracle_equivalence(store10k, corpus10k):
     with budget("5 API oracle equivalence", 120.0):
         store, index_heads = store10k
         service = ApiService(store)
-        pairs = [(record.code, record.nanopub.to_document().quads) for record in map(store.get_record, store.codes())]
+        pairs = [(code, store.get(code).to_document().quads) for code in store.codes()]
         all_nanopubs = [store.get(code) for code in store.codes()]
 
         rng = random.Random(505)

@@ -273,6 +273,24 @@ def test_analyze_names_the_file_that_fails(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+def test_store_ingest_names_the_file_that_fails(tmp_path, capsys):
+    run(capsys, "gen-corpus", "--out", str(tmp_path / "gen"), "--count", "1", "--seed", "1")
+    good = next((tmp_path / "gen").glob("*.trig"))
+    bad = tmp_path / "bad.trig"  # a valid nanopub, then a stray graph
+    bad.write_text(good.read_text(encoding="utf-8") + "<http://g> { <http://s> <http://p> <http://o> . }\n")
+    store_dir = tmp_path / "store"
+    status, out, err = run(capsys, "store", "ingest", "--store-dir", str(store_dir), str(bad))
+    assert (status, out) == (1, "")
+    assert err == f"error: {bad}: 1 quads belong to no nanopublication (first graph: <http://g>)\n"
+    assert len(NanopubStore(store_dir)) == 0  # nothing of the failing file is stored
+    missing = tmp_path / "missing.trig"
+    status, _, err = run(capsys, "store", "ingest", "--store-dir", str(store_dir), str(good), str(missing))
+    assert (status, err) == (1, f"error: no such file: {missing}\n")
+    assert len(NanopubStore(store_dir)) == 1  # the file before it stays stored
+    status, _, err = run(capsys, "analyze", str(missing), "--out", str(tmp_path / "reports"))
+    assert (status, err) == (1, f"error: no such file: {missing}\n")
+
+
 def test_gen_corpus_deterministic(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run(capsys, "gen-corpus", "--out", str(dir_a), "--count", "8", "--seed", "4")

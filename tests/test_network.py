@@ -721,6 +721,8 @@ def test_tcp_server_answers_rejection_of_line_breaking_input_on_one_line():
         ("127.0.0.1:1", ("127.0.0.1", 1)),
         ("node.example:65535", ("node.example", 65535)),
         ("::1:8765", ("::1", 8765)),
+        ("[::1]:8765", ("::1", 8765)),
+        ("[2001:db8::1]:80", ("2001:db8::1", 80)),
     ],
 )
 def test_parse_address_takes_host_and_port(address, expected):
@@ -730,7 +732,8 @@ def test_parse_address_takes_host_and_port(address, expected):
 @pytest.mark.parametrize(
     "address",
     ["localhost", "localhost:", ":8765", "host:0", "host:65536", "host:99999", "host:8x",
-     "host:+80", "host: 80", "host:\u0668\u0660", pytest.param("host:" + "9" * 5000, id="long")],
+     "host:+80", "host: 80", "host:\u0668\u0660", pytest.param("host:" + "9" * 5000, id="long"),
+     "[::1]", "[]:80", "[::1:80"],
 )
 def test_parse_address_refuses_a_bad_port_or_no_host(address):
     with pytest.raises(ValueError):

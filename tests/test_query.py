@@ -20,7 +20,7 @@ from nanokit.build import mint_nanopub, placeholders
 from nanokit.rdf import QuadPattern, iri, literal
 from nanokit.store import NanopubStore
 
-from oracles import as_pairs, scan_pattern, scan_uri
+from oracles import as_pairs, latest_key, scan_pattern, scan_uri
 
 POSITIONS = ("subject", "predicate", "object", "graph")
 ABSENT = iri("http://absent.example/term")
@@ -72,7 +72,7 @@ def oracle_store(corpus200):
 def ordered(store, hits, ingest_order, latest):
     """Scan hits as the list the store must return."""
     if latest:
-        return sorted(hits, key=lambda code: store.get_record(code).latest_key)
+        return sorted(hits, key=lambda code: latest_key(store.get(code)))
     return [code for code in ingest_order if code in hits]
 
 
@@ -179,6 +179,62 @@ def test_find_by_uri_equals_ordered_scan(oracle_store):
                 assert got == expected[:stop], (uri, latest, stop)
     assert store.find_by_uri("http://x") == [nanopubs[-8].uri[-45:]]
     assert store.find_by_uri("http://only-literal.example/y") == []
+
+
+def _recency_nanopubs():
+    """Label -> nanopub, one for each case of the recency rule; every one
+    holds the same assertion triple."""
+    base = "http://test.example/np/"
+    triple = (iri("http://test.example/data/r"), iri("http://test.example/vocab/r"), literal("r"))
+    cases = {
+        "createdOn-only": [(ns.PAV_CREATED_ON, "2015-01-01T00:00:00Z")],
+        "bad-created-then-createdOn": [
+            (ns.DCT_CREATED, "yesterday"),
+            (ns.PAV_CREATED_ON, "2018-01-01T00:00:00Z"),
+        ],
+        "created-over-createdOn": [
+            (ns.PAV_CREATED_ON, "2019-01-01T00:00:00Z"),
+            (ns.DCT_CREATED, "2014-01-01T00:00:00Z"),
+        ],
+        "plus-two-hours": [(ns.DCT_CREATED, "2016-06-01T12:00:00+02:00")],
+        "zulu": [(ns.DCT_CREATED, "2016-06-01T10:00:00Z")],
+        "a-second-later": [(ns.DCT_CREATED, "2016-06-01T10:00:01Z")],
+        "naive": [(ns.DCT_CREATED, "2016-06-01T10:00:00")],
+        "undated": [],
+    }
+    nanopubs = {}
+    for label, stamps in cases.items():
+        ph = placeholders(base)
+        me = iri(ph.uri)
+        pubinfo = [(me, iri(ns.DCT + "description"), literal(label))]
+        pubinfo += [(me, iri(p), literal(v, datatype=ns.XSD_DATETIME)) for p, v in stamps]
+        provenance = [(iri(ph.assertion), iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY))]
+        nanopubs[label] = mint_nanopub(base, [triple], provenance, pubinfo)[1]
+    return nanopubs
+
+
+def test_latest_order_follows_the_recency_rule():
+    nanopubs = _recency_nanopubs()
+    store = NanopubStore()
+    for np in nanopubs.values():
+        store.put(np)
+    code = {label: np.uri[-45:] for label, np in nanopubs.items()}
+    # the three 2016 stamps are one instant, so their ties go by code
+    same_instant = sorted(code[label] for label in ("plus-two-hours", "zulu", "naive"))
+    expected = [
+        code["bad-created-then-createdOn"],  # 2018, from pav:createdOn
+        code["a-second-later"],  # after the same instant, whatever its offset
+        *same_instant,
+        code["createdOn-only"],  # 2015
+        code["created-over-createdOn"],  # 2014, dct:created wins over 2019
+        code["undated"],
+    ]
+    assert sorted(code.values(), key=lambda c: latest_key(store.get(c))) == expected
+    pattern = QuadPattern(predicate=iri("http://test.example/vocab/r"))
+    assert store.find_by_pattern(pattern) == expected
+    assert store.find_by_uri("http://test.example/data/r") == expected
+    for stop in range(len(expected) + 1):
+        assert store.find_by_pattern(pattern, stop=stop) == expected[:stop]
 
 
 def _all_pages(fn, page_size, **kwargs):

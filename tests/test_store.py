@@ -137,6 +137,7 @@ def test_reopen_drops_torn_journal_tail(tmp_path, corpus200):
         b"4 RA" + b"A" * 44,
         "\u0664 RA".encode() + b"A" * 43,  # Arabic-Indic digit four
         b"4 RA" + b"A" * 42 + b"\xff",  # not UTF-8
+        pytest.param(b"9" * 5000 + b" RA" + b"A" * 43, id="seq-too-long-for-int"),
     ],
 )
 def test_reopen_rejects_malformed_journal_line(tmp_path, corpus200, line):
@@ -287,9 +288,7 @@ def test_one_container_check_between_trig_and_store(monkeypatch, corpus200):
 
 
 def _full_sort(store, nanopubs, from_seq=1, limit=None):
-    entries = sorted(
-        (store.get_record(np.uri[-45:]).ingested_at, np.uri[-45:]) for np in nanopubs
-    )
+    entries = [(seq, np.uri[-45:]) for seq, np in enumerate(nanopubs, 1)]
     entries = [entry for entry in entries if entry[0] >= from_seq]
     return entries if limit is None else entries[:limit]
 
@@ -517,6 +516,15 @@ def test_split_corpus_stray_error_names_first_stray_graph(corpus200):
     with pytest.raises(StoreError) as err:
         split_corpus(parse_trig(text))
     assert str(err.value) == "2 quads belong to no nanopublication (first graph: <http://stray.example/z>)"
+
+
+def test_split_corpus_takes_a_head_only_from_a_link_to_an_iri(corpus200):
+    # a literal hasAssertion object, in a graph before the real head, names no head
+    np = corpus200[0]
+    text = f'<http://stray.example/g1> {{ <{np.uri}> <{ns.NP_HAS_ASSERTION}> "lit" . }}\n'
+    with pytest.raises(StoreError) as err:
+        split_corpus(parse_trig(text + serialize_trig(np.to_document())))
+    assert str(err.value) == "1 quads belong to no nanopublication (first graph: <http://stray.example/g1>)"
 
 
 def test_split_corpus_reports_first_invalid_nanopub(corpus200):
