@@ -278,10 +278,10 @@ class NanopubStore:
             seq_text, _, code = line.partition(" ")
             try:
                 seq = parse_digits(seq_text)
-                if not is_artifact_code(code):
-                    raise ValueError(code)
             except ValueError:
-                raise StoreError(f"{JOURNAL_NAME} line {number}: malformed entry {line!r}") from None
+                seq = None
+            if seq is None or not is_artifact_code(code):
+                raise StoreError(f"{JOURNAL_NAME} line {number}: malformed entry {line!r}")
             if seq <= self._seq:
                 raise StoreError(f"{JOURNAL_NAME} line {number}: seq {seq} after {self._seq}")
             if code in self._by_code:

@@ -75,8 +75,12 @@ def latest_key(np):
     def created(predicate):
         for q in np.pubinfo.quads:
             if q.subject.value == np.uri and q.predicate.value == predicate and q.object.is_literal:
+                text = q.object.value.strip()
+                if text.endswith("Z"):
+                    # fromisoformat reads a trailing 'Z' only from Python 3.11 on
+                    text = text[:-1] + "+00:00"
                 try:
-                    stamp = datetime.fromisoformat(q.object.value)
+                    stamp = datetime.fromisoformat(text)
                 except ValueError:
                     continue
                 return stamp if stamp.tzinfo else stamp.replace(tzinfo=timezone.utc)

@@ -287,7 +287,7 @@ def test_one_container_check_between_trig_and_store(monkeypatch, corpus200):
     assert calls == []
 
 
-def _full_sort(store, nanopubs, from_seq=1, limit=None):
+def _full_sort(nanopubs, from_seq=1, limit=None):
     entries = [(seq, np.uri[-45:]) for seq, np in enumerate(nanopubs, 1)]
     entries = [entry for entry in entries if entry[0] >= from_seq]
     return entries if limit is None else entries[:limit]
@@ -297,12 +297,10 @@ def test_journal_entries_equal_full_sort(tmp_path, corpus200):
     nanopubs = corpus200[:25]
     store = _disk_store(tmp_path / "store", nanopubs)
     for current in (store, NanopubStore(tmp_path / "store")):
-        assert current.codes() == [code for _, code in _full_sort(current, nanopubs)]
+        assert current.codes() == [code for _, code in _full_sort(nanopubs)]
         for from_seq in range(-1, 29):
             for limit in (None, 0, 1, 7, 25, 100):
-                assert current.journal_entries(from_seq, limit) == _full_sort(
-                    current, nanopubs, from_seq, limit
-                )
+                assert current.journal_entries(from_seq, limit) == _full_sort(nanopubs, from_seq, limit)
     assert store.journal_entries(26) == []
     assert store.journal_entries(1, 0) == []
 
