@@ -153,12 +153,12 @@ def cmd_store_ingest(args) -> int:
     store = _open_store(args)
     count = 0
     for path in args.files:
-        for np in read_corpus(path):
-            try:
-                store.put(np)
-            except StoreError as exc:
-                raise CliError(f"{path}: {exc}")
-            count += 1
+        nanopubs = read_corpus(path)
+        try:
+            store.put_all(nanopubs)
+        except StoreError as exc:
+            raise CliError(f"{path}: {exc}")
+        count += len(nanopubs)
     print(f"ingested {count} nanopublications, store size {len(store)}")
     return 0
 

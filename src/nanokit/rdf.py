@@ -519,25 +519,16 @@ def escape_string(value: str) -> str:
     return value.translate(_ESCAPE_OUT)
 
 
-def render_iri(value: str) -> str:
-    return f"<{value}>"
-
-
-def render_literal(value: str, datatype: str | None = None, language: str | None = None) -> str:
-    out = f'"{escape_string(value)}"'
-    if language is not None:
-        return f"{out}@{language}"
-    if datatype is not None:
-        return f"{out}^^{render_iri(datatype)}"
-    return out
-
-
 def render_term(term: Term) -> str:
-    """Long-form rendering, as the serializer writes it.  Content hashing
-    renders through ``render_iri``/``render_literal`` with codes stripped."""
+    """Long-form rendering, as the serializer writes it."""
     if term.is_iri:
-        return render_iri(term.value)
-    return render_literal(term.value, term.datatype, term.language)
+        return f"<{term.value}>"
+    out = f'"{escape_string(term.value)}"'
+    if term.language is not None:
+        return f"{out}@{term.language}"
+    if term.datatype is not None:
+        return f"{out}^^<{term.datatype}>"
+    return out
 
 
 def serialize_trig(doc: QuadDocument | Nanopublication) -> str:

@@ -1,9 +1,11 @@
 """In-memory + file-backed store of verified nanopublications.
 
-A ``Nanopublication`` is valid by construction, so ``put`` checks only
-what the container rules cannot: it verifies the content against the
-artifact code on every call.  A code names exactly one set of quads, so
-a verified nanopub whose code is stored already is that one.
+A ``Nanopublication`` is valid by construction, so ``put_all`` checks
+only what the container rules cannot: it verifies the content of each
+nanopub against its artifact code on every call, all of a batch before
+it stores any of it (``put`` is the one-element batch).  A code names
+exactly one set of quads, so a verified nanopub whose code is stored
+already is that one.
 
 Layout on disk: one ``<code>.trig`` file per nanopublication in a flat
 directory plus an append-only ``journal.log`` whose lines are
@@ -49,7 +51,7 @@ import itertools
 import threading
 from datetime import datetime
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import namespaces as ns
 from .index import IndexError_, IndexRecord, is_index
@@ -209,21 +211,30 @@ class NanopubStore:
 
     def put(self, np: Nanopublication) -> str:
         """Store a trusty-verified nanopublication; idempotent by code."""
-        reason = verify_reason(np, np.uri)
-        if reason is not None:
-            raise StoreError(f"verification failed for <{np.uri}>: {reason}")
-        code = np.uri[-CODE_LENGTH:]
+        return self.put_all([np])[0]
+
+    def put_all(self, nanopubs: Iterable[Nanopublication]) -> list[str]:
+        """Store a batch of trusty-verified nanopublications and return
+        their codes; idempotent by code.  Each is verified once, before any
+        is stored, so one that fails stores none of the batch."""
+        nanopubs = list(nanopubs)
+        for np in nanopubs:
+            reason = verify_reason(np, np.uri)
+            if reason is not None:
+                raise StoreError(f"verification failed for <{np.uri}>: {reason}")
+        codes = [np.uri[-CODE_LENGTH:] for np in nanopubs]
         with self._lock:
-            if code in self._by_code:
-                return code
-            self._seq += 1
-            if self.directory is not None:
-                path = self.directory / f"{code}.trig"
-                path.write_text(serialize_trig(np), encoding="utf-8")
-                with (self.directory / JOURNAL_NAME).open("a", encoding="utf-8") as fh:
-                    fh.write(f"{self._seq} {code}\n")
-            self._register(code, np, self._seq)
-            return code
+            for code, np in zip(codes, nanopubs):
+                if code in self._by_code:
+                    continue
+                self._seq += 1
+                if self.directory is not None:
+                    path = self.directory / f"{code}.trig"
+                    path.write_text(serialize_trig(np), encoding="utf-8")
+                    with (self.directory / JOURNAL_NAME).open("a", encoding="utf-8") as fh:
+                        fh.write(f"{self._seq} {code}\n")
+                self._register(code, np, self._seq)
+        return codes
 
     def _register(self, code: str, np: Nanopublication, seq: int):
         # publish the nanopub, then the journal, then the postings, then the

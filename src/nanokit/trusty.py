@@ -2,10 +2,16 @@
 
 A code is "RA" followed by 43 characters that encode the SHA-256 digest
 of the document's canonical form.  The canonical form blanks every
-self-reference (any IRI under the minting base, with the embedded code
-stripped), so a document hashes the same before and after minting.  When
+self-reference (any IRI or literal datatype under the minting base, with
+the embedded code stripped), so a document hashes the same before and
+after minting.  A literal's lexical form is never stripped.  When
 verifying, only the claimed code is stripped, and a term under the base
 without it fails, so each code names exactly one set of quads.
+
+The canonical form is rendered from strings: one dict, local to the
+call, maps each distinct IRI or datatype string to its stripped
+``<...>`` text, and each line is an f-string over it; no ``Term`` is
+hashed.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import hashlib
 import re
 from typing import TYPE_CHECKING
 
-from .rdf import Quad, QuadDocument, Term, iri, literal, render_iri, render_literal
+from .rdf import Quad, QuadDocument, Term, escape_string, iri, literal
 
 if TYPE_CHECKING:
     from .nanopub import Nanopublication
@@ -78,15 +84,6 @@ def _strip_codes(value: str, base: str, code: str | None = None) -> str:
     return value if end == len(base) else base + value[end:]
 
 
-def _canonical_term(term: Term, base: str, code: str | None) -> str:
-    if term.is_iri:
-        return render_iri(_strip_codes(term.value, base, code))
-    datatype = term.datatype
-    if datatype is not None:
-        datatype = _strip_codes(datatype, base, code)
-    return render_literal(term.value, datatype, term.language)
-
-
 def canonical_form(doc: QuadDocument | Nanopublication, base: str, code: str | None = None) -> str:
     """Deterministic text the code is computed from.
 
@@ -94,19 +91,31 @@ def canonical_form(doc: QuadDocument | Nanopublication, base: str, code: str | N
     bare base, sorted by byte order, newline-joined with a trailing
     newline.  Invariant under quad reordering and prefix-table changes.
     Without ``code``, any code after the base is stripped.  With it, only
-    that code is, and a term under the base that lacks it is a ValueError.
+    that code is, and a term under the base that lacks it is a ValueError:
+    each distinct IRI or datatype string is stripped once, in quad order
+    (subject, predicate, object or its datatype, graph), so the first one
+    lacking ``code`` is the one named.  A literal's lexical form is never
+    stripped.
     """
-    rendered: dict[Term, str] = {}  # each distinct term is rendered once
+    rendered: dict[str, str] = {}  # IRI or datatype string -> "<...>"
+    for q in doc.quads:
+        obj = q.object
+        obj_iri = obj.value if obj.kind == "iri" else obj.datatype
+        for value in (q.subject.value, q.predicate.value, obj_iri, q.graph.value):
+            if value is not None and value not in rendered:
+                rendered[value] = f"<{_strip_codes(value, base, code)}>"
     lines = set()
     for q in doc.quads:
-        parts = []
-        for term in (q.subject, q.predicate, q.object, q.graph):
-            text = rendered.get(term)
-            if text is None:
-                text = rendered[term] = _canonical_term(term, base, code)
-            parts.append(text)
-        parts.append(".")
-        lines.add(" ".join(parts))
+        obj = q.object
+        if obj.kind == "iri":
+            text = rendered[obj.value]
+        else:
+            text = f'"{escape_string(obj.value)}"'
+            if obj.language is not None:
+                text += f"@{obj.language}"
+            elif obj.datatype is not None:
+                text += f"^^{rendered[obj.datatype]}"
+        lines.add(f"{rendered[q.subject.value]} {rendered[q.predicate.value]} {text} {rendered[q.graph.value]} .")
     # code point order is UTF-8 byte order
     return "".join(line + "\n" for line in sorted(lines))
 

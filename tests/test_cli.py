@@ -291,6 +291,22 @@ def test_store_ingest_names_the_file_that_fails(tmp_path, capsys):
     assert (status, err) == (1, f"error: no such file: {missing}\n")
 
 
+def test_store_ingest_stores_nothing_of_a_file_with_an_unverifiable_nanopub(tmp_path, capsys):
+    run(capsys, "gen-corpus", "--out", str(tmp_path / "gen"), "--count", "2", "--seed", "1")
+    first, second = (p.read_text(encoding="utf-8") for p in sorted((tmp_path / "gen").glob("*.trig")))
+    planted = "  <http://evil.example/s> <http://evil.example/p> <http://evil.example/o> .\n"
+    tampered = second.replace("#assertion> {\n", "#assertion> {\n" + planted)
+    assert tampered.count("http://evil.example/s") == 1
+    both = tmp_path / "both.trig"
+    both.write_text(first + tampered, encoding="utf-8")
+    store_dir = tmp_path / "store"
+    status, out, err = run(capsys, "store", "ingest", "--store-dir", str(store_dir), str(both))
+    assert (status, out) == (1, "")
+    second_uri = candidate_uris(parse_trig(second))[0]
+    assert err.startswith(f"error: {both}: verification failed for <{second_uri}>: ")
+    assert len(NanopubStore(store_dir)) == 0
+
+
 def test_gen_corpus_deterministic(tmp_path, capsys):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run(capsys, "gen-corpus", "--out", str(dir_a), "--count", "8", "--seed", "4")

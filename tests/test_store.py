@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from nanokit import namespaces as ns
 from nanokit.build import mint_nanopub, placeholders
 from nanokit import nanopub as nanopub_module
+from nanokit import store as store_module
 from nanokit.nanopub import Nanopublication, NanopubValidationError
 from nanokit.rdf import Quad, QuadDocument, QuadPattern, iri, literal, parse_trig, serialize_trig
 from nanokit.store import NanopubStore, StoreError, parse_nanopub, split_corpus
-from nanokit.trusty import verify
+from nanokit.trusty import verify, verify_reason
 
 from oracles import as_pairs, scan_pattern, scan_uri
 
@@ -285,6 +286,33 @@ def test_one_container_check_between_trig_and_store(monkeypatch, corpus200):
     store.put(np)
     NanopubStore().put(np)
     assert calls == []
+
+
+def test_put_all_verifies_each_nanopub_once_and_stores_all_or_none(monkeypatch, tmp_path, corpus200):
+    calls = []
+
+    def counting(doc, uri):
+        calls.append(uri)
+        return verify_reason(doc, uri)
+
+    monkeypatch.setattr(store_module, "verify_reason", counting)
+    batch = list(corpus200[:4])
+    first = batch[1].assertion.quads[0]
+    changed = Quad(first.subject, first.predicate, iri("http://evil.example/x"), first.graph)
+    tampered = Nanopublication(batch[1].uri, (changed if q == first else q for q in batch[1].quads))
+    directory = tmp_path / "store"
+    store = NanopubStore(directory)
+    with pytest.raises(StoreError, match=f"verification failed for <{tampered.uri}>"):
+        store.put_all([batch[0], tampered, *batch[2:]])
+    assert calls == [batch[0].uri, tampered.uri]  # stops at the first failure
+    assert len(store) == 0 and len(NanopubStore(directory)) == 0
+    calls.clear()
+    assert store.put_all(batch + batch[:1]) == [np.uri[-45:] for np in batch + batch[:1]]
+    assert calls == [np.uri for np in batch + batch[:1]]
+    assert store.codes() == NanopubStore(directory).codes() == [np.uri[-45:] for np in batch]
+    calls.clear()
+    assert store.put(batch[0]) == batch[0].uri[-45:]
+    assert calls == [batch[0].uri]
 
 
 def _full_sort(nanopubs, from_seq=1, limit=None):

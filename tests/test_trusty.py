@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +317,77 @@ def test_canonical_form_matches_oracle_everywhere(doc):
     base = "http://c.example/batch/"
     assert canonical_form(doc, base) == oracle_canonical_form(doc, base)
     assert compute_code(doc, base) == oracle_code(doc, base)
+
+
+@settings(max_examples=60)
+@given(documents, st.sampled_from(["http://alpha.example/", "http://beta.example/ns#", "http://c.example/batch/"]))
+def test_claimed_code_canonical_form_matches_oracle(doc, base):
+    uri, minted = mint(doc, base)
+    assert canonical_form(minted, base, uri.code) == oracle_canonical_form(minted, base, uri.code)
+    assert compute_code(minted, base, uri.code) == oracle_code(minted, base, uri.code) == uri.code
+
+
+# SHA-256 over the claimed-code canonical forms of corpus200, in corpus order
+CORPUS200_CANONICAL_SHA256 = "93f21fd51b32d7fdeafecd21103cab164f3ae652d5aef94038a7478a6bb5eebd"
+
+
+def test_corpus_claimed_code_canonical_forms_golden(corpus200):
+    digest = hashlib.sha256()
+    for np in corpus200:
+        base, code = np.uri[:-CODE_LENGTH], np.uri[-CODE_LENGTH:]
+        digest.update(canonical_form(np, base, code).encode("utf-8"))
+    assert digest.hexdigest() == CORPUS200_CANONICAL_SHA256
+
+
+def test_literal_lexical_form_is_never_stripped():
+    base = "http://example.org/np/"
+    own = base + CODE
+    doc = QuadDocument(
+        [
+            quad(own, "http://a.example/p", literal(own + "#head"), own + "#g"),
+            quad(own, "http://a.example/p", literal(own, datatype=own + "#unit"), own + "#g"),
+        ]
+    )
+    for code in (None, CODE):
+        text = canonical_form(doc, base, code)
+        assert text == oracle_canonical_form(doc, base, code)
+        assert f'"{own}#head"' in text
+        assert f'"{own}"^^<{base}#unit>' in text
+        assert own not in text.replace(f'"{own}', "")
+
+
+def test_iri_and_literal_with_one_string_render_apart():
+    s, p, g = "http://a.example/s", "http://a.example/p", "http://a.example/g"
+    doc = QuadDocument([quad(s, p, s, g), quad(s, p, literal(s), g)])
+    text = canonical_form(doc, "http://example.org/np/", CODE)
+    assert text == f'<{s}> <{p}> "{s}" <{g}> .\n<{s}> <{p}> <{s}> <{g}> .\n'
+    assert compute_code(QuadDocument(doc.quads[:1]), "http://example.org/np/") != compute_code(
+        QuadDocument(doc.quads[1:]), "http://example.org/np/"
+    )
+
+
+@pytest.mark.parametrize(
+    "lacking, named",
+    [
+        (("subject", "predicate", "graph"), "subject"),
+        (("predicate", "object", "graph"), "predicate"),
+        (("object", "graph"), "object"),
+        (("datatype", "graph"), "datatype"),
+        (("graph",), "graph"),
+    ],
+)
+def test_verify_reason_names_the_first_term_lacking_the_code(lacking, named):
+    base = "http://example.org/np/"
+    own = base + CODE
+
+    def value(position):
+        return base + "bare-" + position if position in lacking else own + "#" + position
+
+    obj = literal("3", datatype=value("datatype")) if "datatype" in lacking else iri(value("object"))
+    first = Quad(iri(value("subject")), iri(value("predicate")), obj, iri(value("graph")))
+    later = quad(base + "bare-later", own + "#p", own + "#o", own + "#g")  # a later quad lacks it too
+    reason = verify_reason(QuadDocument([first, later]), own)
+    assert reason == f"{value(named)!r} is under the base but lacks code {CODE}"
 
 
 @settings(max_examples=50)
