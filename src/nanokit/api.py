@@ -234,6 +234,7 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
 
 class ApiServer(ThreadingHTTPServer):
     def __init__(self, service: ApiService, host: str = "127.0.0.1", port: int = 0):
+        service.store.catch_up()  # index what is stored now, before it listens
         super().__init__((host, port), _ApiRequestHandler)
         self.service = service
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import namespaces as ns
 from .build import mint_nanopub, placeholders
 from .nanopub import Nanopublication
-from .rdf import Quad, iri, literal
+from .rdf import iri, literal
 from .trusty import extract_artifact_code
 from .util import content_tag, parse_timestamp
 
@@ -120,8 +120,14 @@ class IndexRecord:
 
 def is_index(np: Nanopublication) -> bool:
     """Whether the assertion types the nanopublication itself npx:NanopubIndex."""
-    typed = Quad(iri(np.uri), iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX), iri(np.assertion.iri))
-    return typed in np.assertion.quads
+    uri = np.uri
+    return any(
+        q.object.value == ns.NPX_NANOPUB_INDEX
+        and q.predicate.value == ns.RDF_TYPE
+        and q.subject.value == uri
+        and q.object.is_iri
+        for q in np.assertion.quads
+    )
 
 
 def store_resolver(store) -> Resolver:

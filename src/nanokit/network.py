@@ -127,6 +127,7 @@ class ServerNode:
         self.send = send
         self.page_size = page_size
         self.cursors: dict[str, int] = {}
+        self.rejected = 0  # fetched bodies that sync_round's put refused
 
     def handle(self, msg: Message) -> Message:
         if isinstance(msg, Publish):
@@ -152,8 +153,9 @@ class ServerNode:
         Pages each peer's journal from the stored cursor; cursors only
         advance over pages that were fully processed, so an unreachable
         peer is simply retried from the same place next round, as is an
-        undecodable journal page; a Get reply that is undecodable or fails
-        verification is skipped.
+        undecodable journal page; a Get reply that is undecodable is
+        skipped, and one that fails verification is skipped and counted in
+        ``rejected``.
         A page whose ``next_seq`` does not pass the cursor, or a Get reply
         that holds another nanopub than the one asked for, ends that
         peer's round.
@@ -182,8 +184,8 @@ class ServerNode:
                         try:
                             self.store.put(reply.nanopub)
                             fetched += 1
-                        except StoreError:
-                            pass  # tampered or invalid: never stored
+                        except StoreError:  # tampered or invalid: never stored
+                            self.rejected += 1
                     cursor = resp.next_seq
                     self.cursors[peer_id] = cursor
                     if len(resp.entries) < self.page_size:

@@ -16,10 +16,17 @@ It re-parses and re-verifies every file; a missing, unparsable or
 unverifiable one, or one holding another code than its journal line, is
 a ``StoreError`` naming the file and its journal line.
 
-The store keeps each nanopub once, in a dict by code.  The journal's
-seqs and codes and each nanopub's ``latest_key`` are lists indexed by
-ingest position.  Lookups read postings: key -> ingest positions,
-ascending, appended to by ``put`` and never reordered.
+The store keeps each nanopub once, in a dict by code.  ``put`` publishes
+the nanopub, then its journal entry (the seq and code lists, indexed by
+ingest position), then its index record if it has one, and nothing else:
+storing and replicating never pay for the query index.
+
+The query index is built on read.  ``find_by_pattern`` and
+``find_by_uri`` first call ``catch_up``, which indexes the positions put
+since the last query, in ingest order, under the store lock.
+``ApiServer`` calls it once before it listens, so no request pays for a
+whole store.  Per position it computes the ``latest_key`` and appends to
+the postings: key -> ingest positions, ascending, never reordered.
 There is one posting per quad position, keyed by the IRI string (an
 object literal by its value, datatype and language), and one per
 (predicate, object) pair.  A one-position or a predicate+object pattern
@@ -27,21 +34,22 @@ is one posting, and so is exact; the wildcard is the journal.  Any other
 pattern confirms the positions of its smallest posting against their
 quads.  A URI mention is the union of the four position postings for
 that IRI.  Ingest order is the posting itself.  Latest order is one
-store-wide list of every position in ``latest_key`` order, which ``put``
-keeps with one insort.  A latest page walks it and stops at the page end
-when the hits are dense enough that, spread evenly, they would fill the
-page within as many positions as there are hits; it sorts only the hits
-when they are sparse, or when the walk reads twice that many positions
-without filling the page (hits bunched late in the order).
+store-wide list of the indexed positions in ``latest_key`` order; a
+catch-up sorts the old list and the new positions into a new one, which
+it publishes whole, so a reader holds one consistent list.  A latest
+page walks it and stops at the page end when the hits are dense enough
+that, spread evenly, they would fill the page within as many positions
+as there are hits; it sorts only the hits when they are sparse, or when
+the walk reads twice that many positions without filling the page (hits
+bunched late in the order).
 
 Index nanopublications are parsed once, by ``put``, into an index table:
-a nanopub is a candidate when the (rdf:type, npx:NanopubIndex) pair
-posting has just gained its position, and it goes in when its assertion
-types itself an index and it parses as an ``IndexRecord`` (a malformed
+a nanopub goes in when its assertion types itself an index
+(``index.is_index``) and it parses as an ``IndexRecord`` (a malformed
 one stays out).  The table is an append-only list in ingest order plus a
-dict by URI, published last, after the latest order; readers take a
-slice of the list, as of the journal, and look records up in the dict.
-Reopening rebuilds it through the same path.
+dict by URI, published after the journal entry; readers take a slice of
+the list, as of the journal, and look records up in the dict.  Reopening
+rebuilds it through the same path.
 """
 
 from __future__ import annotations
@@ -62,7 +70,6 @@ from .util import parse_digits, parse_timestamp
 
 JOURNAL_NAME = "journal.log"
 POSITIONS = ("subject", "predicate", "object", "graph")
-_INDEX_PAIR = (ns.RDF_TYPE, ns.NPX_NANOPUB_INDEX)  # the pair posting of index candidates
 
 
 class StoreError(ValueError):
@@ -175,14 +182,17 @@ class NanopubStore:
         self._lock = threading.Lock()
         self._by_code: dict[str, Nanopublication] = {}
         self._seq = 0
-        # the journal: seqs ascending, codes in ingest order, and the
-        # latest_key of each ingest position; only ever appended to
+        # the journal: seqs ascending and codes in ingest order; only ever
+        # appended to, by put
         self._seqs: list[int] = []
         self._codes: list[str] = []
+        # the query index of the first _indexed positions, built by
+        # catch_up: the latest_key of each position and the postings,
+        # posting name -> key -> ingest positions, ascending, only ever
+        # appended to; and those positions in latest_key order, replaced whole
+        self._indexed = 0
         self._keys: list[tuple] = []
-        # posting name -> key -> ingest positions, ascending; only ever appended to
         self._postings: dict[str, dict] = {name: {} for name in (*POSITIONS, "pair")}
-        # every ingest position in latest_key order
         self._latest: list[int] = []
         # the index records, in ingest order and by URI; only ever appended to
         self._indexes: list[IndexRecord] = []
@@ -237,33 +247,13 @@ class NanopubStore:
         return codes
 
     def _register(self, code: str, np: Nanopublication, seq: int):
-        # publish the nanopub, then the journal, then the postings, then the
-        # latest order, then the index table: every position a reader finds
-        # has a code and a nanopub, and every index record its postings
+        # publish the nanopub, then the journal, then the index table: every
+        # position a reader finds has a code and a nanopub.  The postings
+        # and the latest order wait for the next query (catch_up).
         self._by_code[code] = np
-        pos = len(self._codes)  # one int object, shared by every posting
         self._codes.append(code)
-        self._keys.append(_latest_key(code, _created_of(np)))
         self._seqs.append(seq)
-        subjects, predicates, objects, graphs, pairs = self._postings.values()
-        for q in np.quads:
-            predicate = q.predicate.value
-            obj = _object_key(q.object)
-            for posting, key in (
-                (subjects, q.subject.value),
-                (predicates, predicate),
-                (objects, obj),
-                (graphs, q.graph.value),
-                (pairs, (predicate, obj)),
-            ):
-                positions = posting.get(key)
-                if positions is None:
-                    posting[key] = [pos]
-                elif positions[-1] != pos:
-                    positions.append(pos)
-        bisect.insort(self._latest, pos, key=self._keys.__getitem__)
-        typed = pairs.get(_INDEX_PAIR)
-        if typed is not None and typed[-1] == pos and is_index(np):
+        if is_index(np):
             try:
                 index = IndexRecord.from_nanopub(np)
             except IndexError_:  # malformed: its resolution raises on demand
@@ -311,6 +301,46 @@ class NanopubStore:
             self._register(code, np, seq)
             self._seq = seq
 
+    # -- query index ------------------------------------------------------
+
+    def catch_up(self):
+        """Index every position stored so far: its ``latest_key``, its
+        postings and its place in the latest order.  Returns at once when
+        no position is waiting."""
+        if self._indexed == len(self._codes):
+            return
+        with self._lock:
+            start = self._indexed
+            new = list(range(start, len(self._codes)))  # one int object per position
+            if not new:
+                return  # another reader caught up first
+            codes, by_code, keys = self._codes, self._by_code, self._keys
+            subjects, predicates, objects, graphs, pairs = self._postings.values()
+            # publish each key, then its postings: every position a reader
+            # finds in a posting has a key; then the latest order, then _indexed
+            for pos in new:
+                code = codes[pos]
+                np = by_code[code]
+                keys.append(_latest_key(code, _created_of(np)))
+                for q in np.quads:
+                    predicate = q.predicate.value
+                    obj = _object_key(q.object)
+                    for posting, key in (
+                        (subjects, q.subject.value),
+                        (predicates, predicate),
+                        (objects, obj),
+                        (graphs, q.graph.value),
+                        (pairs, (predicate, obj)),
+                    ):
+                        positions = posting.get(key)
+                        if positions is None:
+                            posting[key] = [pos]
+                        elif positions[-1] != pos:
+                            positions.append(pos)
+            # the old order is one sorted run: the sort merges the new ones in
+            self._latest = sorted([*self._latest, *new], key=keys.__getitem__)
+            self._indexed = start + len(new)
+
     # -- retrieval --------------------------------------------------------
 
     def get(self, code: str) -> Optional[Nanopublication]:
@@ -336,6 +366,7 @@ class NanopubStore:
     ) -> list[str]:
         """Codes of nanopublications holding at least one matching quad,
         up to ``stop`` of them (all when ``None``)."""
+        self.catch_up()
         keys = {
             name: _object_key(term)
             for name in POSITIONS
@@ -364,6 +395,7 @@ class NanopubStore:
         """Codes of nanopublications mentioning the IRI ``uri`` in any term
         position, up to ``stop`` of them: the union of the four position
         postings."""
+        self.catch_up()
         found = [positions for name in POSITIONS if (positions := self._postings[name].get(uri))]
         return self._page(found, latest, stop)
 
@@ -382,31 +414,31 @@ class NanopubStore:
         # no more than the total hits a sort reads; it gives up after twice
         # that, so hits bunched at the tail (old or undated) cost at most
         # about two sorts
-        n = len(self._codes)
+        latest = self._latest  # one catch-up's order, never changed in place
+        n = len(latest)
         order = None
         if total * total >= want * n:
-            order = self._walk(postings, want, 2 * want * n // total)
+            order = self._walk(latest, postings, want, 2 * want * n // total)
         if order is None:
             union = postings[0] if len(postings) == 1 else set().union(*postings)
             order = sorted(union, key=self._keys.__getitem__)[:stop]
         return list(map(self._codes.__getitem__, order))
 
-    def _walk(self, postings: list[list[int]], want: int, budget: int) -> Optional[list[int]]:
-        """The first ``want`` positions of the latest order that some
-        posting holds, each once, reading at most ``budget`` positions;
-        None when the budget runs out first.  A ``put`` that inserts in
-        front of the walk shifts a position it has already passed under it
-        again."""
-        latest = self._latest
-        found: dict[int, None] = {}
+    def _walk(
+        self, latest: list[int], postings: list[list[int]], want: int, budget: int
+    ) -> Optional[list[int]]:
+        """The first ``want`` positions of ``latest`` that some posting
+        holds, reading at most ``budget`` positions; None when the budget
+        runs out first."""
+        found: list[int] = []
         for pos in itertools.islice(latest, budget):
             for positions in postings:
                 i = bisect.bisect_left(positions, pos)
                 if i < len(positions) and positions[i] == pos:
-                    found[pos] = None
+                    found.append(pos)
                     if len(found) == want:
-                        return list(found)
+                        return found
                     break
         if budget < len(latest):
             return None
-        return list(found)
+        return found

@@ -581,3 +581,23 @@ def test_one_index_put_checks_is_index_once(monkeypatch):
     calls.clear()
     NanopubStore().put(record.nanopub)
     assert calls == [record.uri]
+
+
+def test_is_index_holds_only_for_the_assertion_typing_its_own_nanopub_an_index():
+    base = "http://test.example/np/"
+    ph = placeholders(base)
+    me, rdf_type, npx_index = iri(ph.uri), iri(ns.RDF_TYPE), iri(ns.NPX_NANOPUB_INDEX)
+    other = iri("http://test.example/data/other")
+    thing = (other, rdf_type, iri("http://test.example/Thing"))
+    cases = {
+        "typed": ([(me, rdf_type, npx_index)], [], True),
+        "literal object of the same text": ([(me, rdf_type, literal(ns.NPX_NANOPUB_INDEX))], [], False),
+        "typed in pubinfo": ([thing], [(me, rdf_type, npx_index)], False),
+        "another subject": ([(other, rdf_type, npx_index)], [], False),
+        "another predicate": ([(me, iri(ns.DCT + "subject"), npx_index)], [], False),
+    }
+    for label, (assertion, pubinfo, expected) in cases.items():
+        provenance = [(iri(ph.assertion), rdf_type, iri(ns.PROV_ENTITY))]
+        pubinfo = [(me, iri(ns.DCT + "description"), literal(label)), *pubinfo]
+        np = mint_nanopub(base, assertion, provenance, pubinfo)[1]
+        assert index_module.is_index(np) is expected, label

@@ -66,8 +66,8 @@ def test_publish_then_get_roundtrip(nanopubs):
     assert fetched.nanopub.to_document() == np.to_document()
 
 
-def test_publish_tampered_is_rejected(nanopubs):
-    np = nanopubs[0]
+def _tampered(np):
+    """``np`` under its own URI with every literal object changed."""
     doc = np.to_document()
     tampered = QuadDocument(
         [
@@ -77,11 +77,32 @@ def test_publish_tampered_is_rejected(nanopubs):
             for q in doc.quads
         ]
     )
-    bad = Nanopublication(np.uri, tampered.quads)
+    return Nanopublication(np.uri, tampered.quads)
+
+
+def test_publish_tampered_is_rejected(nanopubs):
     node = ServerNode("n0")
-    reply = node.handle(Publish(bad))
+    reply = node.handle(Publish(_tampered(nanopubs[0])))
     assert isinstance(reply, Rejected)
     assert len(node.store) == 0  # never stored
+
+
+def test_sync_round_counts_a_tampered_body_it_drops(nanopubs):
+    honest = ServerNode("a")
+    honest.handle(Publish(nanopubs[0]))
+
+    def send(dst, msg):
+        if isinstance(msg, Get):
+            return NanopubResponse(_tampered(nanopubs[0]))
+        return honest.handle(msg)
+
+    b = ServerNode("b", peers=["a"], send=send)
+    b.handle(Publish(nanopubs[1]))
+    before = b.store.journal_entries()
+    assert b.rejected == 0
+    assert b.sync_round() == 0
+    assert b.rejected == 1
+    assert b.store.journal_entries() == before
 
 
 def test_malformed_message_rejected():

@@ -17,8 +17,9 @@ from nanokit import namespaces as ns
 from nanokit import store as store_module
 from nanokit.api import ApiService
 from nanokit.build import mint_nanopub, placeholders
-from nanokit.rdf import QuadPattern, iri, literal
-from nanokit.store import NanopubStore
+from nanokit.nanopub import Nanopublication
+from nanokit.rdf import Quad, QuadPattern, iri, literal
+from nanokit.store import NanopubStore, StoreError
 
 from oracles import as_pairs, latest_key, scan_pattern, scan_uri
 
@@ -277,6 +278,51 @@ def test_api_pages_concatenate_to_ordered_scan(oracle_store):
             )
 
 
+def test_reopened_store_answers_its_first_query_as_the_ordered_scan(oracle_store, tmp_path):
+    _, nanopubs = oracle_store
+    directory = tmp_path / "store"
+    NanopubStore(directory).put_all(nanopubs)
+    pairs = as_pairs(nanopubs)
+    ingest_order = [code for code, _ in pairs]
+    p, five = iri("http://test.example/vocab/p"), literal("5")
+    hits = scan_pattern(pairs, predicate=p, obj=five)
+    for latest in (True, False):
+        store = NanopubStore(directory)
+        expected = ordered(store, hits, ingest_order, latest)
+        assert expected
+        assert store.find_by_pattern(QuadPattern(predicate=p, object=five), latest=latest) == expected
+        store = NanopubStore(directory)
+        expected = ordered(store, scan_uri(pairs, ns.DCT_LICENSE), ingest_order, latest)
+        assert store.find_by_uri(ns.DCT_LICENSE, latest=latest) == expected
+        store = NanopubStore(directory)
+        assert store.find_by_pattern(QuadPattern(), latest=latest) == ordered(
+            store, set(ingest_order), ingest_order, latest
+        )
+
+
+def test_rejected_batch_leaves_no_position_a_query_returns(corpus200):
+    store = NanopubStore()
+    store.put_all(corpus200[:10])
+    assert store.find_by_pattern(QuadPattern())  # caught up before the batch
+    good = corpus200[10]
+    first = corpus200[11].assertion.quads[0]
+    evil = iri("http://evil.example/x")
+    tampered = Nanopublication(
+        corpus200[11].uri,
+        (Quad(first.subject, first.predicate, evil, first.graph) if q == first else q
+         for q in corpus200[11].quads),
+    )
+    with pytest.raises(StoreError, match="verification failed"):
+        store.put_all([good, tampered])
+    stored = [np.uri[-45:] for np in corpus200[:10]]
+    for latest in (True, False):
+        assert sorted(store.find_by_pattern(QuadPattern(), latest=latest)) == sorted(stored)
+        assert store.find_by_uri(good.uri, latest=latest) == []
+        assert store.find_by_uri(evil.value, latest=latest) == []
+        assert store.find_by_pattern(QuadPattern(object=evil), latest=latest) == []
+    assert store.codes() == stored
+
+
 # -- cost, counted in calls ------------------------------------------------------
 
 
@@ -319,6 +365,7 @@ def test_ingest_order_needs_no_sort_and_latest_sorts_only_the_hits(corpus200, mo
     store = NanopubStore()
     for np in corpus200[:60]:
         store.put(np)
+    store.find_by_pattern(QuadPattern())  # the catch-up, before the probes go in
     sorted_sizes = []
     monkeypatch.setattr(
         store_module,
@@ -369,6 +416,7 @@ def test_latest_walk_gives_up_on_hits_late_in_the_order(corpus200, monkeypatch):
     store = NanopubStore()
     for np in [*dated, *undated]:
         store.put(np)
+    store.find_by_pattern(QuadPattern())  # the catch-up, before the probes go in
     store._latest = Probed(store._latest)
     sorted_sizes = []
     monkeypatch.setattr(
@@ -484,3 +532,62 @@ def test_lookups_while_another_thread_puts(corpus200):
     ]
     latest += [ordered(store, scan_uri(pairs, uri), ingest_order, True) for uri in uris]
     assert list(latest_pages()) == [codes[:stop] for stop in (1, 10) for codes in latest]
+
+
+def test_first_query_races_a_thread_that_keeps_putting(corpus200):
+    license_iri = next(
+        q.object for q in corpus200[0].pubinfo.quads if q.predicate.value == ns.DCT_LICENSE
+    )
+    queries = [
+        lambda latest: store.find_by_pattern(QuadPattern(), latest=latest),
+        lambda latest: store.find_by_pattern(QuadPattern(predicate=iri(ns.RDF_TYPE)), latest=latest),
+        lambda latest: store.find_by_uri(license_iri.value, latest=latest, stop=10),
+    ]
+    errors, answers = [], []
+
+    def read():
+        try:
+            while True:  # at least one round, the first query included
+                finished = done.is_set()
+                answers.extend(query(latest) for query in queries for latest in (True, False))
+                if finished:
+                    return
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    def write():
+        try:
+            for np in corpus200[100:]:
+                store.put(np)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    store, done = NanopubStore(), threading.Event()
+    store.put_all(corpus200[:100])  # stored, not yet indexed
+    threads = [threading.Thread(target=read), threading.Thread(target=write)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert answers and all(answers)
+    for codes in answers:
+        assert len(set(codes)) == len(codes)
+        assert all(store.get(code) is not None for code in codes)
+    pairs = as_pairs(corpus200)
+    ingest_order = [code for code, _ in pairs]
+    for latest in (True, False):
+        assert store.find_by_pattern(QuadPattern(), latest=latest) == ordered(
+            store, set(ingest_order), ingest_order, latest
+        )
+        assert store.find_by_uri(license_iri.value, latest=latest) == ordered(
+            store, scan_uri(pairs, license_iri.value), ingest_order, latest
+        )

@@ -366,6 +366,26 @@ def test_journal_reads_while_another_thread_puts(corpus200):
     assert store.codes() == [np.uri[-45:] for np in corpus200]
 
 
+def test_put_builds_no_query_index_until_the_first_query(monkeypatch, tmp_path, corpus200):
+    calls = []
+    object_key = store_module._object_key
+    monkeypatch.setattr(
+        store_module, "_object_key", lambda term: calls.append(term) or object_key(term)
+    )
+    memory, disk = NanopubStore(), NanopubStore(tmp_path / "store")
+    for store in (memory, disk):
+        store.put_all(corpus200[:20])
+    reopened = NanopubStore(tmp_path / "store")
+    for store in (memory, disk, reopened):
+        assert len(store) == 20
+        assert store._keys == [] and store._latest == []
+        assert all(posting == {} for posting in store._postings.values())
+    assert calls == []
+    assert reopened.find_by_pattern(QuadPattern(predicate=iri(ns.RDF_TYPE)))
+    assert calls  # the first query indexed the stored nanopubs
+    assert len(reopened._keys) == len(reopened._latest) == 20
+
+
 def test_find_by_pattern_wildcard_returns_all(store200):
     assert set(store200.find_by_pattern(QuadPattern())) == set(store200.codes())
 
