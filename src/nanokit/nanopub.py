@@ -61,7 +61,7 @@ class NanopubValidationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphPart:
     """One named graph of the container: its IRI and its quads."""
 
@@ -72,7 +72,7 @@ class GraphPart:
         return len(self.quads)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nanopublication:
     """A valid nanopublication: no other kind can be constructed.
 
@@ -189,13 +189,19 @@ def validate(doc: QuadDocument, uri: str) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+# the fixed IRIs of every head, shared by all nanopubs built here
+_TYPE = iri(ns.RDF_TYPE)
+_NANOPUBLICATION = iri(ns.NP_NANOPUBLICATION)
+_ASSERTION_LINK, _PROVENANCE_LINK, _PUBINFO_LINK = (iri(link) for link in HEAD_LINKS)
+
+
 def head_quads(uri: str, head_iri: str, assertion_iri: str, provenance_iri: str, pubinfo_iri: str) -> list[Quad]:
     """The four mandatory head statements."""
     g = iri(head_iri)
     u = iri(uri)
     return [
-        Quad(u, iri(ns.RDF_TYPE), iri(ns.NP_NANOPUBLICATION), g),
-        Quad(u, iri(ns.NP_HAS_ASSERTION), iri(assertion_iri), g),
-        Quad(u, iri(ns.NP_HAS_PROVENANCE), iri(provenance_iri), g),
-        Quad(u, iri(ns.NP_HAS_PUBINFO), iri(pubinfo_iri), g),
+        Quad(u, _TYPE, _NANOPUBLICATION, g),
+        Quad(u, _ASSERTION_LINK, iri(assertion_iri), g),
+        Quad(u, _PROVENANCE_LINK, iri(provenance_iri), g),
+        Quad(u, _PUBINFO_LINK, iri(pubinfo_iri), g),
     ]

@@ -51,7 +51,7 @@ def _check_iri(value: str):
         raise ValueError(f"IRI contains forbidden character {bad.pop()!r}: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """An RDF term: an absolute IRI or a literal.
 
@@ -100,7 +100,7 @@ def literal(value: str, datatype: str | None = None, language: str | None = None
     return Term("literal", value, datatype, language)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quad:
     """One statement placed in a named graph."""
 

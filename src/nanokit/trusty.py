@@ -132,71 +132,48 @@ def compute_code(doc: QuadDocument | Nanopublication, base: str, code: str | Non
     return CODE_PREFIX + encode_digest(digest)
 
 
-def _rewrite_term(term: Term, base: str, code: str) -> Term:
-    if term.is_iri:
-        if term.value.startswith(base):
-            return iri(base + code + term.value[len(base):])
-        return term
-    if term.datatype is not None and term.datatype.startswith(base):
-        return literal(term.value, datatype=base + code + term.datatype[len(base):])
-    return term
-
-
 def mint(doc: QuadDocument, base: str) -> tuple[TrustyUri, QuadDocument]:
     """Compute the document's code and rewrite its self-references.
 
     Every IRI under ``base`` is treated as a self-reference and has the
     code inserted directly after the base, so the input must not contain
-    foreign trusty URIs under the same base (MintError otherwise); give
-    each mintable document its own base.
+    foreign trusty URIs under the same base (MintError otherwise, naming
+    the first such IRI or datatype in quad order); give each mintable
+    document its own base.  Each distinct IRI or datatype string is
+    checked once, and each distinct term is rewritten once: the minted
+    document holds one ``Term`` object per distinct term.
     """
     if not base.endswith(_BASE_ENDINGS):
         raise MintError(f"base must end in '/', '#' or '.': {base!r}")
+    checked: set[str] = set()
     for q in doc.quads:
         for term in (q.subject, q.predicate, q.object, q.graph):
             value = term.value if term.is_iri else term.datatype
-            if value is not None and _strip_codes(value, base) != value:
-                raise MintError(
-                    f"base {base!r} collides with embedded trusty URI {value!r}"
-                )
+            if value is not None and value not in checked:
+                if _strip_codes(value, base) != value:
+                    raise MintError(
+                        f"base {base!r} collides with embedded trusty URI {value!r}"
+                    )
+                checked.add(value)
     code = compute_code(doc, base)
-    rewritten = QuadDocument(
-        (
-            Quad(
-                _rewrite_term(q.subject, base, code),
-                _rewrite_term(q.predicate, base, code),
-                _rewrite_term(q.object, base, code),
-                _rewrite_term(q.graph, base, code),
-            )
-            for q in doc.quads
-        ),
-        doc.prefixes,
-    )
-    return TrustyUri(base, code), rewritten
-
-
-def strip_trusty(doc: QuadDocument, base: str) -> QuadDocument:
-    """Undo minting: replace base+code occurrences by the bare base."""
-
-    def strip_term(term: Term) -> Term:
-        if term.is_iri:
-            return iri(_strip_codes(term.value, base))
-        if term.datatype is not None:
-            return literal(term.value, datatype=_strip_codes(term.datatype, base))
-        return term
-
-    return QuadDocument(
-        (
-            Quad(
-                strip_term(q.subject),
-                strip_term(q.predicate),
-                strip_term(q.object),
-                strip_term(q.graph),
-            )
-            for q in doc.quads
-        ),
-        doc.prefixes,
-    )
+    minted = base + code
+    rewritten: dict[Term, Term] = {}  # each distinct term -> its minted term
+    quads = []
+    for q in doc.quads:
+        terms = []
+        for term in (q.subject, q.predicate, q.object, q.graph):
+            new = rewritten.get(term)
+            if new is None:
+                new = term
+                if term.is_iri:
+                    if term.value.startswith(base):
+                        new = iri(minted + term.value[len(base):])
+                elif term.datatype is not None and term.datatype.startswith(base):
+                    new = literal(term.value, datatype=minted + term.datatype[len(base):])
+                rewritten[term] = new
+            terms.append(new)
+        quads.append(Quad(*terms))
+    return TrustyUri(base, code), QuadDocument(quads, doc.prefixes)
 
 
 def verify(doc: QuadDocument | Nanopublication, uri: TrustyUri | str) -> bool:

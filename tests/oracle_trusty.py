@@ -1,13 +1,17 @@
 """Independent reference for content-hash codes, used to check nanokit.trusty.
 
-Deliberately written against the rules themselves rather than sharing any
-code with the package: regex-driven self-reference stripping, its own
-term rendering, its own bit fiddling.  Keep it boring and obviously
-correct; the tests compare the package against this byte-for-byte.
+Deliberately written against the rules themselves: it shares only the
+package's value classes (``Term``, ``Quad``, ``QuadDocument``), used to
+build documents, and none of its stripping, rendering or hashing logic:
+regex-driven self-reference stripping, its own term rendering, its own
+bit fiddling.  Keep it boring and obviously correct; the tests compare
+the package against this byte-for-byte.
 """
 
 import hashlib
 import re
+
+from nanokit.rdf import Quad, QuadDocument, Term
 
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 
@@ -25,6 +29,23 @@ def oracle_strip(iri_value: str, base: str) -> str:
             break
         rest = rest[45:]
     return base + rest
+
+
+def oracle_strip_trusty(doc, base: str) -> QuadDocument:
+    """Undo minting: every IRI and literal datatype through ``oracle_strip``,
+    into a new document with the same prefixes."""
+
+    def strip(term):
+        if term.is_iri:
+            return Term("iri", oracle_strip(term.value, base))
+        if term.datatype:
+            return Term("literal", term.value, oracle_strip(term.datatype, base))
+        return term
+
+    return QuadDocument(
+        (Quad(strip(q.subject), strip(q.predicate), strip(q.object), strip(q.graph)) for q in doc.quads),
+        doc.prefixes,
+    )
 
 
 def oracle_strip_claimed(iri_value: str, base: str, code: str) -> str:

@@ -18,9 +18,10 @@ from nanokit.nanopub import RULE_IDS, validate
 from nanokit.network import PublishEvent, SimConfig, Simulation, client_retrieve
 from nanokit.rdf import Quad, QuadDocument, iri, literal, parse_trig
 from nanokit.store import NanopubStore, candidate_uris
-from nanokit.trusty import compute_code, strip_trusty, verify
+from nanokit.trusty import compute_code, verify
 
 from conftest import FIXTURES
+from oracle_trusty import oracle_strip_trusty as strip_trusty
 from oracles import (
     recount_creators,
     recount_licenses,

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from nanokit import namespaces as ns
 from nanokit.nanopub import (
+    GraphPart,
     Nanopublication,
     NanopubValidationError,
     RULE_IDS,
     part_sizes,
     validate,
 )
-from nanokit.rdf import Quad, QuadDocument, iri
+from nanokit.rdf import Quad, QuadDocument, Term, iri, literal
 from nanokit.store import candidate_uris
 
 
@@ -23,6 +25,37 @@ def test_birddiet_assembles(birddiet_doc, birddiet_uri):
     assert np.uri == birddiet_uri
     assert part_sizes(np) == (4, 3, 2, 3)
     assert sum(part_sizes(np)) == 12
+
+
+def test_value_classes_are_slotted_frozen_values(birddiet_doc, birddiet_uri):
+    np = Nanopublication(birddiet_uri, birddiet_doc.quads)
+    q = np.quads[0]
+    cases = ((q.subject, "value"), (q, "graph"), (np.head, "iri"), (np, "uri"))
+    assert [type(obj) for obj, _ in cases] == [Term, Quad, GraphPart, Nanopublication]
+    for obj, field in cases:
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+
+    # equal values built separately are equal and hash alike
+    pairs = [
+        (iri("http://a.example/s"), iri("http://a.example/s")),
+        (literal("3", datatype=ns.XSD_INTEGER), literal("3", datatype=ns.XSD_INTEGER)),
+        (literal("drei", language="de"), literal("drei", language="de")),
+        *((Quad(*(iri(t.value) for t in (q.subject, q.predicate, q.object, q.graph))), q) for q in np.quads[:4]),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert iri("http://a.example/s") != literal("http://a.example/s")
+    assert literal("3") != literal("3", datatype=ns.XSD_INTEGER)
+
+    # a nanopublication compares by uri and quads only
+    again = Nanopublication(birddiet_uri, birddiet_doc.quads + birddiet_doc.quads[:3])
+    object.__setattr__(again, "head", None)
+    assert again == np and hash(again) == hash(np)
+    fewer = Nanopublication(birddiet_uri, [q for q in np.quads if q != np.assertion.quads[-1]])
+    assert fewer != np
+    assert Nanopublication.prefixes is np.prefixes and "prefixes" not in {f.name for f in dataclasses.fields(np)}
 
 
 def test_validate_valid_fixture_has_no_violations(birddiet_doc, birddiet_uri):

@@ -26,3 +26,17 @@ def test_script_runs(tmp_path, script, args):
     )
     assert done.returncode == 0, done.stderr
     assert any(out.iterdir())
+
+
+def test_memory_per_nanopub_prints_both_figures():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "memory_per_nanopub.py"), "--count", "20"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "nanopubs: 20"
+    generated, stored = (int(line.split()[1]) for line in lines[1:])
+    assert 0 < generated <= stored

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanokit import namespaces as ns
+from nanokit.build import mint_nanopub, placeholders
 from nanokit.rdf import Quad, QuadDocument, iri, literal
 from nanokit.trusty import (
     CODE_LENGTH,
@@ -15,12 +17,12 @@ from nanokit.trusty import (
     extract_artifact_code,
     is_artifact_code,
     mint,
-    strip_trusty,
     verify,
     verify_reason,
 )
 
 from oracle_trusty import ALPHABET, oracle_canonical_form, oracle_code, oracle_strip, oracle_verify
+from oracle_trusty import oracle_strip_trusty as strip_trusty
 from strategies import documents
 
 BASE = "http://example.org/np/birddiet."
@@ -109,6 +111,67 @@ def test_mint_rejects_base_colliding_with_foreign_code(plain_doc, birddiet_uri):
     )
     with pytest.raises(MintError, match="collides"):
         mint(doc, BASE)
+
+
+_S, _P, _O, _G = (f"http://a.example/{name}" for name in "spog")
+# IRIs under BASE that already carry a code: each collides with BASE
+_F1, _F2, _F3 = BASE + BIRDDIET_CODE + "#x", BASE + "RA" + "B" * 43, BASE + BIRDDIET_CODE + "#unit"
+
+
+@pytest.mark.parametrize(
+    "quads, first",
+    [
+        # named at its first place, however often it repeats
+        ([quad(_S, _P, _O, _G), quad(_S, _P, _F1, _G), quad(_F1, _F1, _F1, _F1), quad(_F2, _P, _O, _G)], _F1),
+        ([quad(_F1, _P, _O, _G), quad(_F2, _P, _F1, _G), quad(_F1, _P, _F2, _G)], _F1),
+        # subject, predicate, object, graph
+        ([quad(_S, _F2, _F1, _F3)], _F2),
+        ([quad(_S, _P, _F1, _F3)], _F1),
+        ([quad(_S, _P, _O, _F3), quad(_F1, _P, _O, _G)], _F3),
+        # a literal's datatype sits in the object's place
+        ([quad(_S, _P, literal("3", datatype=_F3), _F1)], _F3),
+        ([quad(_S, _P, literal("3", datatype=_F3), _G), quad(_S, _P, _F3, _G), quad(_F1, _P, _O, _G)], _F3),
+        ([quad(_S, _P, literal("3", datatype=_F3), _G), quad(_S, _P, literal("4", datatype=_F3), _F1)], _F3),
+    ],
+)
+def test_mint_names_first_colliding_value_in_quad_order(quads, first):
+    with pytest.raises(MintError) as exc:
+        mint(QuadDocument(quads), BASE)
+    assert str(exc.value) == f"base {BASE!r} collides with embedded trusty URI {first!r}"
+
+
+def test_mint_never_checks_a_lexical_form_for_collisions():
+    uri, minted = mint(QuadDocument([quad(_S, _P, literal(_F1), BASE + "#g")]), BASE)
+    assert minted.quads[0].object == literal(_F1)
+    assert minted.quads[0].graph == iri(uri.uri + "#g")
+
+
+def test_minted_nanopub_holds_one_term_per_distinct_value():
+    base = "http://b.example/np/item."
+    ph = placeholders(base)
+    about, thing, unit = "http://a.example/about", base + "#thing", base + "#unit"
+    # every occurrence is built as its own object
+    assertion = [
+        (iri(ph.uri), iri(about), iri(thing)),
+        (iri(thing), iri(ns.RDF_TYPE), iri(ph.uri)),
+        (iri(thing), iri(about), literal("3", datatype=unit)),
+        (iri(_S), iri(about), literal("3", datatype=unit)),
+    ]
+    provenance = [(iri(ph.assertion), iri(ns.PROV_WAS_DERIVED_FROM), iri(ph.uri))]
+    pubinfo = [
+        (iri(ph.uri), iri(ns.DCT_CREATED), literal("2020-01-01T00:00:00Z", datatype=ns.XSD_DATETIME)),
+        (iri(ph.uri), iri(about), iri(ph.provenance)),
+    ]
+    uri, np = mint_nanopub(base, assertion, provenance, pubinfo)
+    terms = [t for q in np.quads for t in (q.subject, q.predicate, q.object, q.graph)]
+    assert len({id(t) for t in terms}) == len(set(terms))
+    minted = [t.value for t in terms if t.is_iri and t.value.startswith(uri.uri)]
+    assert len({id(v) for v in minted}) == len(set(minted)) == 6
+    # the fixed head IRIs are shared by every nanopub
+    _, other = mint_nanopub(base, assertion[:1], provenance, pubinfo)
+    for q, r in zip(np.head.quads, other.head.quads):
+        assert q.predicate is r.predicate
+    assert np.head.quads[0].object is other.head.quads[0].object
 
 
 def test_verify_roundtrip(plain_doc):
