@@ -7,7 +7,7 @@ corpus statistics.
 """
 
 from .nanopub import Nanopublication, ValidationReport, part_sizes, validate
-from .rdf import Quad, QuadDocument, QuadPattern, Term, iri, literal, match, parse_trig, serialize_trig
+from .rdf import Quad, QuadDocument, QuadPattern, Term, iri, literal, parse_trig, serialize_trig
 from .store import NanopubStore
 from .trusty import TrustyUri, canonical_form, extract_artifact_code, mint, verify
 
@@ -24,7 +24,6 @@ __all__ = [
     "extract_artifact_code",
     "iri",
     "literal",
-    "match",
     "mint",
     "parse_trig",
     "part_sizes",

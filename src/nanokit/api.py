@@ -5,17 +5,21 @@ Transport is plain HTTP request/response on routes
 method parameters (subj, pred, obj, objtype, uri, index_uri, page,
 page_size).  List responses are one code/URI per line; get_nanopub
 returns TriG.  Errors come back as ``ERROR <code> <message>`` lines.
+The server is bounded by ``network.ServerCore``: with ``SLOTS``
+requests in flight it answers one more ``503 ERROR busy`` at once, and
+it drops a request, without a reply, once it has taken
+``SERVER_TIMEOUT``.
 """
 
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from .index import IndexSummary, UnresolvableIndexError, list_indexes, store_resolver, walk
-from .network import SERVER_TIMEOUT
+from .network import SERVER_TIMEOUT, ServerCore
 from .rdf import QuadPattern, Term, iri, literal, serialize_trig
 from .store import NanopubStore
 from .trusty import extract_artifact_code
@@ -232,16 +236,20 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
-class ApiServer(ThreadingHTTPServer):
+_BUSY = b"ERROR busy too many requests in flight, try again later\n"
+
+
+class ApiServer(ServerCore, HTTPServer):
+    busy_reply = (
+        b"HTTP/1.0 503 Service Unavailable\r\n"
+        b"Content-Type: text/plain; charset=utf-8\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(_BUSY), _BUSY)
+    )
+
     def __init__(self, service: ApiService, host: str = "127.0.0.1", port: int = 0):
         service.store.catch_up()  # index what is stored now, before it listens
         super().__init__((host, port), _ApiRequestHandler)
         self.service = service
-
-    @property
-    def address(self) -> str:
-        host, port = self.server_address[:2]
-        return f"{host}:{port}"
 
     def serve_in_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

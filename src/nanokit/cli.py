@@ -265,6 +265,8 @@ def cmd_serve(args) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()  # the socket and the workers
     return 0
 
 
@@ -294,6 +296,8 @@ def cmd_node_run(args) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()  # the socket and the workers
     return 0
 
 

@@ -384,18 +384,23 @@ def list_indexes(store) -> list[IndexSummary]:
     incomplete marker, no other stored record appends it, and its
     expansion resolves.  A head with a dangling or cyclic link is left
     out, as an incomplete link is, until the record it lacks is stored.
+    A head's size is kept in ``store.index_sizes`` once it resolves, and
+    never expanded again.
     """
     records = store.index_records()
     appended = {record.appends for record in records}
     heads = [r for r in records if not r.is_incomplete and r.uri not in appended]
     heads.sort(key=_listing_key)
     resolver = store_resolver(store)
+    sizes = store.index_sizes
     rows: list[IndexSummary] = []
     for record in heads:
-        try:
-            size = len(expand(record, resolver))
-        except IndexError_:  # a dangling or cyclic link
-            continue
+        size = sizes.get(record.uri)
+        if size is None:
+            try:
+                size = sizes[record.uri] = len(expand(record, resolver))
+            except IndexError_:  # a dangling or cyclic link: tried again next time
+                continue
         number, subs = len(rows) + 1, len(record.sub_indexes)
         rows.append(IndexSummary(number, record.uri, record.title, record.created, subs, size))
     return rows

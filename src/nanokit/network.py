@@ -15,15 +15,27 @@ with ``REJECTED``.  A header value is one line, and a number is ASCII
 digits.  Both TCP ends read at most ``MAX_MESSAGE_BYTES``; a node
 discards up to as much again of a longer request before it answers
 ``REJECTED``, and a client keeps that answer when its send breaks or
-the node, having stopped reading, resets the connection.  A node drops
-a client that stays silent for ``SERVER_TIMEOUT``.
+the node, having stopped reading, resets the connection.
+
+``ServerCore`` bounds both servers, ``NodeServer`` here and the HTTP
+API's ``ApiServer``: at most ``SLOTS`` connections in flight, each on a
+reused worker thread.  A node answers one more with ``REJECTED busy``
+at once and closes it; a client that then sees a reset instead gets
+``Unreachable``, and ``sync_round`` retries that peer next round.  A
+node drops a client, without a reply, once its whole exchange has taken
+``SERVER_TIMEOUT``, however it trickles, or once it stays silent that
+long.
 """
 
 from __future__ import annotations
 
+import math
+import queue
 import random
 import socket
 import socketserver
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -36,8 +48,12 @@ from .util import parse_digits
 DEFAULT_PAGE_SIZE = 100
 # The largest message today is a capacity-1000 index link at ~208 KB.
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
-# Seconds a node waits on a silent client; tcp_request's default timeout.
+# Seconds a server gives one connection's whole exchange, and waits on a
+# silent client; tcp_request's default timeout.
 SERVER_TIMEOUT = 10.0
+# Connections a server serves at once, each on a reused worker thread; it
+# refuses one more at once.
+SLOTS = 16
 
 
 class Unreachable(Exception):
@@ -153,9 +169,9 @@ class ServerNode:
         Pages each peer's journal from the stored cursor; cursors only
         advance over pages that were fully processed, so an unreachable
         peer is simply retried from the same place next round, as is an
-        undecodable journal page; a Get reply that is undecodable is
-        skipped, and one that fails verification is skipped and counted in
-        ``rejected``.
+        undecodable journal page or a refused Get (a busy peer); a Get
+        reply that is undecodable is skipped, and one that fails
+        verification is skipped and counted in ``rejected``.
         A page whose ``next_seq`` does not pass the cursor, or a Get reply
         that holds another nanopub than the one asked for, ends that
         peer's round.
@@ -177,6 +193,8 @@ class ServerNode:
                             reply = self.send(peer_id, Get(code))
                         except ProtocolError:
                             continue  # undecodable: skipped
+                        if isinstance(reply, Rejected):
+                            raise Unreachable(f"{peer_id} refused Get {code}: {reply.reason}")
                         if not isinstance(reply, NanopubResponse):
                             continue
                         if extract_artifact_code(reply.nanopub.uri) != code:
@@ -425,20 +443,123 @@ class _NodeRequestHandler(socketserver.BaseRequestHandler):
         self.request.sendall(encode_message(reply))
 
 
-class NodeServer(socketserver.ThreadingTCPServer):
-    """Serves one node's message contract over TCP."""
+class ServerCore:
+    """The bounded core of ``NodeServer`` and ``ApiServer``, mixed in
+    before a ``socketserver.TCPServer``.
+
+    ``serve_forever`` is the dispatcher.  It hands each accepted
+    connection to a worker thread, started only when no started one is
+    idle and kept until ``server_close``, so at most ``SLOTS`` run.  With
+    ``SLOTS`` connections in flight it answers a new one with
+    ``busy_reply`` at once and closes it.  It ends an exchange still in
+    flight ``SERVER_TIMEOUT`` after its accept by shutting its socket
+    down: the worker's read or write returns, and the client gets no
+    reply.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
+    busy_reply = b""  # the whole answer to a connection refused at the bound
 
-    def __init__(self, node: ServerNode, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _NodeRequestHandler)
-        self.node = node
+    def __init__(self, *args, **kwargs):
+        self._lock = threading.Lock()
+        # each connection in flight -> its deadline, inf once it is cut;
+        # a worker removes its own before it closes the socket
+        self._deadlines: dict[socket.socket, float] = {}
+        self._todo: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers: list[threading.Thread] = []
+        super().__init__(*args, **kwargs)
 
     @property
     def address(self) -> str:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            admitted = len(self._deadlines) < SLOTS
+            if admitted:
+                self._deadlines[request] = time.monotonic() + SERVER_TIMEOUT
+                # every worker is busy with one of the others
+                start = len(self._deadlines) > len(self._workers)
+        if not admitted:
+            self._refuse(request)
+            self.shutdown_request(request)
+            return
+        self._todo.put((request, client_address))
+        if start:
+            worker = threading.Thread(target=self._work, daemon=True)
+            worker.start()
+            self._workers.append(worker)
+
+    def _refuse(self, request):
+        """Send ``busy_reply`` without blocking the dispatcher, after
+        discarding what has already arrived of the request, so that
+        closing on unread bytes does not reset the connection before the
+        client reads the reply."""
+        try:
+            request.setblocking(False)
+            try:
+                _drain(request)
+            except BlockingIOError:
+                pass  # nothing more has arrived
+            request.send(self.busy_reply)
+        except OSError:
+            pass  # gone: closed without the reply
+
+    def _work(self):
+        while (item := self._todo.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                with self._lock:
+                    cut = self._deadlines[request] == math.inf
+                if not cut:  # an exchange cut at its deadline fails by design
+                    self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    del self._deadlines[request]
+                self.shutdown_request(request)
+
+    def _cut(self, request):
+        # with the lock held, so the worker has not closed the socket yet
+        self._deadlines[request] = math.inf
+        try:
+            request.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def service_actions(self):
+        """Cut every exchange past its deadline; ``serve_forever`` calls
+        this after each accept and each idle poll."""
+        now = time.monotonic()
+        with self._lock:
+            for request, deadline in self._deadlines.items():
+                if deadline <= now:
+                    self._cut(request)
+
+    def server_close(self):
+        """Stop listening, cut every exchange in flight, and join the
+        workers."""
+        super().server_close()
+        with self._lock:
+            for request in self._deadlines:
+                self._cut(request)
+        for _ in self._workers:
+            self._todo.put(None)
+        for worker in self._workers:
+            worker.join()
+        self._workers.clear()
+
+
+class NodeServer(ServerCore, socketserver.TCPServer):
+    """Serves one node's message contract over TCP."""
+
+    busy_reply = encode_message(Rejected("busy"))
+
+    def __init__(self, node: ServerNode, host: str = "127.0.0.1", port: int = 0):
+        super().__init__((host, port), _NodeRequestHandler)
+        self.node = node
 
 
 # -- simulation ---------------------------------------------------------------

@@ -181,11 +181,6 @@ class QuadPattern:
         )
 
 
-def match(doc: QuadDocument, pattern: QuadPattern) -> list[Quad]:
-    """Quads of ``doc`` agreeing with every non-wildcard pattern position."""
-    return [q for q in doc.quads if pattern.matches(q)]
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------

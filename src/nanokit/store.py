@@ -49,7 +49,9 @@ a nanopub goes in when its assertion types itself an index
 one stays out).  The table is an append-only list in ingest order plus a
 dict by URI, published after the journal entry; readers take a slice of
 the list, as of the journal, and look records up in the dict.  Reopening
-rebuilds it through the same path.
+rebuilds it through the same path.  ``index.list_indexes`` keeps the
+size of each head it lists in ``index_sizes`` once its expansion first
+resolves: every link is content-addressed, so the size never changes.
 """
 
 from __future__ import annotations
@@ -197,6 +199,7 @@ class NanopubStore:
         # the index records, in ingest order and by URI; only ever appended to
         self._indexes: list[IndexRecord] = []
         self._index_by_uri: dict[str, IndexRecord] = {}
+        self.index_sizes: dict[str, int] = {}  # head URI -> expansion size
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)

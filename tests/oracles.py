@@ -33,6 +33,13 @@ def scan_pattern(pairs, subject=None, predicate=None, obj=None, graph=None):
     return hits
 
 
+def match(doc, pattern):
+    """Quads of ``doc`` agreeing with every non-wildcard position of
+    ``pattern``: the scan the ``test_match_*`` tests hold
+    ``QuadPattern.matches`` to."""
+    return [q for q in doc.quads if pattern.matches(q)]
+
+
 def scan_uri(pairs, uri):
     """Codes of nanopubs mentioning ``uri`` in any term position."""
     hits = set()

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from nanokit.api import ApiServer
 from nanokit.cli import main
 from nanokit.network import NodeServer
 from nanokit.rdf import parse_trig
@@ -395,3 +396,22 @@ def test_node_run_serves_with_good_peers(tmp_path, capsys, served):
     assert status == 0
     assert len(served) == 1
     assert "peers: 127.0.0.1:8765" in out
+
+
+@pytest.mark.parametrize(
+    "server_class, argv",
+    [(ApiServer, ["serve"]), (NodeServer, ["node", "run", "--sync-interval", "0"])],
+    ids=["serve", "node-run"],
+)
+def test_ctrl_c_closes_the_server(tmp_path, capsys, monkeypatch, server_class, argv):
+    interrupted = []
+
+    def interrupt(self):
+        interrupted.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(server_class, "serve_forever", interrupt)
+    status, _, _ = run(capsys, *argv, "--store-dir", str(tmp_path / "store"), "--port", "0")
+    assert status == 0
+    (server,) = interrupted
+    assert server.socket.fileno() == -1  # the listening socket is released

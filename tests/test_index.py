@@ -406,6 +406,33 @@ def test_list_indexes_lists_a_dangling_head_once_its_link_is_stored():
     assert [(s.uri, s.size) for s in list_indexes(store)] == [(links[-1].uri, 25)]
 
 
+def test_list_indexes_expands_each_head_once_it_resolves(monkeypatch):
+    expanded = []
+    real_expand = index_module.expand
+
+    def counting_expand(record, resolver):
+        expanded.append(record.uri)
+        return real_expand(record, resolver)
+
+    monkeypatch.setattr(index_module, "expand", counting_expand)
+    chain = build_index(synthetic_trusty_uris(25), metadata=META, capacity=10)
+    (solo,) = build_index(synthetic_trusty_uris(5, label="solo"), metadata=META)
+    store = NanopubStore()
+    for record in (chain[-1], solo):
+        store.put(record.nanopub)
+    # the chain head dangles until its links are stored: tried on each listing
+    assert [s.size for s in list_indexes(store)] == [5]
+    assert [s.size for s in list_indexes(store)] == [5]
+    assert sorted(expanded) == sorted([chain[-1].uri, chain[-1].uri, solo.uri])
+    for record in chain[:-1]:
+        store.put(record.nanopub)
+    expanded.clear()
+    listings = [list_indexes(store) for _ in range(3)]
+    assert listings[0] == listings[1] == listings[2]
+    assert sorted((s.uri, s.size) for s in listings[0]) == sorted([(chain[-1].uri, 25), (solo.uri, 5)])
+    assert expanded == [chain[-1].uri]  # the solo size was kept from the first listing
+
+
 @pytest.fixture
 def count_parses(monkeypatch):
     """URIs passed to ``IndexRecord.from_nanopub`` from now on."""

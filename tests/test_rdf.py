@@ -19,12 +19,12 @@ from nanokit.rdf import (
     escape_string,
     iri,
     literal,
-    match,
     parse_trig,
     serialize_trig,
 )
 from nanokit import namespaces as ns
 
+from oracles import match
 from strategies import documents, quads
 
 
