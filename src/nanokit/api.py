@@ -5,10 +5,9 @@ Transport is plain HTTP request/response on routes
 method parameters (subj, pred, obj, objtype, uri, index_uri, page,
 page_size).  List responses are one code/URI per line; get_nanopub
 returns TriG.  Errors come back as ``ERROR <code> <message>`` lines.
-The server is bounded by ``network.ServerCore``: with ``SLOTS``
-requests in flight it answers one more ``503 ERROR busy`` at once, and
-it drops a request, without a reply, once it has taken
-``SERVER_TIMEOUT``.
+The server is bounded by ``network.ServerCore``: it serves at most
+``SLOTS`` requests at once, one more waits for a free worker, and it
+drops a request, without a reply, once it has taken ``SERVER_TIMEOUT``.
 """
 
 from __future__ import annotations
@@ -236,16 +235,7 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
 
-_BUSY = b"ERROR busy too many requests in flight, try again later\n"
-
-
 class ApiServer(ServerCore, HTTPServer):
-    busy_reply = (
-        b"HTTP/1.0 503 Service Unavailable\r\n"
-        b"Content-Type: text/plain; charset=utf-8\r\n"
-        b"Content-Length: %d\r\n\r\n%s" % (len(_BUSY), _BUSY)
-    )
-
     def __init__(self, service: ApiService, host: str = "127.0.0.1", port: int = 0):
         service.store.catch_up()  # index what is stored now, before it listens
         super().__init__((host, port), _ApiRequestHandler)

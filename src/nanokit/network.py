@@ -18,24 +18,22 @@ discards up to as much again of a longer request before it answers
 the node, having stopped reading, resets the connection.
 
 ``ServerCore`` bounds both servers, ``NodeServer`` here and the HTTP
-API's ``ApiServer``: at most ``SLOTS`` connections in flight, each on a
-reused worker thread.  A node answers one more with ``REJECTED busy``
-at once and closes it; a client that then sees a reset instead gets
-``Unreachable``, and ``sync_round`` retries that peer next round.  A
-node drops a client, without a reply, once its whole exchange has taken
-``SERVER_TIMEOUT``, however it trickles, or once it stays silent that
-long.
+API's ``ApiServer``: at most ``SLOTS`` connections are served at once,
+each on a reused worker thread, and one more waits until a worker is
+free.  A node drops a client, without a reply, once its whole exchange
+has taken ``SERVER_TIMEOUT``, however it trickles, or once it stays
+silent that long.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 import random
 import socket
 import socketserver
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -51,8 +49,11 @@ MAX_MESSAGE_BYTES = 16 * 1024 * 1024
 # Seconds a server gives one connection's whole exchange, and waits on a
 # silent client; tcp_request's default timeout.
 SERVER_TIMEOUT = 10.0
-# Connections a server serves at once, each on a reused worker thread; it
-# refuses one more at once.
+# Connections a server serves at once, each on a reused worker thread; one
+# more waits for a free worker.  Peaks measured in flight on 2 cores: 3 on
+# a three-node localhost sync, 2 for one closed-loop API client (its next
+# request arrives while the worker closes the last), 14-15 for 16 or 32
+# clients, whose throughput has stopped rising from 4 clients on.
 SLOTS = 16
 
 
@@ -169,9 +170,9 @@ class ServerNode:
         Pages each peer's journal from the stored cursor; cursors only
         advance over pages that were fully processed, so an unreachable
         peer is simply retried from the same place next round, as is an
-        undecodable journal page or a refused Get (a busy peer); a Get
-        reply that is undecodable is skipped, and one that fails
-        verification is skipped and counted in ``rejected``.
+        undecodable journal page; a Get reply that is undecodable is
+        skipped, and one that fails verification is skipped and counted in
+        ``rejected``.
         A page whose ``next_seq`` does not pass the cursor, or a Get reply
         that holds another nanopub than the one asked for, ends that
         peer's round.
@@ -193,8 +194,6 @@ class ServerNode:
                             reply = self.send(peer_id, Get(code))
                         except ProtocolError:
                             continue  # undecodable: skipped
-                        if isinstance(reply, Rejected):
-                            raise Unreachable(f"{peer_id} refused Get {code}: {reply.reason}")
                         if not isinstance(reply, NanopubResponse):
                             continue
                         if extract_artifact_code(reply.nanopub.uri) != code:
@@ -448,25 +447,23 @@ class ServerCore:
     before a ``socketserver.TCPServer``.
 
     ``serve_forever`` is the dispatcher.  It hands each accepted
-    connection to a worker thread, started only when no started one is
-    idle and kept until ``server_close``, so at most ``SLOTS`` run.  With
-    ``SLOTS`` connections in flight it answers a new one with
-    ``busy_reply`` at once and closes it.  It ends an exchange still in
-    flight ``SERVER_TIMEOUT`` after its accept by shutting its socket
-    down: the worker's read or write returns, and the client gets no
-    reply.
+    connection to a pool of at most ``SLOTS`` worker threads, each
+    started only when no started one is idle and reused until
+    ``server_close``; a connection past the bound waits for a free
+    worker.  It ends an exchange ``SERVER_TIMEOUT`` after a worker takes
+    it up by shutting its socket down: the worker's read or write
+    returns, and the client gets no reply.
     """
 
     allow_reuse_address = True
-    busy_reply = b""  # the whole answer to a connection refused at the bound
 
     def __init__(self, *args, **kwargs):
         self._lock = threading.Lock()
-        # each connection in flight -> its deadline, inf once it is cut;
-        # a worker removes its own before it closes the socket
+        # each exchange a worker has taken up -> its deadline, inf once it
+        # is cut; the worker removes its own before it closes the socket
         self._deadlines: dict[socket.socket, float] = {}
-        self._todo: queue.SimpleQueue = queue.SimpleQueue()
-        self._workers: list[threading.Thread] = []
+        self._closing = False
+        self._pool = ThreadPoolExecutor(SLOTS, thread_name_prefix=type(self).__name__)
         super().__init__(*args, **kwargs)
 
     @property
@@ -475,51 +472,24 @@ class ServerCore:
         return f"{host}:{port}"
 
     def process_request(self, request, client_address):
+        self._pool.submit(self._serve, request, client_address)
+
+    def _serve(self, request, client_address):
         with self._lock:
-            admitted = len(self._deadlines) < SLOTS
-            if admitted:
-                self._deadlines[request] = time.monotonic() + SERVER_TIMEOUT
-                # every worker is busy with one of the others
-                start = len(self._deadlines) > len(self._workers)
-        if not admitted:
-            self._refuse(request)
-            self.shutdown_request(request)
-            return
-        self._todo.put((request, client_address))
-        if start:
-            worker = threading.Thread(target=self._work, daemon=True)
-            worker.start()
-            self._workers.append(worker)
-
-    def _refuse(self, request):
-        """Send ``busy_reply`` without blocking the dispatcher, after
-        discarding what has already arrived of the request, so that
-        closing on unread bytes does not reset the connection before the
-        client reads the reply."""
+            self._deadlines[request] = time.monotonic() + SERVER_TIMEOUT
+            if self._closing:  # taken up after server_close: never served
+                self._cut(request)
         try:
-            request.setblocking(False)
-            try:
-                _drain(request)
-            except BlockingIOError:
-                pass  # nothing more has arrived
-            request.send(self.busy_reply)
-        except OSError:
-            pass  # gone: closed without the reply
-
-    def _work(self):
-        while (item := self._todo.get()) is not None:
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                with self._lock:
-                    cut = self._deadlines[request] == math.inf
-                if not cut:  # an exchange cut at its deadline fails by design
-                    self.handle_error(request, client_address)
-            finally:
-                with self._lock:
-                    del self._deadlines[request]
-                self.shutdown_request(request)
+            self.finish_request(request, client_address)
+        except Exception:
+            with self._lock:
+                cut = self._deadlines[request] == math.inf
+            if not cut:  # an exchange cut at its deadline fails by design
+                self.handle_error(request, client_address)
+        finally:
+            with self._lock:
+                del self._deadlines[request]
+            self.shutdown_request(request)
 
     def _cut(self, request):
         # with the lock held, so the worker has not closed the socket yet
@@ -539,23 +509,17 @@ class ServerCore:
                     self._cut(request)
 
     def server_close(self):
-        """Stop listening, cut every exchange in flight, and join the
-        workers."""
+        """Stop listening, cut every exchange, and join the workers."""
         super().server_close()
         with self._lock:
+            self._closing = True
             for request in self._deadlines:
                 self._cut(request)
-        for _ in self._workers:
-            self._todo.put(None)
-        for worker in self._workers:
-            worker.join()
-        self._workers.clear()
+        self._pool.shutdown(wait=True)
 
 
 class NodeServer(ServerCore, socketserver.TCPServer):
     """Serves one node's message contract over TCP."""
-
-    busy_reply = encode_message(Rejected("busy"))
 
     def __init__(self, node: ServerNode, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _NodeRequestHandler)

@@ -526,28 +526,6 @@ def test_sync_round_stores_get_reply_only_for_the_code_asked(nanopubs):
     assert b.cursors == {"a": 2}
 
 
-def test_sync_round_asks_again_for_a_get_refused_busy(nanopubs):
-    # a refused Get ends the peer's round before its cursor passes the page
-    code = nanopubs[1].uri[-45:]
-    source = ServerNode("a")
-    source.handle(Publish(nanopubs[0]))
-    source.handle(Publish(nanopubs[1]))
-    busy = True
-
-    def send(dst, msg):
-        if busy and isinstance(msg, Get) and msg.code == code:
-            return Rejected("busy")
-        return source.handle(msg)
-
-    b = ServerNode("b", peers=["a"], send=send)
-    assert b.sync_round() == 1
-    assert b.cursors == {}
-    busy = False
-    assert b.sync_round() == 1
-    assert b.store.get(code) is not None
-    assert b.cursors == {"a": 3}
-
-
 def _start(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -1,6 +1,6 @@
 """The bounded server core that ``NodeServer`` and ``ApiServer`` share:
-reused workers, the admission bound and the whole-request deadline, on
-both surfaces.  Every test runs the core at a bound of two."""
+reused workers, the bound on them and the whole-request deadline, on
+both surfaces.  The tests of the bound run the core at two workers."""
 
 import socket
 import sys
@@ -11,7 +11,7 @@ import pytest
 
 from nanokit import network
 from nanokit.api import ApiServer, ApiService
-from nanokit.network import Get, NodeServer, NotFound, Rejected, ServerNode, decode_message, encode_message
+from nanokit.network import Get, NodeServer, NotFound, ServerNode, decode_message, encode_message
 from nanokit.store import NanopubStore
 
 
@@ -34,10 +34,6 @@ class Wire:
     def answered(reply):
         return _decoded(reply) == NotFound()
 
-    @staticmethod
-    def busy(reply):
-        return _decoded(reply) == Rejected("busy")
-
 
 class Http:
     request = b"GET /api/get_all_indexes HTTP/1.0\r\n\r\n"
@@ -50,11 +46,6 @@ class Http:
     @staticmethod
     def answered(reply):
         return reply.startswith(b"HTTP/1.0 200 ")
-
-    @staticmethod
-    def busy(reply):
-        head, _, body = reply.partition(b"\r\n\r\n")
-        return head.startswith(b"HTTP/1.0 503 ") and body.startswith(b"ERROR busy ")
 
 
 SURFACES = [pytest.param(Wire, id="wire"), pytest.param(Http, id="http")]
@@ -83,11 +74,8 @@ def exchange(address, data):
     the bytes that came before the close or a reset."""
     received = bytearray()
     with socket.create_connection(address, timeout=5) as conn:
-        try:
-            conn.sendall(data)
-            conn.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass  # refused before all of it went: the reply may be there
+        conn.sendall(data)
+        conn.shutdown(socket.SHUT_WR)
         try:
             while chunk := conn.recv(65536):
                 received += chunk
@@ -96,18 +84,9 @@ def exchange(address, data):
     return bytes(received)
 
 
-def until_admitted(surface, address, within=2.0):
-    """The first reply that is not busy: a worker frees its slot just
-    after its client sees the close."""
-    stop = time.monotonic() + within
-    while surface.busy(reply := exchange(address, surface.request)) and time.monotonic() < stop:
-        time.sleep(0.05)
-    return reply
-
-
 @pytest.mark.parametrize("surface", SURFACES)
-def test_refuses_a_connection_past_the_bound_at_once(monkeypatch, bound, surface):
-    monkeypatch.setattr(network, "SERVER_TIMEOUT", 2.0)
+def test_a_connection_past_the_bound_waits_for_a_free_worker(monkeypatch, bound, surface):
+    monkeypatch.setattr(network, "SERVER_TIMEOUT", 1.0)
     server = surface.server()
     thread = _start(server)
     address = server.server_address[:2]
@@ -116,14 +95,14 @@ def test_refuses_a_connection_past_the_bound_at_once(monkeypatch, bound, surface
         try:
             started = time.monotonic()
             reply = exchange(address, surface.request)
-            assert time.monotonic() - started < 1
-            assert surface.busy(reply), reply
+            waited = time.monotonic() - started
+            assert surface.answered(reply), reply
+            assert 0.5 < waited < 3  # served once the silent two are dropped
             for conn in silent:
                 assert conn.recv(65536) == b""  # dropped at the deadline, no reply
         finally:
             for conn in silent:
                 conn.close()
-        assert surface.answered(until_admitted(surface, address))
     finally:
         _stop(server, thread)
 
@@ -158,7 +137,7 @@ def test_drops_a_trickling_client_at_the_deadline(monkeypatch, surface):
             elapsed, received = trickle(conn, surface.trickled)
         assert received == b"", received  # dropped without a reply
         assert elapsed < 2.5
-        assert surface.answered(until_admitted(surface, server.server_address[:2]))
+        assert surface.answered(exchange(server.server_address[:2], surface.request))
     finally:
         _stop(server, thread)
 
@@ -169,11 +148,23 @@ def test_close_leaves_no_worker_alive(bound, surface):
     server = surface.server()
     thread = _start(server)
     address = server.server_address[:2]
-    with socket.create_connection(address, timeout=5) as silent:
-        for _ in range(3):
-            assert surface.answered(exchange(address, surface.request))
-        _stop(server, thread)  # with the silent client still in flight
-        assert silent.recv(65536) == b""
+    for _ in range(3):
+        assert surface.answered(exchange(address, surface.request))
+    silent = [socket.create_connection(address, timeout=5) for _ in range(2)]
+    waiting = socket.create_connection(address, timeout=5)
+    try:
+        waiting.sendall(surface.request)
+        waiting.shutdown(socket.SHUT_WR)
+        time.sleep(0.2)  # accepted, and queued behind the silent two
+        _stop(server, thread)
+        for conn in silent + [waiting]:
+            try:
+                assert conn.recv(65536) == b""  # closed without a reply
+            except ConnectionResetError:
+                pass
+    finally:
+        for conn in silent + [waiting]:
+            conn.close()
     started = [t for t in threading.enumerate() if t not in before]
     for worker in started:
         worker.join(timeout=5)
@@ -216,9 +207,7 @@ def test_workers_are_reused_and_never_more_than_the_bound(bound, surface):
         finally:
             sys.setswitchinterval(interval)
         assert len(replies) == 40
-        # a refused client may see a reset before the busy reply
-        assert all(surface.answered(r) or surface.busy(r) or r == b"" for r in replies)
-        assert any(surface.answered(r) for r in replies)
+        assert all(surface.answered(r) for r in replies)
         assert len(set(handlers)) <= 2
     finally:
         _stop(server, thread)
