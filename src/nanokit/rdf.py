@@ -46,9 +46,9 @@ _IRI_FORBIDDEN = set(' \t\r\n<>"{}|^`\\')
 def _check_iri(value: str):
     if not _SCHEME_RE.match(value):
         raise ValueError(f"not an absolute IRI: {value!r}")
-    bad = _IRI_FORBIDDEN.intersection(value)
-    if bad:
-        raise ValueError(f"IRI contains forbidden character {bad.pop()!r}: {value!r}")
+    if not _IRI_FORBIDDEN.isdisjoint(value):
+        bad = next(c for c in value if c in _IRI_FORBIDDEN)  # the first, so the message is stable
+        raise ValueError(f"IRI contains forbidden character {bad!r}: {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

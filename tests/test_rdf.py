@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from nanokit.rdf import (
     iri,
     literal,
     parse_trig,
+    render_term,
     serialize_trig,
 )
 from nanokit import namespaces as ns
@@ -138,6 +140,12 @@ def test_syntax_error_message_and_position(text, error_class, message, line, col
     assert (err.value.line, err.value.column) == (line, column)
 
 
+def test_forbidden_iri_character_reported_is_the_first():
+    # a set of the forbidden characters found would report one at random
+    with pytest.raises(TrigSyntaxError, match=r"forbidden character '\^': 'http://ex.org/\^\|`\{\}'"):
+        parse_trig(_G + _SP + "<http://ex.org/^|`{}> . }")
+
+
 @pytest.mark.parametrize(
     "text, count",
     [
@@ -173,27 +181,90 @@ _MUTATION_PIECES = [
 ]
 
 
-def test_mutated_input_raises_only_trig_syntax_error():
-    rng = random.Random(20181001)
-    for _ in range(5000):
-        text = rng.choice(_MUTATION_SEEDS)
+def _mutations(seeds, rng_seed, count):
+    """``count`` seeded inputs, each a seed with one to three random cuts,
+    insertions or overwrites."""
+    rng = random.Random(rng_seed)
+    for _ in range(count):
+        text = rng.choice(seeds)
         for _ in range(rng.randint(1, 3)):
             a = rng.randint(0, len(text))
             b = min(len(text), a + rng.randint(0, 8))
             piece = rng.choice(_MUTATION_PIECES)
             text = rng.choice([text[:a] + text[b:], text[:a] + piece + text[a:], text[:a] + piece + text[b:], text[:a]])
+        yield text
+
+
+def test_mutated_input_raises_only_trig_syntax_error():
+    for text in _mutations(_MUTATION_SEEDS, 20181001, 5000):
         try:
             parse_trig(text)
         except TrigSyntaxError:
             pass
 
 
-def test_unexpected_character_after_long_whitespace_run_is_fast():
+# Prefix directives in every shape the lexer does not read as one plain
+# directive, and directives where no directive may stand.
+_DIRECTIVE_SEEDS = [
+    "@prefix ex: # the label\n  <http://ex.org/> .\nex:g { ex:s ex:p ex:o . }\n",
+    "@prefix ex: <http://ex.org/\\u0041/> .\nex:g { ex:s ex:p ex:o . }\n",
+    "@prefix e.x: <http://ex.org/> .\ne.x:g { e.x:s e.x:p e.x:o . }\n",
+    "@prefixes ex: <http://ex.org/> .\nex:g { ex:s ex:p ex:o . }\n",
+    "@prefix ex: <http://ex.org/>\nex:g { ex:s ex:p ex:o . }\n",
+    "@prefix ex: <http://ex.org/> .\r\n@prefix : <http://e/> .\r\nex:g {\r\n\t:s ex:p 'x'@en .\r\n}\r\n",
+    "@prefix ex:<http://ex.org/>.@prefix:<http://e/>.ex:g{:s ex:p ex:o}.@prefix ex: <http://ex.org/2/> .\n",
+    "@prefix\tex:\r\n<http://ex.org/>\t.\nex:g { ex:s ex:p ex:o . }\n",
+    "@prefix 1a: <http://ex.org/> .\n",
+    "@prefix _: <http://ex.org/> .\n",
+    "@prefix ex:x <http://ex.org/> .\n",
+    "@PREFIX ex: <http://ex.org/> .\n",
+    "@prefix ex: @prefix ex: <http://ex.org/> .\n",
+    "@prefix ex: <http://ex.org/> .\nGRAPH @prefix ex: <http://ex.org/> . { }\n",
+    "<http://g> { <http://s> <http://p> \"x\"@prefix ex: <http://ex.org/> . }\n",
+    "<http://g> { <http://s> <http://p> <http://o> . @prefix ex: <http://ex.org/> . }\n",
+    "<http://g> @prefix ex: <http://ex.org/> . { }\n",
+    "@prefix ex: <http://ex.org/> .5\n@prefix ex: <http://ex.org/> . # end\n",
+]
+
+
+def _outcome(text: str) -> str:
+    """The prefix table and quads ``parse_trig`` returns, or its error."""
+    try:
+        doc = parse_trig(text)
+    except TrigSyntaxError as exc:
+        return repr((type(exc).__name__, str(exc), exc.line, exc.column))
+    quads = [tuple(render_term(t) for t in (q.subject, q.predicate, q.object, q.graph)) for q in doc.quads]
+    return repr((list(doc.prefixes.items()), quads))
+
+
+def test_parse_outcomes_match_pinned_digest():
+    # every input's outcome, down to each error's message and position
+    inputs = [
+        *_MUTATION_SEEDS,
+        *_mutations(_MUTATION_SEEDS, 20181001, 5000),
+        *_DIRECTIVE_SEEDS,
+        *_mutations(_DIRECTIVE_SEEDS, 20181002, 3000),
+    ]
+    digest = hashlib.sha256()
+    for text in inputs:
+        digest.update(_outcome(text).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == "0593c59dc086b97892b4c2fb422bc10bf1bac543720892b638d76bb2b4237ab3"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param("'<http://ex.org/g> {\\n' + ' \\t\\r\\n' * 16 + '('", "(line 18, column 1)", id="whitespace"),
+        pytest.param("'<http://ex.org/g> {\\n' + '  # c \\n' * 16 + '('", "(line 18, column 1)", id="comment-lines"),
+        pytest.param("'@prefix ex:' + ' \\t\\r\\n' * 16 + '('", "(line 17, column 1)", id="inside-prefix-directive"),
+    ],
+)
+def test_unexpected_character_after_long_whitespace_run_is_fast(text, error):
     # a lexer that backtracks over ways of splitting the run never returns
     code = (
         "from nanokit.rdf import parse_trig\n"
         "try:\n"
-        "    parse_trig('<http://ex.org/g> {\\n' + ' \\t\\r\\n' * 16 + '(')\n"
+        f"    parse_trig({text})\n"
         "except Exception as e:\n"
         "    print(e)\n"
     )
@@ -205,7 +276,7 @@ def test_unexpected_character_after_long_whitespace_run_is_fast():
         text=True,
         timeout=30,
     )
-    assert out.stdout == "unexpected character '(' (line 18, column 1)\n"
+    assert out.stdout == f"unexpected character '(' {error}\n"
 
 
 @pytest.mark.parametrize("term", ['"\\U00110000"', "<http://ex.org/\\UFFFFFFFF>"])
