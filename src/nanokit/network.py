@@ -456,6 +456,9 @@ class ServerCore:
     """
 
     allow_reuse_address = True
+    # socketserver's listen backlog is 5: a burst past it has its SYNs
+    # dropped, and each client retries only after a second
+    request_queue_size = SLOTS
 
     def __init__(self, *args, **kwargs):
         self._lock = threading.Lock()
@@ -761,8 +764,3 @@ class Simulation:
             for nid in self.node_ids()
             if not self.is_down(nid, rnd)
         ]
-
-
-def run_simulation(config: SimConfig, workload: Iterable[PublishEvent]) -> SimReport:
-    """Build the network for ``config`` and run ``workload`` to completion."""
-    return Simulation(config).run(workload)

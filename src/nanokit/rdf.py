@@ -185,13 +185,25 @@ class QuadPattern:
 # Lexer
 # ---------------------------------------------------------------------------
 #
-# One compiled pattern matches a token, after any whitespace and comments,
-# at the current offset; for an IRI or a string it matches only the opening
-# character, and ``_lex_iri``/``_lex_string`` read the rest.  A token is a
-# ``(type, value, offset)`` tuple;
-# line and column are computed from the offset only when an error is raised.
+# One compiled pattern matches a token at the current offset, after any
+# whitespace.  A comment is a token of its own, which the loop drops.  When no
+# token follows a whitespace run, the one failing match backtracks over the run
+# one character at a time, and no alternative starts with whitespace, so that
+# costs time linear in the run; the lexer raises on that failure.  A string
+# matches only its opening quote, and ``_lex_string`` reads the rest.  A token
+# is a ``(type, value, offset)`` tuple; line and column are computed from the
+# offset only when an error is raised.
+#
+# An IRI is matched whole, escapes included.  The bare ``<`` alternative
+# matches only where that fails, the unclosed or broken IRI, and leads to its
+# error.  A plain ``@prefix label: <iri> .`` (whitespace between the parts, a
+# label of letters, digits, '_' and '-', and an IRI without escapes) is one
+# PREFIX token whose value is ``(label, iri)``, where the parser expects a
+# statement: after another directive or a graph block, or at the start.  Any
+# other directive, and one where no statement may start, is lexed as AT, NAME,
+# IRI and DOT tokens, which the parser reads or rejects.
 
-_PUNCT = {"{": "LBRACE", "}": "RBRACE", ".": "DOT", ";": "SEMI", ",": "COMMA"}
+_PUNCT = {".": "DOT", ";": "SEMI", ",": "COMMA"}
 
 _ESCAPES = {
     "t": "\t",
@@ -204,24 +216,26 @@ _ESCAPES = {
     "\\": "\\",
 }
 
-_Token = tuple[str, str, int]  # (type, value, offset)
+_Token = tuple[str, str, int]  # (type, value, offset); a PREFIX value is (label, iri)
 
-_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 _NAME_CHAR = r"""[^ \t\r\n{}();,"'<.]"""
 _UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"  # at most U+10FFFF
 _ECHAR = r"""\\[tbnrf"'\\]"""
+# an IRI body up to the first character that ends or breaks it
+_IRI_BODY = rf"[^>\\ \t\r\n]*(?:(?:{_UCHAR})[^>\\ \t\r\n]*)*"
 
-_SKIP_RE = re.compile(_SKIP)
-# The skip is matched inside a lookahead and consumed by a backreference.  A
-# lookahead is never re-entered, so when no token follows, the engine cannot
-# backtrack into the skip (exponential over a whitespace run) or into a
-# comment (and lex a token from inside it).  Python 3.10 has no atomic groups.
+_SKIP_RE = re.compile(r"[ \t\r\n]*")  # to where an unexpected character is reported
 _TOKEN_RE = re.compile(
-    rf"(?=(?P<SKIP>{_SKIP}))(?P=SKIP)"
-    + rf"""(?:
-        (?P<IRI><)
-      | (?P<PUNCT>[{{}}.;,])                     # so a leading '.' never starts a number
+    rf"""[ \t\r\n]*(?:
+        (?P<IRI><(?P<iri>{_IRI_BODY})>)
+      | (?P<PUNCT>[.;,])                         # so a leading '.' never starts a number
+      | (?P<RBRACE>\}})
+      | (?P<LBRACE>\{{)
       | (?P<STRING>["'])
+      | (?P<PREFIX>@prefix[ \t\r\n]+(?P<label>(?:[A-Za-z][A-Za-z0-9_-]*)?):[ \t\r\n]*
+            <(?P<target>[^>\\ \t\r\n]*)>[ \t\r\n]*\.)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<LT><{_IRI_BODY})
       | (?P<BRACKET>\[)
       | (?P<BLANK>_:)
       | (?P<AT>@(?:[^\W_]|-)*)
@@ -232,8 +246,6 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
-# Bodies of IRIs and strings up to the first character that ends or breaks them.
-_IRI_BODY_RE = re.compile(rf"[^>\\ \t\r\n]*(?:(?:{_UCHAR})[^>\\ \t\r\n]*)*")
 
 
 def _string_body(quote: str, long_form: bool) -> re.Pattern:
@@ -270,17 +282,15 @@ def _bad_escape(kind: str, text: str, off: int, backslash: int) -> TrigSyntaxErr
     return _syntax_error(f"invalid {kind} escape \\{esc}", text, off)
 
 
-def _lex_iri(text: str, off: int) -> tuple[str, int]:
-    """Value and end offset of the IRI whose ``<`` is at ``off``."""
-    end = _IRI_BODY_RE.match(text, off + 1).end()
+def _iri_error(text: str, off: int, end: int) -> TrigSyntaxError:
+    """The error for the IRI at ``off`` whose body ends at ``end``
+    without a closing ``>``."""
     c = text[end : end + 1]
-    if c == ">":
-        return _unescape(text[off + 1 : end]), end + 1
     if c == "":
-        raise _syntax_error("unterminated IRI", text, off)
+        return _syntax_error("unterminated IRI", text, off)
     if c != "\\":
-        raise _syntax_error("whitespace inside IRI", text, off)
-    raise _bad_escape("IRI", text, off, end)
+        return _syntax_error("whitespace inside IRI", text, off)
+    return _bad_escape("IRI", text, off, end)
 
 
 def _lex_string(text: str, off: int) -> tuple[str, int]:
@@ -305,6 +315,7 @@ def _tokenize(text: str) -> list[_Token]:
     append = toks.append
     match = _TOKEN_RE.match
     pos = 0
+    top = True  # no graph block is open
     while True:
         m = match(text, pos)
         if m is None:
@@ -314,10 +325,24 @@ def _tokenize(text: str) -> list[_Token]:
         off = m.start(kind)
         pos = m.end()
         if kind == "IRI":
-            value, pos = _lex_iri(text, off)
-            append(("IRI", value, off))
+            value = m.group("iri")
+            append(("IRI", _unescape(value) if "\\" in value else value, off))
         elif kind == "PUNCT":
             append((_PUNCT[text[off]], text[off], off))
+        elif kind == "PREFIX":
+            if top and (not toks or toks[-1][0] in ("DOT", "RBRACE", "PREFIX")):
+                append(("PREFIX", (m.group("label"), m.group("target")), off))
+            else:  # not where a statement starts: the parser reads it in parts
+                append(("AT", "prefix", off))
+                append(("NAME", m.group("label") + ":", m.start("label")))
+                append(("IRI", m.group("target"), m.start("target") - 1))
+                append(("DOT", ".", pos - 1))
+        elif kind == "RBRACE":
+            append(("RBRACE", "}", off))
+            top = True
+        elif kind == "LBRACE":
+            append(("LBRACE", "{", off))
+            top = False
         elif kind == "STRING":
             value, pos = _lex_string(text, off)
             append(("STRING", value, off))
@@ -333,6 +358,10 @@ def _tokenize(text: str) -> list[_Token]:
                 append(("DOUBLE", number, off))
             else:
                 append(("DECIMAL" if "." in number else "INTEGER", number, off))
+        elif kind == "COMMENT":
+            pass
+        elif kind == "LT":
+            raise _iri_error(text, off, pos)
         elif kind == "BRACKET":
             raise _syntax_error("blank nodes are not allowed", text, off)
         elif kind == "BLANK":
@@ -410,6 +439,8 @@ def parse_trig(text: str) -> QuadDocument:
     def read_term(i: int, position: str) -> tuple[Term, int]:
         """The term that starts at ``toks[i]``, and the index after it."""
         tok, i = toks[i], i + 1
+        if tok[0] == "IRI":  # most terms; one seen before is checked already
+            return iris.get(tok[1]) or make_iri(tok[1], tok), i
         if tok[0] != "STRING":
             term = atom(tok, position)
         else:
@@ -443,6 +474,11 @@ def parse_trig(text: str) -> QuadDocument:
     i = 0
     while (tok := toks[i])[0] != "END":
         typ = tok[0]
+        if typ == "PREFIX":
+            label, target = tok[1]
+            prefixes[label] = target
+            i += 1
+            continue
         if typ == "AT":
             if tok[1] != "prefix":
                 fail(f"unsupported directive @{tok[1]}", tok)

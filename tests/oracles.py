@@ -8,6 +8,7 @@ from collections import Counter
 from datetime import datetime, timezone
 
 from nanokit import namespaces as ns
+from nanokit.network import Simulation
 
 
 def as_pairs(nanopubs):
@@ -31,6 +32,11 @@ def scan_pattern(pairs, subject=None, predicate=None, obj=None, graph=None):
             hits.add(code)
             break
     return hits
+
+
+def run_simulation(config, workload):
+    """Build the network for ``config`` and run ``workload`` to completion."""
+    return Simulation(config).run(workload)
 
 
 def match(doc, pattern):

@@ -32,11 +32,12 @@ from nanokit.network import (
     decode_message,
     encode_message,
     parse_address,
-    run_simulation,
     tcp_request,
 )
 from nanokit.rdf import Quad, QuadDocument, iri, literal, serialize_trig
 from nanokit.trusty import extract_artifact_code
+
+from oracles import run_simulation
 
 
 @pytest.fixture(scope="module")

@@ -128,6 +128,26 @@ def trickle(conn, data, limit=6.0):
 
 
 @pytest.mark.parametrize("surface", SURFACES)
+def test_listen_backlog_admits_a_connect_per_slot(surface):
+    # not serving, so every connect waits in the kernel's accept queue
+    server = surface.server()
+    admitted = 0
+    conns = []
+    try:
+        for _ in range(network.SLOTS):
+            try:
+                conns.append(socket.create_connection(server.server_address, timeout=0.3))
+            except OSError:
+                continue
+            admitted += 1
+    finally:
+        for conn in conns:
+            conn.close()
+        server.server_close()
+    assert admitted == network.SLOTS
+
+
+@pytest.mark.parametrize("surface", SURFACES)
 def test_drops_a_trickling_client_at_the_deadline(monkeypatch, surface):
     monkeypatch.setattr(network, "SERVER_TIMEOUT", 1.0)
     server = surface.server()
