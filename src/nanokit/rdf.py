@@ -196,12 +196,14 @@ class QuadPattern:
 #
 # An IRI is matched whole, escapes included.  The bare ``<`` alternative
 # matches only where that fails, the unclosed or broken IRI, and leads to its
-# error.  A plain ``@prefix label: <iri> .`` (whitespace between the parts, a
-# label of letters, digits, '_' and '-', and an IRI without escapes) is one
-# PREFIX token whose value is ``(label, iri)``, where the parser expects a
-# statement: after another directive or a graph block, or at the start.  Any
-# other directive, and one where no statement may start, is lexed as AT, NAME,
-# IRI and DOT tokens, which the parser reads or rejects.
+# error.  A plain ``@prefix label: <iri> .`` (only whitespace between the
+# parts, a label that is empty or a letter followed by letters, digits, '_' and
+# '-', and an IRI without escapes) is one PREFIX token whose value is
+# ``(label, iri)`` where the parser expects a statement: at the start, or after
+# another directive or a graph block.  There it means the same as the AT, NAME,
+# IRI and DOT tokens it replaces.  Any other directive, and one where no
+# statement may start, is lexed as those four, which the parser reads or
+# rejects as before.
 
 _PUNCT = {".": "DOT", ";": "SEMI", ",": "COMMA"}
 
