@@ -175,15 +175,13 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         pass  # quiet; the CLI decides what to print
 
     def do_GET(self):
-        split = urlsplit(self.path)
-        if not split.path.startswith("/api/"):
-            self._send(404, "ERROR not-found unknown route\n")
-            return
-        method = split.path[len("/api/"):]
-        params = parse_qs(split.query, keep_blank_values=True)
-        service: ApiService = self.server.service
         try:
-            body = self._dispatch(service, method, params)
+            split = urlsplit(self.path)  # "http://[::1/" raises ValueError
+            if not split.path.startswith("/api/"):
+                raise NotFoundError("unknown route")
+            method = split.path[len("/api/"):]
+            params = parse_qs(split.query, keep_blank_values=True)
+            body = self._dispatch(self.server.service, method, params)
         except NotFoundError as exc:
             self._send(404, f"ERROR {exc.code} {exc.message}\n")
         except ApiError as exc:

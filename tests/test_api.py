@@ -417,6 +417,16 @@ def test_http_error_body_shape(http_base):
     assert "uri is required" in got.text
 
 
+def test_http_target_urlsplit_refuses_is_400(http_base):
+    host, port = http_base[len("http://"):].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(b"GET http://[::1/api/x HTTP/1.0\r\n\r\n")
+        conn.shutdown(socket.SHUT_WR)
+        reply = b"".join(iter(lambda: conn.recv(65536), b""))
+    assert reply.startswith(b"HTTP/1.0 400 ")
+    assert reply.endswith(b"\r\n\r\nERROR bad-request Invalid IPv6 URL\n")
+
+
 @pytest.mark.parametrize("raw", ["%D9%A3", "1_0", "%2B2", "%202", "2%20", "-1", "0x2", "", "9" * 5000])
 def test_http_page_takes_ascii_digits_only(http_base, raw):
     for key in ("page", "page_size"):
