@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+import selectors
 import socket
 import socketserver
 import threading
@@ -452,7 +453,9 @@ class ServerCore:
     ``server_close``; a connection past the bound waits for a free
     worker.  It ends an exchange ``SERVER_TIMEOUT`` after a worker takes
     it up by shutting its socket down: the worker's read or write
-    returns, and the client gets no reply.
+    returns, and the client gets no reply.  It sleeps until a connection,
+    the next deadline or ``shutdown``, which wakes it through a socket
+    pair.
     """
 
     allow_reuse_address = True
@@ -467,7 +470,44 @@ class ServerCore:
         self._deadlines: dict[socket.socket, float] = {}
         self._closing = False
         self._pool = ThreadPoolExecutor(SLOTS, thread_name_prefix=type(self).__name__)
+        self._stopping = False
+        self._stopped = threading.Event()
         super().__init__(*args, **kwargs)
+        self._wake, self._waker = socket.socketpair()
+
+    def serve_forever(self):
+        """Accept and dispatch connections until ``shutdown``."""
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake, selectors.EVENT_READ)
+                while not self._stopping:
+                    ready = selector.select(self._until_next_deadline())
+                    if self._stopping:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._wake.recv(64)
+                    self.service_actions()
+        finally:
+            self._stopping = False
+            self._stopped.set()
+
+    def shutdown(self):
+        """Stop ``serve_forever``, running in another thread, and wait for it."""
+        self._stopping = True
+        self._waker.send(b"\0")
+        self._stopped.wait()
+
+    def _until_next_deadline(self) -> float:
+        # an exchange taken up after this has its deadline at least
+        # SERVER_TIMEOUT away, so waking by then misses none
+        with self._lock:
+            first = min(self._deadlines.values(), default=math.inf)
+        return max(0.0, min(first - time.monotonic(), SERVER_TIMEOUT))
 
     @property
     def address(self) -> str:
@@ -504,7 +544,7 @@ class ServerCore:
 
     def service_actions(self):
         """Cut every exchange past its deadline; ``serve_forever`` calls
-        this after each accept and each idle poll."""
+        this each time it wakes."""
         now = time.monotonic()
         with self._lock:
             for request, deadline in self._deadlines.items():
@@ -514,6 +554,8 @@ class ServerCore:
     def server_close(self):
         """Stop listening, cut every exchange, and join the workers."""
         super().server_close()
+        self._wake.close()
+        self._waker.close()
         with self._lock:
             self._closing = True
             for request in self._deadlines:

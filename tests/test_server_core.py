@@ -163,6 +163,31 @@ def test_drops_a_trickling_client_at_the_deadline(monkeypatch, surface):
 
 
 @pytest.mark.parametrize("surface", SURFACES)
+def test_shutdown_returns_at_once(surface):
+    server = surface.server()
+    thread = _start(server)
+    time.sleep(0.05)  # the dispatcher is waiting for a connection
+    started = time.monotonic()
+    _stop(server, thread)
+    assert time.monotonic() - started < 0.1
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_cuts_a_silent_client_at_its_deadline(monkeypatch, surface):
+    monkeypatch.setattr(network, "SERVER_TIMEOUT", 0.7)  # off any 0.5 s polling grid
+    server = surface.server()
+    thread = _start(server)
+    try:
+        with socket.create_connection(server.server_address[:2], timeout=5) as conn:
+            started = time.monotonic()
+            assert conn.recv(65536) == b""  # dropped, no reply
+            elapsed = time.monotonic() - started
+        assert 0.6 < elapsed < 0.9
+    finally:
+        _stop(server, thread)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
 def test_close_leaves_no_worker_alive(bound, surface):
     before = set(threading.enumerate())
     server = surface.server()
