@@ -199,6 +199,12 @@ _LONG_TARGET = b"GET /api/get_all_indexes?pad="
         pytest.param(b"GET\r\n\r\n", "no status line error page", id="one-word"),
         pytest.param(b"POST /api/get_all_indexes\r\n", "no status line error page", id="http-0.9-post"),
         pytest.param(b"GET /api/get_all_indexes\r\n", "no status line b'1\\t", id="http-0.9-get"),
+        pytest.param(b"GET /api/get_all_indexes HTTP/0.9\r\n\r\n", "no status line b'1\\t", id="http-0.9-named"),
+        pytest.param(b"GET /api/get_all_indexes HTTP/00.9\r\n\r\n", "200 b'1\\t", id="http-00.9"),
+        pytest.param(b"GET /a b HTTP/0.9\r\n\r\n", "no status line error page", id="http-0.9-four-words"),
+        pytest.param(b"GET api/get_all_indexes HTTP/1.0\r\n\r\n", "404", id="no-leading-slash"),
+        pytest.param(b"GET /api/get_all_indexes http/1.0\r\n\r\n", "no status line error page", id="lowercase-version"),
+        pytest.param(b"GET /api/get_all_indexes HTTP/1.01234567890\r\n\r\n", "no status line error page", id="long-minor"),
         pytest.param(b"GET /api/x\r\n" + b"X: y\r\n" * 100, "no status line error page", id="http-0.9-431"),
         pytest.param(b"\r\nGET / HTTP/1.0\r\n\r\n", "closed without reply", id="blank-line"),
         pytest.param(b" \t\x0c\r\n", "closed without reply", id="whitespace-line"),
