@@ -5,15 +5,25 @@ Transport is plain HTTP request/response on routes
 method parameters (subj, pred, obj, objtype, uri, index_uri, page,
 page_size).  List responses are one code/URI per line; get_nanopub
 returns TriG.  Errors come back as ``ERROR <code> <message>`` lines.
-The server is bounded by ``network.ServerCore``: it serves at most
-``SLOTS`` requests at once, one more waits for a free worker, and it
-drops a request, without a reply, once it has taken ``SERVER_TIMEOUT``.
+The front takes ``GET`` only, over HTTP/1.0 or 1.1, one request per
+connection, and answers in one write.  It reads a request line of at
+most 65,536 bytes and throws away fewer than 100 header lines of at most
+65,536 bytes each.  Other requests get ``http.server``'s statuses: 414
+for a longer request line, 400 for bad syntax or version, 505 for
+HTTP/2 and up, 431 for more or longer header lines, 501 for any other
+method; a blank request line gets no reply.  The server is bounded by
+``network.ServerCore``: it serves at most ``SLOTS`` requests at once,
+one more waits for a free worker, and it drops a request, without a
+reply, once it has taken ``SERVER_TIMEOUT``.
 """
 
 from __future__ import annotations
 
+import re
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -168,28 +178,79 @@ def _require(params: dict, key: str) -> str:
     return values[0]
 
 
-class _ApiRequestHandler(BaseHTTPRequestHandler):
+# http.server's bounds on a request head: lines of at most _MAX_LINE bytes,
+# and fewer than _MAX_HEADER_LINES header lines, counting the blank one
+_MAX_LINE, _MAX_HEADER_LINES = 65536, 100
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")
+
+
+class _ApiRequestHandler(socketserver.StreamRequestHandler):
     timeout = SERVER_TIMEOUT  # a client silent this long is dropped without a reply
 
-    def log_message(self, fmt, *args):
-        pass  # quiet; the CLI decides what to print
-
-    def do_GET(self):
+    def handle(self):
         try:
-            split = urlsplit(self.path)  # "http://[::1/" raises ValueError
+            status, target, head = self._read_head()
+        except OSError:
+            return  # silent past the timeout, or gone: dropped without a reply
+        if target is not None:
+            status, body, kind = *self._get(target), "plain"
+        elif status is not None:
+            body, kind = f"<html><body><h1>{status} {HTTPStatus(status).phrase}</h1></body></html>\n", "html"
+        else:
+            return  # a blank request line gets no reply
+        data = body.encode("utf-8")
+        if head:  # HTTP/0.9 gets the body alone
+            data = (
+                f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nDate: {formatdate(usegmt=True)}\r\n"
+                f"Content-Type: text/{kind}; charset=utf-8\r\nContent-Length: {len(data)}\r\n\r\n"
+            ).encode("latin-1") + data
+        self.request.sendall(data)
+
+    def _read_head(self) -> tuple[Optional[int], Optional[str], bool]:
+        """The status of a protocol error, or the target of a GET to
+        answer, and whether the reply has a head; the headers are read
+        only to be thrown away.  The statuses, and the order they are
+        checked in, are http.server's."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return 414, None, True
+        words = line.decode("latin-1").split()
+        if not words:
+            return None, None, False
+        head = len(words) >= 3 and words[-1] != "HTTP/0.9"
+        if len(words) >= 3:
+            version = _VERSION.fullmatch(words[-1])
+            if version is None or int(version[1]) >= 2:
+                return 400 if version is None else 505, None, False  # answered as HTTP/0.9
+        if not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
+            return 400, None, head
+        for _ in range(_MAX_HEADER_LINES):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return 431, None, head
+            if line in (b"\r\n", b"\n", b""):
+                break
+        else:
+            return 431, None, head
+        if words[0] != "GET":
+            return 501, None, head
+        target = words[1]  # a leading "//" is one "/"
+        return None, "/" + target.lstrip("/") if target.startswith("/") else target, head
+
+    def _get(self, target: str) -> tuple[int, str]:
+        try:
+            split = urlsplit(target)  # "http://[::1/" raises ValueError
             if not split.path.startswith("/api/"):
                 raise NotFoundError("unknown route")
             method = split.path[len("/api/"):]
             params = parse_qs(split.query, keep_blank_values=True)
-            body = self._dispatch(self.server.service, method, params)
+            return 200, self._dispatch(self.server.service, method, params)
         except NotFoundError as exc:
-            self._send(404, f"ERROR {exc.code} {exc.message}\n")
+            return 404, f"ERROR {exc.code} {exc.message}\n"
         except ApiError as exc:
-            self._send(400, f"ERROR {exc.code} {exc.message}\n")
+            return 400, f"ERROR {exc.code} {exc.message}\n"
         except (ValueError, KeyError) as exc:
-            self._send(400, f"ERROR bad-request {exc}\n")
-        else:
-            self._send(200, body)
+            return 400, f"ERROR bad-request {exc}\n"
 
     def _dispatch(self, service: ApiService, method: str, params: dict) -> str:
         page = _parse_int(params, "page", 1)
@@ -224,16 +285,8 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             return service.get_nanopub(_require(params, "uri"))
         raise NotFoundError(f"unknown method {method!r}")
 
-    def _send(self, status: int, body: str):
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
-
-class ApiServer(ServerCore, HTTPServer):
+class ApiServer(ServerCore, socketserver.TCPServer):
     def __init__(self, service: ApiService, host: str = "127.0.0.1", port: int = 0):
         service.store.catch_up()  # index what is stored now, before it listens
         super().__init__((host, port), _ApiRequestHandler)

@@ -470,7 +470,6 @@ class ServerCore:
         self._deadlines: dict[socket.socket, float] = {}
         self._closing = False
         self._pool = ThreadPoolExecutor(SLOTS, thread_name_prefix=type(self).__name__)
-        self._stopping = False
         self._stopped = threading.Event()
         super().__init__(*args, **kwargs)
         self._wake, self._waker = socket.socketpair()
@@ -482,32 +481,20 @@ class ServerCore:
             with selectors.DefaultSelector() as selector:
                 selector.register(self, selectors.EVENT_READ)
                 selector.register(self._wake, selectors.EVENT_READ)
-                while not self._stopping:
-                    ready = selector.select(self._until_next_deadline())
-                    if self._stopping:
-                        break
-                    for key, _ in ready:
-                        if key.fileobj is self:
-                            self._handle_request_noblock()
-                        else:
-                            self._wake.recv(64)
-                    self.service_actions()
+                while True:
+                    ready = {key.fileobj for key, _ in selector.select(self._cut_expired())}
+                    if self._wake in ready:  # shutdown() was called
+                        self._wake.recv(1)
+                        return
+                    if ready:
+                        self._handle_request_noblock()
         finally:
-            self._stopping = False
             self._stopped.set()
 
     def shutdown(self):
         """Stop ``serve_forever``, running in another thread, and wait for it."""
-        self._stopping = True
         self._waker.send(b"\0")
         self._stopped.wait()
-
-    def _until_next_deadline(self) -> float:
-        # an exchange taken up after this has its deadline at least
-        # SERVER_TIMEOUT away, so waking by then misses none
-        with self._lock:
-            first = min(self._deadlines.values(), default=math.inf)
-        return max(0.0, min(first - time.monotonic(), SERVER_TIMEOUT))
 
     @property
     def address(self) -> str:
@@ -542,14 +529,16 @@ class ServerCore:
         except OSError:
             pass
 
-    def service_actions(self):
-        """Cut every exchange past its deadline; ``serve_forever`` calls
-        this each time it wakes."""
+    def _cut_expired(self) -> float:
+        """Cut every exchange past its deadline; the seconds until the next."""
         now = time.monotonic()
         with self._lock:
             for request, deadline in self._deadlines.items():
                 if deadline <= now:
                     self._cut(request)
+            first = min(self._deadlines.values(), default=math.inf)
+        # an exchange taken up from now on ends SERVER_TIMEOUT or more away
+        return min(first - now, SERVER_TIMEOUT)
 
     def server_close(self):
         """Stop listening, cut every exchange, and join the workers."""
