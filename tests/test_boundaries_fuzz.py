@@ -191,7 +191,6 @@ _LONG_TARGET = b"GET /api/get_all_indexes?pad="
         pytest.param(b"POST /api/get_all_indexes HTTP/1.0\r\n\r\n", "501 error page", id="post"),
         pytest.param(b"HEAD /api/get_all_indexes HTTP/1.0\r\n\r\n", "501 error page", id="head"),
         pytest.param(b"GET /a b HTTP/1.0\r\n\r\n", "400 error page", id="four-words"),
-        pytest.param(b"GET http://[::1/api/x HTTP/1.0\r\n\r\n", "400 b'ERROR bad-request Invalid IPv6 URL\\n'", id="urlsplit-refuses"),
         # http.server answers these as HTTP/0.9: the error page with no status line
         pytest.param(b"GET / HTTP/1.x\r\n\r\n", "no status line error page", id="bad-version"),
         pytest.param("GET / HTTP/1.\xb2\r\n\r\n".encode("latin-1"), "no status line error page", id="superscript-version"),
