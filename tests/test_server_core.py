@@ -168,8 +168,11 @@ def test_shutdown_returns_at_once(surface):
     thread = _start(server)
     time.sleep(0.05)  # the dispatcher is waiting for a connection
     started = time.monotonic()
-    _stop(server, thread)
+    server.shutdown()
     assert time.monotonic() - started < 0.1
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("surface", SURFACES)
