@@ -158,10 +158,6 @@ class TypeFrequency:
     unique: int
     rows: tuple[tuple[str, int], ...]  # (type, count) count desc, then type asc
 
-    def rank_counts(self) -> list[tuple[int, int]]:
-        """(rank, count) pairs, the data behind a log-log frequency plot."""
-        return [(rank + 1, count) for rank, (_, count) in enumerate(self.rows)]
-
 
 @dataclass(frozen=True)
 class CorpusAnalysis:

@@ -11,16 +11,17 @@ most 65,536 bytes and throws away fewer than 100 header lines of at most
 65,536 bytes each.  Other requests get ``http.server``'s statuses: 414
 for a longer request line, 400 for bad syntax or version, 505 for
 HTTP/2 and up, 431 for more or longer header lines, 501 for any other
-method; a blank request line gets no reply.  The server is bounded by
-``network.ServerCore``: it serves at most ``SLOTS`` requests at once,
-one more waits for a free worker, and it drops a request, without a
-reply, once it has taken ``SERVER_TIMEOUT``.
+method; a blank request line gets no reply.  ``ApiServer`` gives only
+the exchange; ``network.ServerCore`` listens and bounds it as it does the
+node server: a backlog of ``SLOTS``, at most ``SLOTS`` requests at once and
+one more waiting, and a client dropped without a reply once it has taken
+``SERVER_TIMEOUT``, stays silent that long, or resets or cuts the
+connection; any other failure is printed.
 """
 
 from __future__ import annotations
 
 import re
-import socketserver
 import threading
 from email.utils import formatdate
 from http import HTTPStatus
@@ -28,7 +29,7 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from .index import IndexSummary, UnresolvableIndexError, list_indexes, store_resolver, walk
-from .network import SERVER_TIMEOUT, ServerCore
+from .network import ServerCore
 from .rdf import QuadPattern, Term, iri, literal, serialize_trig
 from .store import NanopubStore
 from .trusty import extract_artifact_code
@@ -184,58 +185,65 @@ _MAX_LINE, _MAX_HEADER_LINES = 65536, 100
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")
 
 
-class _ApiRequestHandler(socketserver.StreamRequestHandler):
-    timeout = SERVER_TIMEOUT  # a client silent this long is dropped without a reply
+def _read_head(rfile) -> tuple[Optional[int], Optional[str], bool]:
+    """The status of a protocol error, or the target of a GET to answer,
+    and whether the reply has a head; the headers are read only to be
+    thrown away.  The statuses, and the order they are checked in, are
+    http.server's."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        return 414, None, True
+    words = line.decode("latin-1").split()
+    if not words:
+        return None, None, False
+    head = len(words) >= 3 and words[-1] != "HTTP/0.9"
+    if len(words) >= 3:
+        version = _VERSION.fullmatch(words[-1])
+        if version is None or int(version[1]) >= 2:
+            return 400 if version is None else 505, None, False  # answered as HTTP/0.9
+    if not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
+        return 400, None, head
+    for _ in range(_MAX_HEADER_LINES):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return 431, None, head
+        if line in (b"\r\n", b"\n", b""):
+            break
+    else:
+        return 431, None, head
+    if words[0] != "GET":
+        return 501, None, head
+    target = words[1]  # a leading "//" is one "/"
+    return None, "/" + target.lstrip("/") if target.startswith("/") else target, head
 
-    def handle(self):
-        try:
-            status, target, head = self._read_head()
-        except OSError:
-            return  # silent past the timeout, or gone: dropped without a reply
+
+class ApiServer(ServerCore):
+    def __init__(self, service: ApiService, host: str = "127.0.0.1", port: int = 0):
+        service.store.catch_up()  # index what is stored now, before it listens
+        super().__init__(host, port)
+        self.service = service
+
+    def serve_in_background(self) -> threading.Thread:
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread.start()
+        return thread
+
+    def exchange(self, conn) -> Optional[bytes]:
+        with conn.makefile("rb") as rfile:
+            status, target, head = _read_head(rfile)
         if target is not None:
             status, body, kind = *self._get(target), "plain"
         elif status is not None:
             body, kind = f"<html><body><h1>{status} {HTTPStatus(status).phrase}</h1></body></html>\n", "html"
         else:
-            return  # a blank request line gets no reply
+            return None  # a blank request line gets no reply
         data = body.encode("utf-8")
         if head:  # HTTP/0.9 gets the body alone
             data = (
                 f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nDate: {formatdate(usegmt=True)}\r\n"
                 f"Content-Type: text/{kind}; charset=utf-8\r\nContent-Length: {len(data)}\r\n\r\n"
             ).encode("latin-1") + data
-        self.request.sendall(data)
-
-    def _read_head(self) -> tuple[Optional[int], Optional[str], bool]:
-        """The status of a protocol error, or the target of a GET to
-        answer, and whether the reply has a head; the headers are read
-        only to be thrown away.  The statuses, and the order they are
-        checked in, are http.server's."""
-        line = self.rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            return 414, None, True
-        words = line.decode("latin-1").split()
-        if not words:
-            return None, None, False
-        head = len(words) >= 3 and words[-1] != "HTTP/0.9"
-        if len(words) >= 3:
-            version = _VERSION.fullmatch(words[-1])
-            if version is None or int(version[1]) >= 2:
-                return 400 if version is None else 505, None, False  # answered as HTTP/0.9
-        if not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
-            return 400, None, head
-        for _ in range(_MAX_HEADER_LINES):
-            line = self.rfile.readline(_MAX_LINE + 1)
-            if len(line) > _MAX_LINE:
-                return 431, None, head
-            if line in (b"\r\n", b"\n", b""):
-                break
-        else:
-            return 431, None, head
-        if words[0] != "GET":
-            return 501, None, head
-        target = words[1]  # a leading "//" is one "/"
-        return None, "/" + target.lstrip("/") if target.startswith("/") else target, head
+        return data
 
     def _get(self, target: str) -> tuple[int, str]:
         try:
@@ -244,7 +252,7 @@ class _ApiRequestHandler(socketserver.StreamRequestHandler):
                 raise NotFoundError("unknown route")
             method = split.path[len("/api/"):]
             params = parse_qs(split.query, keep_blank_values=True)
-            return 200, self._dispatch(self.server.service, method, params)
+            return 200, self._dispatch(self.service, method, params)
         except NotFoundError as exc:
             return 404, f"ERROR {exc.code} {exc.message}\n"
         except ApiError as exc:
@@ -285,14 +293,3 @@ class _ApiRequestHandler(socketserver.StreamRequestHandler):
             return service.get_nanopub(_require(params, "uri"))
         raise NotFoundError(f"unknown method {method!r}")
 
-
-class ApiServer(ServerCore, socketserver.TCPServer):
-    def __init__(self, service: ApiService, host: str = "127.0.0.1", port: int = 0):
-        service.store.catch_up()  # index what is stored now, before it listens
-        super().__init__((host, port), _ApiRequestHandler)
-        self.service = service
-
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread

@@ -257,9 +257,16 @@ def cmd_index_list(args) -> int:
     return 0
 
 
+def _listen(server_class, handler, args):
+    try:
+        return server_class(handler, host=args.host, port=args.port)
+    except OSError as exc:
+        raise CliError(f"cannot listen on {args.host}:{args.port}: {exc.strerror}") from None
+
+
 def cmd_serve(args) -> int:
     store = _open_store(args)
-    server = ApiServer(ApiService(store), host=args.host, port=args.port)
+    server = _listen(ApiServer, ApiService(store), args)
     print(f"serving API on http://{server.address}/api/<method>")
     try:
         server.serve_forever()
@@ -276,7 +283,7 @@ def cmd_node_run(args) -> int:
         parse_address(peer)  # a bad --peer is refused before the store opens
     store = _open_store(args)
     node = ServerNode("self", store, peers, send=lambda peer, msg: tcp_request(peer, msg))
-    server = NodeServer(node, host=args.host, port=args.port)
+    server = _listen(NodeServer, node, args)
     print(f"node listening on {server.address}, peers: {', '.join(peers) or 'none'}")
     if args.sync_interval > 0 and peers:
         import threading

@@ -220,15 +220,3 @@ def generate_corpus(config: CorpusConfig) -> list[Nanopublication]:
         for serial in range(config.count)
     ]
 
-
-def synthetic_trusty_uris(count: int, base: str = "http://example.org/np/", label: str = "e") -> list[str]:
-    """Syntactically valid, pairwise distinct trusty URIs (content-free,
-    for index membership tests at scale)."""
-    import hashlib
-
-    from .trusty import encode_digest
-
-    return [
-        base + "RA" + encode_digest(hashlib.sha256(f"{label}-{i}".encode()).digest())
-        for i in range(count)
-    ]

@@ -17,12 +17,14 @@ discards up to as much again of a longer request before it answers
 ``REJECTED``, and a client keeps that answer when its send breaks or
 the node, having stopped reading, resets the connection.
 
-``ServerCore`` bounds both servers, ``NodeServer`` here and the HTTP
-API's ``ApiServer``: at most ``SLOTS`` connections are served at once,
-each on a reused worker thread, and one more waits until a worker is
-free.  A node drops a client, without a reply, once its whole exchange
-has taken ``SERVER_TIMEOUT``, however it trickles, or once it stays
-silent that long.
+``ServerCore`` listens and runs every exchange of both servers,
+``NodeServer`` here and the HTTP API's ``ApiServer``, which give only
+the ``exchange`` of one request.  Its listen backlog is ``SLOTS``; at most
+``SLOTS`` connections are served at once, each on a reused worker thread,
+and one more waits until a worker is free.  A client is dropped, without
+a reply, once its whole exchange has taken ``SERVER_TIMEOUT``, however it
+trickles, once it stays silent that long, or when it resets or cuts the
+connection; any other failure of an exchange is printed.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ import math
 import random
 import selectors
 import socket
-import socketserver
+import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -425,27 +428,11 @@ def tcp_request(address: str, msg: Message, timeout: float = SERVER_TIMEOUT) -> 
         raise ProtocolError(f"{address}: undecodable reply: {exc}") from exc
 
 
-class _NodeRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        self.request.settimeout(SERVER_TIMEOUT)
-        try:
-            msg = decode_message(_read_to_eof(self.request))
-        except OSError:
-            return  # silent for SERVER_TIMEOUT, or gone: dropped without a reply
-        except ProtocolError as exc:
-            reply = Rejected(str(exc))
-            try:
-                _drain(self.request)
-            except OSError:
-                return
-        else:
-            reply = self.server.node.handle(msg)
-        self.request.sendall(encode_message(reply))
-
-
 class ServerCore:
-    """The bounded core of ``NodeServer`` and ``ApiServer``, mixed in
-    before a ``socketserver.TCPServer``.
+    """The bounded core of ``NodeServer`` and ``ApiServer``: it listens,
+    and runs every exchange.  A surface gives only ``exchange(conn)``,
+    which reads one bounded request, decodes and handles it, and returns
+    the reply bytes, or None for no reply.
 
     ``serve_forever`` is the dispatcher.  It hands each accepted
     connection to a pool of at most ``SLOTS`` worker threads, each
@@ -458,12 +445,11 @@ class ServerCore:
     pair.
     """
 
-    allow_reuse_address = True
-    # socketserver's listen backlog is 5: a burst past it has its SYNs
-    # dropped, and each client retries only after a second
-    request_queue_size = SLOTS
-
-    def __init__(self, *args, **kwargs):
+    def __init__(self, host: str, port: int):
+        # a burst past the listen backlog has its SYNs dropped, and each
+        # client retries only after a second
+        self.socket = socket.create_server((host, port), backlog=SLOTS)
+        self.server_address = self.socket.getsockname()
         self._lock = threading.Lock()
         # each exchange a worker has taken up -> its deadline, inf once it
         # is cut; the worker removes its own before it closes the socket
@@ -471,7 +457,6 @@ class ServerCore:
         self._closing = False
         self._pool = ThreadPoolExecutor(SLOTS, thread_name_prefix=type(self).__name__)
         self._stopped = threading.Event()
-        super().__init__(*args, **kwargs)
         self._wake, self._waker = socket.socketpair()
 
     def serve_forever(self):
@@ -479,7 +464,7 @@ class ServerCore:
         self._stopped.clear()
         try:
             with selectors.DefaultSelector() as selector:
-                selector.register(self, selectors.EVENT_READ)
+                selector.register(self.socket, selectors.EVENT_READ)
                 selector.register(self._wake, selectors.EVENT_READ)
                 while True:
                     ready = {key.fileobj for key, _ in selector.select(self._cut_expired())}
@@ -487,7 +472,11 @@ class ServerCore:
                         self._wake.recv(1)
                         return
                     if ready:
-                        self._handle_request_noblock()
+                        try:
+                            conn, client_address = self.socket.accept()
+                        except OSError:
+                            continue  # a failed accept leaves no connection to serve
+                        self._pool.submit(self._serve, conn, client_address)
         finally:
             self._stopped.set()
 
@@ -501,31 +490,39 @@ class ServerCore:
         host, port = self.server_address[:2]
         return f"{host}:{port}"
 
-    def process_request(self, request, client_address):
-        self._pool.submit(self._serve, request, client_address)
-
-    def _serve(self, request, client_address):
+    def _serve(self, conn, client_address):
         with self._lock:
-            self._deadlines[request] = time.monotonic() + SERVER_TIMEOUT
+            self._deadlines[conn] = time.monotonic() + SERVER_TIMEOUT
             if self._closing:  # taken up after server_close: never served
-                self._cut(request)
+                self._cut(conn)
         try:
-            self.finish_request(request, client_address)
+            conn.settimeout(SERVER_TIMEOUT)
+            reply = self.exchange(conn)
+            if reply is not None:
+                conn.sendall(reply)
+        except (ConnectionError, TimeoutError):
+            pass  # a silent, reset or cut client: dropped without a reply
         except Exception:
-            with self._lock:
-                cut = self._deadlines[request] == math.inf
-            if not cut:  # an exchange cut at its deadline fails by design
-                self.handle_error(request, client_address)
+            self.handle_error(conn, client_address)
         finally:
             with self._lock:
-                del self._deadlines[request]
-            self.shutdown_request(request)
+                del self._deadlines[conn]
+            try:
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+            conn.close()
 
-    def _cut(self, request):
+    def handle_error(self, request, client_address):
+        """Print the traceback of an exchange that failed."""
+        print(f"exchange with {client_address} failed:", file=sys.stderr)
+        traceback.print_exc()
+
+    def _cut(self, conn):
         # with the lock held, so the worker has not closed the socket yet
-        self._deadlines[request] = math.inf
+        self._deadlines[conn] = math.inf
         try:
-            request.shutdown(socket.SHUT_RDWR)
+            conn.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
 
@@ -533,31 +530,39 @@ class ServerCore:
         """Cut every exchange past its deadline; the seconds until the next."""
         now = time.monotonic()
         with self._lock:
-            for request, deadline in self._deadlines.items():
+            for conn, deadline in self._deadlines.items():
                 if deadline <= now:
-                    self._cut(request)
+                    self._cut(conn)
             first = min(self._deadlines.values(), default=math.inf)
         # an exchange taken up from now on ends SERVER_TIMEOUT or more away
         return min(first - now, SERVER_TIMEOUT)
 
     def server_close(self):
         """Stop listening, cut every exchange, and join the workers."""
-        super().server_close()
+        self.socket.close()
         self._wake.close()
         self._waker.close()
         with self._lock:
             self._closing = True
-            for request in self._deadlines:
-                self._cut(request)
+            for conn in self._deadlines:
+                self._cut(conn)
         self._pool.shutdown(wait=True)
 
 
-class NodeServer(ServerCore, socketserver.TCPServer):
+class NodeServer(ServerCore):
     """Serves one node's message contract over TCP."""
 
     def __init__(self, node: ServerNode, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _NodeRequestHandler)
+        super().__init__(host, port)
         self.node = node
+
+    def exchange(self, conn):
+        try:
+            msg = decode_message(_read_to_eof(conn))
+        except ProtocolError as exc:
+            _drain(conn)
+            return encode_message(Rejected(str(exc)))
+        return encode_message(self.node.handle(msg))
 
 
 # -- simulation ---------------------------------------------------------------

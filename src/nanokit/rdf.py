@@ -155,13 +155,6 @@ class QuadDocument:
     def __repr__(self) -> str:
         return f"QuadDocument({len(self.quads)} quads, {len(self.prefixes)} prefixes)"
 
-    def graph_names(self) -> tuple[str, ...]:
-        """Graph IRIs in first-appearance order."""
-        names = {}
-        for q in self.quads:
-            names.setdefault(q.graph.value, None)
-        return tuple(names)
-
 
 @dataclass(frozen=True)
 class QuadPattern:

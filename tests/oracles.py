@@ -4,11 +4,13 @@ Each function here takes the dumbest correct path: full scans, no
 indexes, no shared code with the lookup structures under test.
 """
 
+import hashlib
 from collections import Counter
 from datetime import datetime, timezone
 
 from nanokit import namespaces as ns
 from nanokit.network import Simulation
+from nanokit.trusty import encode_digest
 
 
 def as_pairs(nanopubs):
@@ -37,6 +39,26 @@ def scan_pattern(pairs, subject=None, predicate=None, obj=None, graph=None):
 def run_simulation(config, workload):
     """Build the network for ``config`` and run ``workload`` to completion."""
     return Simulation(config).run(workload)
+
+
+def synthetic_trusty_uris(count, base="http://example.org/np/", label="e"):
+    """Syntactically valid, pairwise distinct trusty URIs (content-free,
+    for index membership tests at scale)."""
+    return [
+        base + "RA" + encode_digest(hashlib.sha256(f"{label}-{i}".encode()).digest())
+        for i in range(count)
+    ]
+
+
+def graph_names(doc):
+    """The graph IRIs of ``doc``, in first-appearance order."""
+    return tuple(dict.fromkeys(q.graph.value for q in doc.quads))
+
+
+def rank_counts(types):
+    """(rank, count) pairs of a ``TypeFrequency``: the data behind a
+    log-log frequency plot."""
+    return [(rank + 1, count) for rank, (_, count) in enumerate(types.rows)]
 
 
 def match(doc, pattern):

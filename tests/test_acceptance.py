@@ -12,7 +12,7 @@ import pytest
 from nanokit import namespaces as ns
 from nanokit.analysis import DEFAULT_TOOL_URIS, analyze
 from nanokit.api import ApiService
-from nanokit.corpusgen import CorpusConfig, generate_corpus, synthetic_trusty_uris
+from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.index import IndexMetadata, build_incremental, build_index, expand
 from nanokit.nanopub import RULE_IDS, validate
 from nanokit.network import PublishEvent, SimConfig, Simulation, client_retrieve
@@ -23,6 +23,7 @@ from nanokit.trusty import compute_code, verify
 from conftest import FIXTURES
 from oracle_trusty import oracle_strip_trusty as strip_trusty
 from oracles import (
+    graph_names,
     recount_creators,
     recount_licenses,
     recount_namespace_cell,
@@ -30,6 +31,7 @@ from oracles import (
     recount_types,
     scan_pattern,
     scan_uri,
+    synthetic_trusty_uris,
 )
 
 
@@ -114,7 +116,7 @@ def _mutations(doc: QuadDocument):
             parts = [q.subject, q.predicate, q.object, q.graph]
             parts[position] = foreign
             yield QuadDocument(quads[:i] + [Quad(*parts)] + quads[i + 1 :])
-    for graph in doc.graph_names():
+    for graph in graph_names(doc):
         yield QuadDocument(quads + [Quad(foreign, foreign, literal("planted"), iri(graph))])
 
 

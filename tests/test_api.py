@@ -7,7 +7,7 @@ import time
 import pytest
 import requests
 
-from nanokit import api
+from nanokit import api, network
 from nanokit import namespaces as ns
 from nanokit.api import (
     MAX_PAGE_SIZE,
@@ -15,16 +15,13 @@ from nanokit.api import (
     ApiServer,
     ApiService,
     NotFoundError,
-    _ApiRequestHandler,
 )
-from nanokit.corpusgen import synthetic_trusty_uris
 from nanokit.index import IndexMetadata, IndexRecord, _mint_chain, build_incremental, build_index
-from nanokit.network import SERVER_TIMEOUT
 from nanokit.rdf import QuadPattern, iri, parse_trig
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
 
-from oracles import as_pairs, scan_pattern, scan_uri, transitive_union
+from oracles import as_pairs, scan_pattern, scan_uri, synthetic_trusty_uris, transitive_union
 
 
 @pytest.fixture(scope="module")
@@ -439,8 +436,7 @@ def test_http_page_takes_ascii_digits_only(http_base, raw):
 
 
 def test_http_server_drops_silent_client(monkeypatch):
-    assert _ApiRequestHandler.timeout == SERVER_TIMEOUT
-    monkeypatch.setattr(_ApiRequestHandler, "timeout", 0.5)
+    monkeypatch.setattr(network, "SERVER_TIMEOUT", 0.5)
     server = ApiServer(ApiService(NanopubStore()))
     thread = server.serve_in_background()
     try:

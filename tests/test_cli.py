@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import socket
+from pathlib import Path
 
 import pytest
 
@@ -415,3 +418,33 @@ def test_ctrl_c_closes_the_server(tmp_path, capsys, monkeypatch, server_class, a
     assert status == 0
     (server,) = interrupted
     assert server.socket.fileno() == -1  # the listening socket is released
+
+
+def _open_sockets():
+    """The sockets this process holds, by inode."""
+    held = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if target.startswith("socket:"):
+            held.add(target)
+    return held
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc to list open sockets")
+@pytest.mark.parametrize(
+    "argv", [["serve"], ["node", "run", "--sync-interval", "0"]], ids=["serve", "node-run"]
+)
+def test_a_busy_port_is_an_error_line(tmp_path, capsys, argv):
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        before = _open_sockets()
+        status, out, err = run(capsys, *argv, "--store-dir", str(tmp_path / "store"), "--port", str(port))
+        after = _open_sockets()
+    assert status == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: Address already in use")
+    assert len(err.splitlines()) == 1  # no traceback
+    assert after == before

@@ -7,7 +7,6 @@ from nanokit import namespaces as ns
 from nanokit import store as store_module
 from nanokit.api import ApiService
 from nanokit.build import mint_nanopub, placeholders
-from nanokit.corpusgen import synthetic_trusty_uris
 from nanokit.index import (
     IndexCycleError,
     IndexError_,
@@ -28,7 +27,7 @@ from nanokit.rdf import iri, literal
 from nanokit.store import NanopubStore
 from nanokit.trusty import verify
 
-from oracles import transitive_union
+from oracles import synthetic_trusty_uris, transitive_union
 
 META = IndexMetadata(title="Test index", created="2018-01-01T00:00:00Z")
 

@@ -26,7 +26,7 @@ from nanokit.rdf import (
 )
 from nanokit import namespaces as ns
 
-from oracles import match
+from oracles import graph_names, match
 from strategies import documents, quads
 
 
@@ -45,7 +45,7 @@ def test_parse_empty_string():
 def test_parse_birddiet_fixture(birddiet_doc):
     # hand-count: 4 head + 3 assertion + 2 provenance + 3 pubinfo
     assert len(birddiet_doc) == 12
-    assert len(birddiet_doc.graph_names()) == 4
+    assert len(graph_names(birddiet_doc)) == 4
 
 
 def test_parse_literals_and_keywords():

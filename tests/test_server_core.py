@@ -1,8 +1,11 @@
 """The bounded server core that ``NodeServer`` and ``ApiServer`` share:
 reused workers, the bound on them and the whole-request deadline, on
-both surfaces.  The tests of the bound run the core at two workers."""
+both surfaces, and its one error policy.  The tests of the bound run the
+core at two workers."""
 
+import errno
 import socket
+import struct
 import sys
 import threading
 import time
@@ -34,6 +37,17 @@ class Wire:
     def answered(reply):
         return _decoded(reply) == NotFound()
 
+    @staticmethod
+    def server_on(port):
+        return NodeServer(ServerNode("srv"), port=port)
+
+    @staticmethod
+    def break_handling(monkeypatch):
+        def full_disk(self, msg):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ServerNode, "handle", full_disk)
+
 
 class Http:
     request = b"GET /api/get_all_indexes HTTP/1.0\r\n\r\n"
@@ -46,6 +60,17 @@ class Http:
     @staticmethod
     def answered(reply):
         return reply.startswith(b"HTTP/1.0 200 ")
+
+    @staticmethod
+    def server_on(port):
+        return ApiServer(ApiService(NanopubStore()), port=port)
+
+    @staticmethod
+    def break_handling(monkeypatch):
+        def broken(self, page=1, page_size=None):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(ApiService, "get_all_indexes", broken)
 
 
 SURFACES = [pytest.param(Wire, id="wire"), pytest.param(Http, id="http")]
@@ -105,6 +130,51 @@ def test_a_connection_past_the_bound_waits_for_a_free_worker(monkeypatch, bound,
                 conn.close()
     finally:
         _stop(server, thread)
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_a_busy_port_raises_the_oserror(surface):
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        with pytest.raises(OSError) as raised:
+            surface.server_on(busy.getsockname()[1])
+    assert raised.value.errno == errno.EADDRINUSE
+
+
+def _recording_errors(server):
+    errors = []
+    server.handle_error = lambda request, client_address: errors.append(client_address)
+    return errors
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_a_failed_exchange_reaches_handle_error_once_without_a_reply(monkeypatch, surface):
+    surface.break_handling(monkeypatch)
+    server = surface.server()
+    errors = _recording_errors(server)
+    thread = _start(server)
+    try:
+        assert exchange(server.server_address[:2], surface.request) == b""
+    finally:
+        _stop(server, thread)
+    assert len(errors) == 1
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_a_client_that_resets_mid_request_is_dropped_silently(surface):
+    server = surface.server()
+    errors = _recording_errors(server)
+    thread = _start(server)
+    address = server.server_address[:2]
+    try:
+        conn = socket.create_connection(address, timeout=5)
+        conn.sendall(surface.trickled)
+        time.sleep(0.1)  # taken up, and waiting for the rest
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()  # sends a reset
+        assert surface.answered(exchange(address, surface.request))
+    finally:
+        _stop(server, thread)
+    assert errors == []
 
 
 def trickle(conn, data, limit=6.0):
@@ -223,13 +293,13 @@ def test_close_leaves_no_worker_alive(bound, surface):
 def test_workers_are_reused_and_never_more_than_the_bound(bound, surface):
     server = surface.server()
     handlers = []
-    finish_request = server.finish_request
+    run_exchange = server.exchange
 
-    def recording(request, client_address):
+    def recording(conn):
         handlers.append(threading.current_thread())
-        finish_request(request, client_address)
+        return run_exchange(conn)
 
-    server.finish_request = recording
+    server.exchange = recording
     thread = _start(server)
     address = server.server_address[:2]
     try:

@@ -23,6 +23,7 @@ from nanokit.trusty import (
 
 from oracle_trusty import ALPHABET, oracle_canonical_form, oracle_code, oracle_strip, oracle_verify
 from oracle_trusty import oracle_strip_trusty as strip_trusty
+from oracles import graph_names
 from strategies import documents
 
 BASE = "http://example.org/np/birddiet."
@@ -207,7 +208,7 @@ def _single_quad_mutations(doc):
             fields[position] = foreign
             mutated = Quad(fields["subject"], fields["predicate"], fields["object"], fields["graph"])
             yield QuadDocument(quads[:i] + [mutated] + quads[i + 1 :], doc.prefixes)
-    for graph in doc.graph_names():
+    for graph in graph_names(doc):
         extra = Quad(foreign, foreign, literal("planted"), iri(graph))
         yield QuadDocument(quads + [extra], doc.prefixes)
 
