@@ -3,10 +3,12 @@
 
     python scripts/memory_per_nanopub.py --count 10000
 
-Two figures, each the traced bytes still allocated divided by the
-corpus size: after ``generate_corpus`` (seed 0), and after putting that
-corpus into an in-memory ``NanopubStore`` (the corpus plus the store).
-The package is imported before tracing starts, so neither counts it.
+Three figures, each the traced bytes still allocated divided by the
+corpus size: after ``generate_corpus`` (seed 0), after putting that
+corpus into an in-memory ``NanopubStore`` (the corpus plus the store),
+and after ``store.catch_up()`` builds the query index (the corpus, the
+store and the index).  The package is imported before tracing starts, so
+no figure counts it.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ def main() -> None:
     store = NanopubStore()
     store.put_all(corpus)
     stored = _kept() - start
+    store.catch_up()
+    indexed = _kept() - start
     tracemalloc.stop()
 
     print(f"nanopubs: {len(store)}")
     print(f"generated: {generated / args.count:.0f} bytes per nanopub")
     print(f"stored: {stored / args.count:.0f} bytes per nanopub (corpus plus store)")
+    print(f"indexed: {indexed / args.count:.0f} bytes per nanopub (corpus, store and index)")
 
 
 if __name__ == "__main__":

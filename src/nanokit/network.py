@@ -446,9 +446,17 @@ class ServerCore:
     """
 
     def __init__(self, host: str, port: int):
-        # a burst past the listen backlog has its SYNs dropped, and each
-        # client retries only after a second
-        self.socket = socket.create_server((host, port), backlog=SLOTS)
+        # an IPv6 address holds a colon, which no IPv4 address or host name does
+        self.socket = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind((host, port))
+            # a burst past the listen backlog has its SYNs dropped, and each
+            # client retries only after a second
+            self.socket.listen(SLOTS)
+        except OSError:
+            self.socket.close()
+            raise
         self.server_address = self.socket.getsockname()
         self._lock = threading.Lock()
         # each exchange a worker has taken up -> its deadline, inf once it
@@ -456,12 +464,17 @@ class ServerCore:
         self._deadlines: dict[socket.socket, float] = {}
         self._closing = False
         self._pool = ThreadPoolExecutor(SLOTS, thread_name_prefix=type(self).__name__)
+        # serve_forever is running and no shutdown has woken it yet
+        self._serving = False
         self._stopped = threading.Event()
+        self._stopped.set()
         self._wake, self._waker = socket.socketpair()
 
     def serve_forever(self):
         """Accept and dispatch connections until ``shutdown``."""
-        self._stopped.clear()
+        with self._lock:
+            self._serving = True
+            self._stopped.clear()
         try:
             with selectors.DefaultSelector() as selector:
                 selector.register(self.socket, selectors.EVENT_READ)
@@ -478,17 +491,24 @@ class ServerCore:
                             continue  # a failed accept leaves no connection to serve
                         self._pool.submit(self._serve, conn, client_address)
         finally:
+            with self._lock:
+                self._serving = False
             self._stopped.set()
 
     def shutdown(self):
-        """Stop ``serve_forever``, running in another thread, and wait for it."""
-        self._waker.send(b"\0")
+        """Stop ``serve_forever``, running in another thread, and wait for
+        it; returns at once when it is not running."""
+        with self._lock:
+            if self._serving:  # one wake byte, which serve_forever reads
+                self._serving = False
+                self._waker.send(b"\0")
         self._stopped.wait()
 
     @property
     def address(self) -> str:
+        """``host:port``, or ``[host]:port`` for IPv6, as ``parse_address`` reads it."""
         host, port = self.server_address[:2]
-        return f"{host}:{port}"
+        return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
     def _serve(self, conn, client_address):
         with self._lock:

@@ -25,14 +25,18 @@ The query index is built on read.  ``find_by_pattern`` and
 ``find_by_uri`` first call ``catch_up``, which indexes the positions put
 since the last query, in ingest order, under the store lock.
 ``ApiServer`` calls it once before it listens, so no request pays for a
-whole store.  Per position it computes the ``latest_key`` and appends to
-the postings: key -> ingest positions, ascending, never reordered.
-There is one posting per quad position, keyed by the IRI string (an
-object literal by its value, datatype and language), and one per
-(predicate, object) pair.  A one-position or a predicate+object pattern
-is one posting, and so is exact; the wildcard is the journal.  Any other
-pattern confirms the positions of its smallest posting against their
-quads.  A URI mention is the union of the four position postings for
+whole store.  Per position it computes the ``latest_key`` and adds the
+position to the postings: key -> ingest positions, ascending, never
+reordered.  A key held by one position, as most are, keeps it as a bare
+int; a second, different position replaces it with the list of both in
+one dict store, and later ones are appended to that list.  Readers take
+a posting through ``_posting``, which turns the int into a 1-tuple.
+There are postings per quad position, keyed by the IRI string (an object
+literal by its value, datatype and language), and pair postings: one
+dict per predicate, keyed by the object.  A one-position or a
+predicate+object pattern is one posting, and so is exact; the wildcard
+is the journal.  Any other pattern confirms the positions of its
+smallest posting against their quads.  A URI mention is the union of the four position postings for
 that IRI.  Ingest order is the posting itself.  Latest order is one
 store-wide list of the indexed positions in ``latest_key`` order; a
 catch-up sorts the old list and the new positions into a new one, which
@@ -61,7 +65,7 @@ import itertools
 import threading
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import namespaces as ns
 from .index import IndexError_, IndexRecord, is_index
@@ -91,6 +95,13 @@ def _object_key(term: Term):
     if term.kind == "iri":
         return term.value
     return (term.value, term.datatype, term.language)
+
+
+def _posting(index: dict, key) -> Optional[Sequence[int]]:
+    """The ingest positions ``index`` holds for ``key``, ascending; None
+    for none.  A key held by one position keeps it as a bare int."""
+    positions = index.get(key)
+    return (positions,) if type(positions) is int else positions
 
 
 def candidate_uris(doc) -> list[str]:
@@ -190,8 +201,9 @@ class NanopubStore:
         self._codes: list[str] = []
         # the query index of the first _indexed positions, built by
         # catch_up: the latest_key of each position and the postings,
-        # posting name -> key -> ingest positions, ascending, only ever
-        # appended to; and those positions in latest_key order, replaced whole
+        # position name -> key -> ingest positions (one a bare int, more an
+        # ascending list, only ever appended to), "pair" -> predicate -> object
+        # key -> the same; and those positions in latest_key order, replaced whole
         self._indexed = 0
         self._keys: list[tuple] = []
         self._postings: dict[str, dict] = {name: {} for name in (*POSITIONS, "pair")}
@@ -328,16 +340,17 @@ class NanopubStore:
                 for q in np.quads:
                     predicate = q.predicate.value
                     obj = _object_key(q.object)
-                    for posting, key in (
+                    for index, key in (
                         (subjects, q.subject.value),
                         (predicates, predicate),
                         (objects, obj),
                         (graphs, q.graph.value),
-                        (pairs, (predicate, obj)),
+                        (pairs.setdefault(predicate, {}), obj),
                     ):
-                        positions = posting.get(key)
-                        if positions is None:
-                            posting[key] = [pos]
+                        positions = index.setdefault(key, pos)
+                        if type(positions) is int:
+                            if positions != pos:  # a second position: one store publishes both
+                                index[key] = [positions, pos]
                         elif positions[-1] != pos:
                             positions.append(pos)
             # the old order is one sorted run: the sort merges the new ones in
@@ -379,9 +392,11 @@ class NanopubStore:
             if latest:
                 return list(map(self._codes.__getitem__, self._latest[:stop]))
             return self._codes[:stop]
+        indexes = self._postings
         if "predicate" in keys and "object" in keys:
-            keys["pair"] = (keys.pop("predicate"), keys.pop("object"))
-        postings = [self._postings[name].get(key) for name, key in keys.items()]
+            # the pair postings of the predicate, by object, stand in for both
+            indexes = {**indexes, "object": indexes["pair"].get(keys.pop("predicate"), {})}
+        postings = [_posting(indexes[name], key) for name, key in keys.items()]
         if any(positions is None for positions in postings):
             return []
         hits = min(postings, key=len)
@@ -399,10 +414,11 @@ class NanopubStore:
         position, up to ``stop`` of them: the union of the four position
         postings."""
         self.catch_up()
-        found = [positions for name in POSITIONS if (positions := self._postings[name].get(uri))]
+        postings = self._postings
+        found = [positions for name in POSITIONS if (positions := _posting(postings[name], uri))]
         return self._page(found, latest, stop)
 
-    def _page(self, postings: list[list[int]], latest: bool, stop: int | None) -> list[str]:
+    def _page(self, postings: list[Sequence[int]], latest: bool, stop: int | None) -> list[str]:
         """Codes of the positions that ``postings`` (each ascending) hold,
         in latest or ingest order, up to ``stop`` of them."""
         total = sum(map(len, postings))  # a URI union may count a position twice
@@ -428,7 +444,7 @@ class NanopubStore:
         return list(map(self._codes.__getitem__, order))
 
     def _walk(
-        self, latest: list[int], postings: list[list[int]], want: int, budget: int
+        self, latest: list[int], postings: list[Sequence[int]], want: int, budget: int
     ) -> Optional[list[int]]:
         """The first ``want`` positions of ``latest`` that some posting
         holds, reading at most ``budget`` positions; None when the budget

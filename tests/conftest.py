@@ -1,3 +1,4 @@
+import socket
 import sys
 from pathlib import Path
 
@@ -10,6 +11,18 @@ sys.path.insert(0, str(TESTS))
 from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.rdf import parse_trig
 from nanokit.store import NanopubStore, candidate_uris
+
+
+def _binds_ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6 = pytest.mark.skipif(not _binds_ipv6_loopback(), reason="this host cannot bind ::1")
 
 
 @pytest.fixture(scope="session")

@@ -8,12 +8,12 @@ import pytest
 
 from nanokit.api import ApiServer
 from nanokit.cli import main
-from nanokit.network import NodeServer
+from nanokit.network import NodeServer, ServerCore
 from nanokit.rdf import parse_trig
 from nanokit.store import NanopubStore, candidate_uris
 from nanokit.trusty import verify
 
-from conftest import FIXTURES
+from conftest import FIXTURES, needs_ipv6
 
 
 def run(capsys, *argv):
@@ -420,6 +420,32 @@ def test_ctrl_c_closes_the_server(tmp_path, capsys, monkeypatch, server_class, a
     assert server.socket.fileno() == -1  # the listening socket is released
 
 
+@needs_ipv6
+@pytest.mark.parametrize(
+    "argv, listening",
+    [
+        (["serve"], "serving API on http://[::1]:"),
+        (["node", "run", "--sync-interval", "0"], "node listening on [::1]:"),
+    ],
+    ids=["serve", "node-run"],
+)
+def test_serve_and_node_run_listen_on_ipv6(tmp_path, capsys, monkeypatch, argv, listening):
+    served = []
+
+    def interrupt(self):
+        served.append(self.server_address)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ServerCore, "serve_forever", interrupt)
+    status, out, _ = run(
+        capsys, *argv, "--store-dir", str(tmp_path / "store"), "--host", "::1", "--port", "0"
+    )
+    assert status == 0
+    ((host, port, *_),) = served
+    assert host == "::1"
+    assert out.startswith(f"{listening}{port}")
+
+
 def _open_sockets():
     """The sockets this process holds, by inode."""
     held = set()
@@ -445,6 +471,6 @@ def test_a_busy_port_is_an_error_line(tmp_path, capsys, argv):
         after = _open_sockets()
     assert status == 1
     assert out == ""
-    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: Address already in use")
+    assert err == f"error: cannot listen on 127.0.0.1:{port}: Address already in use\n"
     assert len(err.splitlines()) == 1  # no traceback
     assert after == before

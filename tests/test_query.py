@@ -6,10 +6,12 @@ ends around both edges of the answer.  A ``latest`` answer is in
 ``latest_key`` order; any other answer is in ingest order.
 """
 
+import gc
 import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from nanokit import namespaces as ns
 from nanokit import store as store_module
 from nanokit.api import ApiService
 from nanokit.build import mint_nanopub, placeholders
+from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.nanopub import Nanopublication
 from nanokit.rdf import Quad, QuadPattern, iri, literal
 from nanokit.store import NanopubStore, StoreError
@@ -321,6 +324,120 @@ def test_rejected_batch_leaves_no_position_a_query_returns(corpus200):
         assert store.find_by_uri(evil.value, latest=latest) == []
         assert store.find_by_pattern(QuadPattern(object=evil), latest=latest) == []
     assert store.codes() == stored
+
+
+# -- posting shapes: one position as a bare int, more as a list, pairs per predicate --
+
+SHARED = iri("http://test.example/data/shared")
+SHARED_P = iri("http://test.example/vocab/shared")
+SHARED_O = literal("shared")
+
+
+def _assert_answers_equal_ordered_scan(store, nanopubs):
+    """Every pattern and URI lookup on the shared terms, in both orders
+    and at every page end, against the ordered scan of ``nanopubs``."""
+    pairs = as_pairs(nanopubs)
+    ingest_order = [code for code, _ in pairs]
+    patterns = [
+        {"subject": SHARED},
+        {"predicate": SHARED_P},
+        {"object": SHARED_O},
+        {"predicate": SHARED_P, "object": SHARED_O},
+        {"subject": SHARED, "predicate": SHARED_P, "object": SHARED_O},
+    ]
+    for terms in patterns:
+        hits = scan_pattern(
+            pairs,
+            subject=terms.get("subject"),
+            predicate=terms.get("predicate"),
+            obj=terms.get("object"),
+        )
+        for latest in (True, False):
+            expected = ordered(store, hits, ingest_order, latest)
+            for stop in _stops(len(expected)):
+                got = store.find_by_pattern(QuadPattern(**terms), latest=latest, stop=stop)
+                assert got == expected[:stop], (terms, latest, stop)
+    for uri in (SHARED.value, SHARED_P.value):
+        for latest in (True, False):
+            expected = ordered(store, scan_uri(pairs, uri), ingest_order, latest)
+            for stop in _stops(len(expected)):
+                assert store.find_by_uri(uri, latest=latest, stop=stop) == expected[:stop]
+
+
+def test_a_key_gains_its_second_position_in_a_later_catch_up():
+    # the later nanopubs are newer, so latest order is not ingest order
+    nanopubs = [
+        _minted(f"shared{i}", [(SHARED, SHARED_P, SHARED_O)], created=f"201{i}-01-01T00:00:00Z")
+        for i in range(3)
+    ]
+    store = NanopubStore()
+    for count, np in enumerate(nanopubs, 1):
+        store.put(np)  # each query catches up one new position of every shared key
+        _assert_answers_equal_ordered_scan(store, nanopubs[:count])
+
+
+def test_a_key_repeated_within_one_nanopub_stays_one_position():
+    other = iri("http://test.example/data/other")
+    repeated = _minted(
+        "repeated",
+        [(SHARED, SHARED_P, SHARED_O), (SHARED, SHARED_P, other), (other, SHARED_P, SHARED_O)],
+        created="2016-01-01T00:00:00Z",
+    )
+    again = _minted("again", [(SHARED, SHARED_P, SHARED_O)], created="2015-01-01T00:00:00Z")
+    store = NanopubStore()
+    store.put(repeated)
+    _assert_answers_equal_ordered_scan(store, [repeated])
+    assert store.find_by_pattern(QuadPattern(subject=SHARED), latest=False) == [repeated.uri[-45:]]
+    store.put(again)  # the second position follows a repeated first one
+    _assert_answers_equal_ordered_scan(store, [repeated, again])
+    both = [np.uri[-45:] for np in (repeated, again)]
+    assert store.find_by_pattern(QuadPattern(subject=SHARED), latest=False) == both
+
+
+def test_a_pair_pattern_whose_object_occurs_only_under_another_predicate_is_empty(
+    oracle_store,
+):
+    store, nanopubs = oracle_store
+    pairs = as_pairs(nanopubs)
+    p = iri("http://test.example/vocab/p")
+    five_en = literal("5", language="en")  # only ever an object of p
+    cases = [
+        (iri(ns.RDF_TYPE), five_en),  # predicates with pair postings of their own
+        (iri(ns.DCT_LICENSE), iri("http://x")),
+        (ABSENT, five_en),  # a predicate no quad holds
+    ]
+    assert store.find_by_pattern(QuadPattern(predicate=p, object=five_en))
+    for predicate, obj in cases:
+        assert store.find_by_pattern(QuadPattern(object=obj))
+        assert scan_pattern(pairs, predicate=predicate, obj=obj) == set()
+        for latest in (True, False):
+            pattern = QuadPattern(predicate=predicate, object=obj)
+            assert store.find_by_pattern(pattern, latest=latest) == [], (predicate, obj)
+
+
+# -- cost, counted in bytes --------------------------------------------------------
+
+# catch_up keeps 1,123-1,127 bytes per nanopub at 2000 (seeds 0 and 3,
+# Python 3.11); a list per one-position key and a (predicate, object)
+# tuple per pair key kept 2,935
+INDEX_BYTES_PER_NANOPUB = 1400
+
+
+def test_catch_up_keeps_a_bounded_index_per_nanopub():
+    count = 2000
+    store = NanopubStore()
+    store.put_all(generate_corpus(CorpusConfig(count=count, seed=0)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store.catch_up()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(store.find_by_pattern(QuadPattern(), latest=False)) == count
+    assert kept / count <= INDEX_BYTES_PER_NANOPUB
 
 
 # -- cost, counted in calls ------------------------------------------------------

@@ -28,7 +28,7 @@ def test_script_runs(tmp_path, script, args):
     assert any(out.iterdir())
 
 
-def test_memory_per_nanopub_prints_both_figures():
+def test_memory_per_nanopub_prints_three_figures():
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "memory_per_nanopub.py"), "--count", "20"],
         capture_output=True,
@@ -38,5 +38,5 @@ def test_memory_per_nanopub_prints_both_figures():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "nanopubs: 20"
-    generated, stored = (int(line.split()[1]) for line in lines[1:])
-    assert 0 < generated <= stored
+    generated, stored, indexed = (int(line.split()[1]) for line in lines[1:])
+    assert 0 < generated <= stored <= indexed

@@ -4,6 +4,7 @@ both surfaces, and its one error policy.  The tests of the bound run the
 core at two workers."""
 
 import errno
+import http.client
 import socket
 import struct
 import sys
@@ -16,6 +17,8 @@ from nanokit import network
 from nanokit.api import ApiServer, ApiService
 from nanokit.network import Get, NodeServer, NotFound, ServerNode, decode_message, encode_message
 from nanokit.store import NanopubStore
+
+from conftest import needs_ipv6
 
 
 def _decoded(data):
@@ -243,6 +246,52 @@ def test_shutdown_returns_at_once(surface):
     server.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("surface", SURFACES)
+def test_shutdown_of_a_server_never_served_returns_at_once(surface):
+    server = surface.server()
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=2)
+    thread = _start(server)
+    try:
+        assert not stopper.is_alive()
+        # and leaves nothing behind that would end a later serve_forever
+        thread.join(timeout=0.2)
+        assert thread.is_alive()
+        assert surface.answered(exchange(server.server_address[:2], surface.request))
+    finally:
+        _stop(server, thread)
+
+
+@needs_ipv6
+def test_a_node_answers_on_ipv6():
+    server = NodeServer(ServerNode("srv"), host="::1")
+    thread = _start(server)
+    try:
+        assert server.address == f"[::1]:{server.server_address[1]}"
+        assert network.tcp_request(server.address, Get("RA" + "A" * 43)) == NotFound()
+    finally:
+        _stop(server, thread)
+
+
+@needs_ipv6
+def test_the_api_answers_a_get_on_ipv6():
+    server = ApiServer(ApiService(NanopubStore()), host="::1")
+    thread = _start(server)
+    try:
+        assert server.address == f"[::1]:{server.server_address[1]}"
+        conn = http.client.HTTPConnection(server.address, timeout=5)
+        try:
+            conn.request("GET", "/api/get_all_indexes")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+        finally:
+            conn.close()
+    finally:
+        _stop(server, thread)
 
 
 @pytest.mark.parametrize("surface", SURFACES)
