@@ -180,6 +180,12 @@ class ServerNode:
         A page whose ``next_seq`` does not pass the cursor, or a Get reply
         that holds another nanopub than the one asked for, ends that
         peer's round.
+        The store is asked once per page for the codes it lacks, and only
+        those are fetched.  A fetched code is looked up again right before
+        its put, so one that another thread (a server thread under ``node
+        run``) stored meanwhile is not counted; one stored while ``put``
+        runs still is, though ``put`` keeps it once.  Returns the number of
+        nanopubs fetched and stored.
         """
         if self.send is None:
             raise RuntimeError(f"node {self.node_id} has no transport")
@@ -191,9 +197,7 @@ class ServerNode:
                     resp = self.send(peer_id, GetJournal(cursor, self.page_size))
                     if not isinstance(resp, JournalPage) or resp.next_seq <= cursor:
                         break  # no page, or one that does not advance (an empty one)
-                    for _, code in resp.entries:
-                        if self.store.get(code) is not None:
-                            continue
+                    for code in self.store.missing([code for _, code in resp.entries]):
                         try:
                             reply = self.send(peer_id, Get(code))
                         except ProtocolError:
@@ -202,6 +206,8 @@ class ServerNode:
                             continue
                         if extract_artifact_code(reply.nanopub.uri) != code:
                             raise ProtocolError(f"Get {code} answered with <{reply.nanopub.uri}>")
+                        if self.store.get(code) is not None:
+                            continue  # stored by another thread since the page was read
                         try:
                             self.store.put(reply.nanopub)
                             fetched += 1
@@ -702,6 +708,10 @@ class Simulation:
         self.sample_latency = _latency_sampler(config.latency)
         self.current_round = 0
         self.latencies: list[float] = []
+        # node id -> its (first down round, first up round) windows
+        self._outages: dict[str, list[tuple[int, int]]] = {}
+        for idx, start, end in config.failures:
+            self._outages.setdefault(f"n{idx:02d}", []).append((start, end))
 
         edges = _topology_edges(config)
         node_ids = [f"n{i:02d}" for i in range(config.node_count)]
@@ -723,12 +733,11 @@ class Simulation:
         return sorted(self.nodes)
 
     def is_down(self, node_id: str, rnd: int | None = None) -> bool:
+        windows = self._outages.get(node_id)
+        if windows is None:
+            return False
         rnd = self.current_round if rnd is None else rnd
-        idx = int(node_id[1:])
-        return any(
-            idx == fail_idx and start <= rnd < end
-            for fail_idx, start, end in self.config.failures
-        )
+        return any(start <= rnd < end for start, end in windows)
 
     def _make_send(self, src: str) -> Send:
         def send(dst: str, msg: Message) -> Message:

@@ -362,6 +362,11 @@ class NanopubStore:
     def get(self, code: str) -> Optional[Nanopublication]:
         return self._by_code.get(code)
 
+    def missing(self, codes: Iterable[str]) -> list[str]:
+        """The codes of ``codes`` this store does not hold, in their order."""
+        by_code = self._by_code
+        return [code for code in codes if code not in by_code]
+
     def index_records(self) -> list[IndexRecord]:
         """Every well-formed index record stored, in ingest order."""
         return self._indexes[:]

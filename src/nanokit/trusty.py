@@ -8,10 +8,12 @@ after minting.  A literal's lexical form is never stripped.  When
 verifying, only the claimed code is stripped, and a term under the base
 without it fails, so each code names exactly one set of quads.
 
-The canonical form is rendered from strings: one dict, local to the
-call, maps each distinct IRI or datatype string to its stripped
-``<...>`` text, and each line is an f-string over it; no ``Term`` is
-hashed.
+The canonical form is rendered from strings in one pass over the quads:
+each line is an f-string built as its quad is read, over one dict, local
+to the call, that maps each distinct IRI or datatype string to its
+stripped ``<...>`` text.  A string is stripped when it is first seen and
+looked up once per later use; no ``Term`` is hashed.  ``mint`` checks for
+embedded codes in that same pass, so it strips each string once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import base64
 from dataclasses import dataclass
 import hashlib
 import re
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .rdf import Quad, QuadDocument, Term, escape_string, iri, literal
 
@@ -84,6 +86,51 @@ def _strip_codes(value: str, base: str, code: str | None = None) -> str:
     return value if end == len(base) else base + value[end:]
 
 
+def _render(doc: QuadDocument | Nanopublication, base: str, strip: Callable[[str], str]) -> str:
+    """The canonical form of ``doc``, with ``strip`` giving the text of
+    each distinct IRI or datatype string under ``base``.  It is called
+    once per such string, in quad order (subject, predicate, object or
+    its datatype, graph), so the first string it raises on is the first
+    in that order."""
+    # each term's lookup is written out in the loop: a helper call per
+    # term would cost more than the lookup it saves writing
+    rendered: dict[str, str] = {}  # IRI or datatype string -> "<...>"
+    get = rendered.get
+    lines = set()  # stripping can make two quads one line
+    for q in doc.quads:
+        value = q.subject.value
+        s = get(value)
+        if s is None:
+            s = rendered[value] = f"<{strip(value) if value.startswith(base) else value}>"
+        value = q.predicate.value
+        p = get(value)
+        if p is None:
+            p = rendered[value] = f"<{strip(value) if value.startswith(base) else value}>"
+        obj = q.object
+        if obj.kind == "iri":
+            value = obj.value
+            o = get(value)
+            if o is None:
+                o = rendered[value] = f"<{strip(value) if value.startswith(base) else value}>"
+        else:
+            o = f'"{escape_string(obj.value)}"'
+            if obj.language is not None:
+                o = f"{o}@{obj.language}"
+            elif obj.datatype is not None:
+                value = obj.datatype
+                d = get(value)
+                if d is None:
+                    d = rendered[value] = f"<{strip(value) if value.startswith(base) else value}>"
+                o = f"{o}^^{d}"
+        value = q.graph.value
+        g = get(value)
+        if g is None:
+            g = rendered[value] = f"<{strip(value) if value.startswith(base) else value}>"
+        lines.add(f"{s} {p} {o} {g} .\n")
+    # code point order is UTF-8 byte order
+    return "".join(sorted(lines))
+
+
 def canonical_form(doc: QuadDocument | Nanopublication, base: str, code: str | None = None) -> str:
     """Deterministic text the code is computed from.
 
@@ -96,40 +143,27 @@ def canonical_form(doc: QuadDocument | Nanopublication, base: str, code: str | N
     (subject, predicate, object or its datatype, graph), so the first one
     lacking ``code`` is the one named.  A literal's lexical form is never
     stripped.
+
+    One pass over the quads renders each line as it goes: one dict lookup
+    per term, and only a string not seen before that starts with the base
+    is stripped.
     """
-    rendered: dict[str, str] = {}  # IRI or datatype string -> "<...>"
-    for q in doc.quads:
-        obj = q.object
-        obj_iri = obj.value if obj.kind == "iri" else obj.datatype
-        for value in (q.subject.value, q.predicate.value, obj_iri, q.graph.value):
-            if value is not None and value not in rendered:
-                rendered[value] = f"<{_strip_codes(value, base, code)}>"
-    lines = set()
-    for q in doc.quads:
-        obj = q.object
-        if obj.kind == "iri":
-            text = rendered[obj.value]
-        else:
-            text = f'"{escape_string(obj.value)}"'
-            if obj.language is not None:
-                text += f"@{obj.language}"
-            elif obj.datatype is not None:
-                text += f"^^{rendered[obj.datatype]}"
-        lines.add(f"{rendered[q.subject.value]} {rendered[q.predicate.value]} {text} {rendered[q.graph.value]} .")
-    # code point order is UTF-8 byte order
-    return "".join(line + "\n" for line in sorted(lines))
+    return _render(doc, base, lambda value: _strip_codes(value, base, code))
 
 
 def encode_digest(digest: bytes) -> str:
-    # 256 bits left-padded with 2 zero bits -> 43 six-bit groups; six
-    # trailing zero bits make it 33 bytes, i.e. 44 base64 characters
-    padded = (int.from_bytes(digest, "big") << 6).to_bytes(33, "big")
-    return base64.urlsafe_b64encode(padded)[:43].decode("ascii")
+    # 256 bits left-padded with 2 zero bits -> 43 six-bit groups: a zero
+    # byte in front makes 264 bits, whose first base64 character is the
+    # six extra zero bits
+    return base64.urlsafe_b64encode(b"\0" + digest)[1:].decode("ascii")
+
+
+def _code_of(canonical: str) -> str:
+    return CODE_PREFIX + encode_digest(hashlib.sha256(canonical.encode("utf-8")).digest())
 
 
 def compute_code(doc: QuadDocument | Nanopublication, base: str, code: str | None = None) -> str:
-    digest = hashlib.sha256(canonical_form(doc, base, code).encode("utf-8")).digest()
-    return CODE_PREFIX + encode_digest(digest)
+    return _code_of(canonical_form(doc, base, code))
 
 
 def mint(doc: QuadDocument, base: str) -> tuple[TrustyUri, QuadDocument]:
@@ -139,23 +173,21 @@ def mint(doc: QuadDocument, base: str) -> tuple[TrustyUri, QuadDocument]:
     code inserted directly after the base, so the input must not contain
     foreign trusty URIs under the same base (MintError otherwise, naming
     the first such IRI or datatype in quad order); give each mintable
-    document its own base.  Each distinct IRI or datatype string is
-    checked once, and each distinct term is rewritten once: the minted
-    document holds one ``Term`` object per distinct term.
+    document its own base.  The check runs inside the render of the
+    canonical form, so each distinct IRI or datatype string is checked
+    once, and each distinct term is rewritten once: the minted document
+    holds one ``Term`` object per distinct term.
     """
     if not base.endswith(_BASE_ENDINGS):
         raise MintError(f"base must end in '/', '#' or '.': {base!r}")
-    checked: set[str] = set()
-    for q in doc.quads:
-        for term in (q.subject, q.predicate, q.object, q.graph):
-            value = term.value if term.is_iri else term.datatype
-            if value is not None and value not in checked:
-                if _strip_codes(value, base) != value:
-                    raise MintError(
-                        f"base {base!r} collides with embedded trusty URI {value!r}"
-                    )
-                checked.add(value)
-    code = compute_code(doc, base)
+
+    def keep(value: str) -> str:
+        # a value that stripping would change holds an embedded code
+        if _strip_codes(value, base) != value:
+            raise MintError(f"base {base!r} collides with embedded trusty URI {value!r}")
+        return value
+
+    code = _code_of(_render(doc, base, keep))
     minted = base + code
     rewritten: dict[Term, Term] = {}  # each distinct term -> its minted term
     quads = []

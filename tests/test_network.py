@@ -333,6 +333,27 @@ def test_retrieval_with_failures_when_any_live_node_holds(corpus200):
         assert got.uri == np.uri
 
 
+def test_is_down_and_live_nodes_follow_every_outage_window(corpus200):
+    # n01 is down, up, then down again; n03 is down from round 0 on
+    failures = ((1, 1, 3), (3, 0, 9), (1, 5, 7))
+    config = SimConfig(node_count=4, rounds=8, seed=0, failures=failures)
+    sim = Simulation(config)
+    sim.run([PublishEvent(0, 0, corpus200[0])])
+
+    def scanned(node_id, rnd):
+        return any(int(node_id[1:]) == idx and start <= rnd < end for idx, start, end in failures)
+
+    node_ids = sim.node_ids()
+    assert [nid for nid in node_ids if any(scanned(nid, r) for r in range(10))] == ["n01", "n03"]
+    for rnd in range(10):
+        assert [sim.is_down(nid, rnd) for nid in node_ids] == [scanned(nid, rnd) for nid in node_ids]
+        assert sim.live_nodes(rnd) == [sim.nodes[nid] for nid in node_ids if not scanned(nid, rnd)]
+    assert [sim.is_down("n01", r) for r in range(8)] == [False, True, True, False, False, True, True, False]
+    sim.current_round = 4
+    assert [sim.is_down(nid) for nid in node_ids] == [False, False, False, True]
+    assert sim.live_nodes() == [sim.nodes[nid] for nid in ("n00", "n01", "n02")]  # round 3
+
+
 # -- wire codec ---------------------------------------------------------------
 
 
@@ -527,6 +548,48 @@ def test_sync_round_stores_get_reply_only_for_the_code_asked(nanopubs):
     assert b.cursors == {"a": 2}
 
 
+def test_sync_round_asks_only_for_the_codes_it_lacks_in_page_order(nanopubs):
+    a = ServerNode("a")
+    for np in nanopubs[:8]:
+        a.handle(Publish(np))
+    b = ServerNode("b", peers=["a"], page_size=8)
+    held = {1, 2, 5}
+    for i in sorted(held):
+        b.handle(Publish(nanopubs[i]))
+    asked = []
+
+    def send(dst, msg):
+        if isinstance(msg, Get):
+            asked.append(msg.code)
+        return a.handle(msg)
+
+    b.send = send
+    lacked = [np.uri[-45:] for i, np in enumerate(nanopubs[:8]) if i not in held]
+    assert b.sync_round() == len(lacked)
+    assert asked == lacked
+    assert set(b.store.codes()) == set(a.store.codes())
+
+
+def test_sync_round_does_not_count_a_code_stored_meanwhile(nanopubs):
+    a = ServerNode("a")
+    for np in nanopubs[:3]:
+        a.handle(Publish(np))
+    b = ServerNode("b", peers=["a"])
+    raced = nanopubs[1]
+
+    def send(dst, msg):
+        reply = a.handle(msg)
+        if isinstance(msg, Get) and msg.code == raced.uri[-45:]:
+            b.handle(Publish(raced))  # a server thread stores it between the page and the Get
+        return reply
+
+    b.send = send
+    assert b.sync_round() == 2
+    assert len(b.store) == 3
+    assert [code for _, code in b.store.journal_entries()].count(raced.uri[-45:]) == 1
+    assert b.rejected == 0
+
+
 def _start(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -565,7 +628,6 @@ def test_tcp_server_rejects_oversize_request_larger_than_socket_buffers(monkeypa
         assert all(isinstance(reply, Rejected) for reply in replies)
     finally:
         _stop(server, thread)
-
 
 
 

@@ -40,3 +40,17 @@ def test_memory_per_nanopub_prints_three_figures():
     assert lines[0] == "nanopubs: 20"
     generated, stored, indexed = (int(line.split()[1]) for line in lines[1:])
     assert 0 < generated <= stored <= indexed
+
+
+def test_verify_rate_prints_microseconds_per_nanopub():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "verify_rate.py"), "--count", "20"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "nanopubs: 20"
+    assert lines[1].startswith("verify: ") and lines[1].split()[2:4] == ["us", "per"]
+    assert float(lines[1].split()[1]) > 0

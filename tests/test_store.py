@@ -73,6 +73,17 @@ def test_put_and_get_roundtrip(corpus200, store200):
     assert len(store200) == len(corpus200)
 
 
+def test_missing_keeps_order_and_drops_held_codes(corpus200):
+    store = NanopubStore()
+    codes = [np.uri[-45:] for np in corpus200[:6]]
+    store.put_all([corpus200[1], corpus200[4]])
+    assert store.missing(codes) == [codes[0], codes[2], codes[3], codes[5]]
+    assert store.missing(reversed(codes)) == [codes[5], codes[3], codes[2], codes[0]]
+    assert store.missing([codes[1], codes[4]]) == []
+    assert store.missing([]) == []
+    assert NanopubStore().missing(codes) == codes
+
+
 def test_get_absent_code_is_none():
     assert NanopubStore().get("RA" + "A" * 43) is None
 
