@@ -59,6 +59,11 @@ SERVER_TIMEOUT = 10.0
 # request arrives while the worker closes the last), 14-15 for 16 or 32
 # clients, whose throughput has stopped rising from 4 clients on.
 SLOTS = 16
+# What one sync round spends on one peer at most: journal pages read, and
+# Gets sent.  The 15-node simulation (seeds 0 and 7) spends at most 3 pages
+# and 180 Gets; a peer whose journal never ends must not hold the round.
+SYNC_PAGES_PER_PEER = 100
+SYNC_GETS_PER_PEER = 5000
 
 
 class Unreachable(Exception):
@@ -179,7 +184,10 @@ class ServerNode:
         ``rejected``.
         A page whose ``next_seq`` does not pass the cursor, or a Get reply
         that holds another nanopub than the one asked for, ends that
-        peer's round.
+        peer's round, as does a spent budget: ``SYNC_PAGES_PER_PEER`` pages
+        or ``SYNC_GETS_PER_PEER`` Gets.  A page whose missing codes the
+        Get budget cannot all cover is read again next round, after the
+        codes fetched from it.
         The store is asked once per page for the codes it lacks, and only
         those are fetched.  A fetched code is looked up again right before
         its put, so one that another thread (a server thread under ``node
@@ -192,12 +200,14 @@ class ServerNode:
         fetched = 0
         for peer_id in list(self.peers):
             cursor = self.cursors.get(peer_id, 1)
+            gets_left = SYNC_GETS_PER_PEER
             try:
-                while True:
+                for _ in range(SYNC_PAGES_PER_PEER):
                     resp = self.send(peer_id, GetJournal(cursor, self.page_size))
                     if not isinstance(resp, JournalPage) or resp.next_seq <= cursor:
                         break  # no page, or one that does not advance (an empty one)
-                    for code in self.store.missing([code for _, code in resp.entries]):
+                    wanted = self.store.missing([code for _, code in resp.entries])
+                    for code in wanted[:gets_left]:
                         try:
                             reply = self.send(peer_id, Get(code))
                         except ProtocolError:
@@ -213,6 +223,9 @@ class ServerNode:
                             fetched += 1
                         except StoreError:  # tampered or invalid: never stored
                             self.rejected += 1
+                    if len(wanted) > gets_left:
+                        break  # Get budget spent inside the page
+                    gets_left -= len(wanted)
                     cursor = resp.next_seq
                     self.cursors[peer_id] = cursor
                     if len(resp.entries) < self.page_size:

@@ -110,10 +110,11 @@ class Quad:
     graph: Term
 
     def __post_init__(self):
-        for pos in ("subject", "predicate", "graph"):
-            term = getattr(self, pos)
-            if not term.is_iri:
-                raise ValueError(f"quad {pos} must be an IRI, got {term.kind}")
+        if self.subject.kind != "iri" or self.predicate.kind != "iri" or self.graph.kind != "iri":
+            for pos in ("subject", "predicate", "graph"):
+                term = getattr(self, pos)
+                if not term.is_iri:
+                    raise ValueError(f"quad {pos} must be an IRI, got {term.kind}")
 
     def __hash__(self) -> int:
         return hash((self.subject.value, self.predicate.value, self.object.value, self.graph.value))
@@ -197,6 +198,24 @@ class QuadPattern:
 # IRI and DOT tokens it replaces.  Any other directive, and one where no
 # statement may start, is lexed as those four, which the parser reads or
 # rejects as before.
+#
+# A second pattern, ``_STATEMENT_RE``, reads a whole statement in long form,
+# as ``serialize_trig`` writes it.  It is tried only where a statement may
+# start inside a graph block: after '{', after a '.' inside a block, and after
+# another such statement.  The parser's block state follows the lexer's, since
+# a misplaced brace fails at itself.  It takes a statement only if nothing in
+# it can fail: subject and predicate are IRIs with a scheme, no escape and
+# none of ``_IRI_FORBIDDEN``'s characters; the object is such an IRI or a '"'
+# string with no backslash or newline, bare, typed with such an IRI right after
+# '^^', or tagged right after '@' with what ``_LANG_RE`` accepts and the AT
+# token would end at; only whitespace lies between the parts, up to the '.'.
+# It is one STATEMENT token whose value is the match's groups ``(subject,
+# predicate, object IRI, string, datatype, language)`` and whose offset is the
+# '.''s, so the END token, and so every error position, is where the token
+# path puts it.  Everything else (prefixed names, 'a', ';' and ',' lists,
+# comments, escapes, other strings and literals, and every malformed input)
+# fails the match and is lexed token by token, so each error message, line and
+# column comes from that one path.
 
 _PUNCT = {".": "DOT", ";": "SEMI", ",": "COMMA"}
 
@@ -211,7 +230,9 @@ _ESCAPES = {
     "\\": "\\",
 }
 
-_Token = tuple[str, str, int]  # (type, value, offset); a PREFIX value is (label, iri)
+# (type, value, offset); a PREFIX value is (label, iri), a STATEMENT value
+# the six groups of its _STATEMENT_RE match
+_Token = tuple[str, str, int]
 
 _NAME_CHAR = r"""[^ \t\r\n{}();,"'<.]"""
 _UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"  # at most U+10FFFF
@@ -219,6 +240,15 @@ _ECHAR = r"""\\[tbnrf"'\\]"""
 # an IRI body up to the first character that ends or breaks it
 _IRI_BODY = rf"[^>\\ \t\r\n]*(?:(?:{_UCHAR})[^>\\ \t\r\n]*)*"
 
+# an IRI that passes _check_iri as written: a scheme, and no escape or
+# forbidden character
+_PLAIN_IRI = r"""<([A-Za-z][A-Za-z0-9+.\-]*:[^ \t\r\n<>"{}|^`\\]*)>"""
+_STATEMENT_RE = re.compile(
+    rf"""[ \t\r\n]*{_PLAIN_IRI}[ \t\r\n]*{_PLAIN_IRI}[ \t\r\n]*
+    (?:{_PLAIN_IRI}|"([^"\\\n]*)"(?:\^\^{_PLAIN_IRI}|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?)
+    [ \t\r\n]*\.""",
+    re.VERBOSE,
+)
 _SKIP_RE = re.compile(r"[ \t\r\n]*")  # to where an unexpected character is reported
 _TOKEN_RE = re.compile(
     rf"""[ \t\r\n]*(?:
@@ -305,6 +335,16 @@ def _lex_string(text: str, off: int) -> tuple[str, int]:
     raise _bad_escape("string", text, off, end)
 
 
+def _statements(text: str, pos: int, append) -> int:
+    """Append a STATEMENT token for each long-form statement from ``pos``
+    on, and return the offset after the last."""
+    match = _STATEMENT_RE.match
+    while (m := match(text, pos)) is not None:
+        pos = m.end()
+        append(("STATEMENT", m.groups(), pos - 1))
+    return pos
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks = []
     append = toks.append
@@ -324,6 +364,8 @@ def _tokenize(text: str) -> list[_Token]:
             append(("IRI", _unescape(value) if "\\" in value else value, off))
         elif kind == "PUNCT":
             append((_PUNCT[text[off]], text[off], off))
+            if not top and text[off] == ".":
+                pos = _statements(text, pos, append)
         elif kind == "PREFIX":
             if top and (not toks or toks[-1][0] in ("DOT", "RBRACE", "PREFIX")):
                 append(("PREFIX", (m.group("label"), m.group("target")), off))
@@ -338,6 +380,7 @@ def _tokenize(text: str) -> list[_Token]:
         elif kind == "LBRACE":
             append(("LBRACE", "{", off))
             top = False
+            pos = _statements(text, pos, append)
         elif kind == "STRING":
             value, pos = _lex_string(text, off)
             append(("STRING", value, off))
@@ -374,7 +417,9 @@ def _tokenize(text: str) -> list[_Token]:
 # out of input is an ordinary token: it reports "unexpected end of input" at
 # the last token, and no read checks for the end of the list.  No helper calls
 # itself: a recursive closure is a reference cycle, which would keep the token
-# list alive until the next full garbage collection.
+# list alive until the next full garbage collection.  A STATEMENT token becomes
+# its quad at once, its IRIs through the same ``iris`` cache and ``make_iri``,
+# so each distinct IRI is still checked once; nothing in it can fail.
 
 _NUMBER_DATATYPES = {"INTEGER": XSD_INTEGER, "DECIMAL": XSD_DECIMAL, "DOUBLE": XSD_DOUBLE}
 _IRI_POSITIONS = {"graph": "graph label", "subject": "subject", "predicate": "predicate"}
@@ -497,6 +542,18 @@ def parse_trig(text: str) -> QuadDocument:
             fail("statement outside a graph block (expected '{')", toks[i])
         i += 1
         while (typ := toks[i][0]) != "RBRACE":
+            if typ == "STATEMENT":
+                tok = toks[i]
+                s, p, o, value, datatype, language = tok[1]
+                subject = iris.get(s) or make_iri(s, tok)
+                predicate = iris.get(p) or make_iri(p, tok)
+                if o is None:
+                    obj = Term("literal", value, datatype, language)
+                else:
+                    obj = iris.get(o) or make_iri(o, tok)
+                quads.append(Quad(subject, predicate, obj, graph))
+                i += 1
+                continue
             if typ == "END":
                 fail("unterminated graph block", graph_tok)
             subject, i = read_term(i, "subject")

@@ -784,6 +784,51 @@ def test_sync_round_stops_on_page_that_does_not_advance(nanopubs):
     assert b.cursors == {"c": 2}  # peer a stays where it was
 
 
+def test_sync_round_ends_when_a_peer_serves_pages_without_end(nanopubs):
+    # a peer whose journal never ends and that holds none of the codes it lists
+    good = ServerNode("c")
+    good.handle(Publish(nanopubs[0]))
+    sends, asked = [], []
+
+    def send(dst, msg):
+        sends.append(dst)
+        if len(sends) > 50_000:
+            raise AssertionError("sync_round kept asking")
+        if dst == "c":
+            return good.handle(msg)
+        if isinstance(msg, GetJournal):  # a full page of fresh codes that advances the cursor
+            seqs = range(msg.from_seq, msg.from_seq + msg.page_size)
+            return JournalPage(tuple((seq, f"RA{seq:043d}") for seq in seqs), seqs.stop)
+        asked.append(msg.code)
+        return NotFound()
+
+    b = ServerNode("b", peers=["a", "c"], send=send)
+    assert b.sync_round() == 1
+    assert "c" in sends and b.cursors["c"] == 2
+    assert sends.count("a") <= network.SYNC_PAGES_PER_PEER + network.SYNC_GETS_PER_PEER
+    cursor = b.cursors["a"]
+    assert cursor > 1  # kept where the round got to, past no code it did not ask for
+    assert set(asked) >= {f"RA{seq:043d}" for seq in range(1, cursor)}
+    b.sync_round()
+    assert b.cursors["a"] > cursor  # and the next round resumes there
+
+
+def test_sync_round_reads_at_most_its_page_budget_from_one_peer(nanopubs):
+    code = extract_artifact_code(nanopubs[0].uri)
+    pages = []
+
+    def send(dst, msg):  # full pages, without end, of a code b holds
+        pages.append(msg)
+        seqs = range(msg.from_seq, msg.from_seq + msg.page_size)
+        return JournalPage(tuple((seq, code) for seq in seqs), seqs.stop)
+
+    b = ServerNode("b", peers=["a"], send=send, page_size=2)
+    b.handle(Publish(nanopubs[0]))
+    assert b.sync_round() == 0
+    assert len(pages) == network.SYNC_PAGES_PER_PEER
+    assert b.cursors == {"a": 1 + 2 * network.SYNC_PAGES_PER_PEER}
+
+
 def test_tcp_server_answers_rejection_of_line_breaking_input_on_one_line():
     server = NodeServer(ServerNode("srv"))
     thread = _start(server)

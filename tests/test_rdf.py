@@ -251,6 +251,82 @@ def test_parse_outcomes_match_pinned_digest():
     assert digest.hexdigest() == "0593c59dc086b97892b4c2fb422bc10bf1bac543720892b638d76bb2b4237ab3"
 
 
+# Statements written in long form, as serialize_trig writes them, and near
+# misses that must keep taking the token-by-token path, each between two
+# long-form statements.
+_LONG_FORM_STATEMENTS = [
+    '<http://s> <http://p> "x"@en- .',
+    '<http://s> <http://p> "x"@en_US .',
+    '<http://s> <http://p> "x"@en-US- .',
+    '<http://s> <http://p> "x"@en1 .',
+    '<http://s> <http://p> "x"@e\u00e9 .',
+    '<http://s> <http://p> "x" @en .',
+    '<s> <http://p> <http://o> .',
+    '<http://s> <p> "x" .',
+    '<http://s> <http://p> "x"^^<dt> .',
+    '<http://s> <http://p> <o> .',
+    '<http://s> <http://p> <http://o/a|b> .',
+    '<http://s> <http://p> "x"^^<http://d/^> .',
+    '<http://s/{}> <http://p> <http://o> .',
+    '<http://s> <http://p> <http://o/\\u0041> .',
+    '<http://s/\\u0020> <http://p> "x" .',
+    '<http://s> <http://p> "x"^^<http://d/\\u0041> .',
+    '<http://s> <http://p> """long\n""" .',
+    "<http://s> <http://p> 'short' .",
+    '<http://s> <http://p> "a\\"b" .',
+    '<http://s> <http://p> "a\nb" .',
+    "<http://s> # c\n <http://p> <http://o> .",
+    '<http://s> <http://p> # c\n "x" .',
+    '<http://s> <http://p> "x" # c\n .',
+    '<http://s> <http://p> <http://o> ; <http://q> "y" , "z"@en .',
+    "<http://s> a <http://T> .",
+    "<http://s> <http://p> 1 .",
+    '<http://s> <http://p> "x"^^ <http://d> .',
+    "<http://s> <http://p> <http://o> . {",
+    "<http://s> <http://p> <http://o> }",
+]
+_LONG_FORM_SEEDS = [
+    "<http://ex.org/g> {\n  <http://ex.org/s> <http://ex.org/p> <http://ex.org/o> .\n"
+    '  <http://ex.org/s> <http://ex.org/p> "plain text" .\n'
+    '  <http://ex.org/s> <http://ex.org/p> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+    '  <http://ex.org/s> <http://ex.org/p> "tagged"@en-GB .\n}\n'
+    '<http://ex.org/h> {<http://ex.org/s><http://ex.org/p>""@de.\t<http://ex.org/s>\r\n<http://ex.org/p>\n<http://ex.org/o>\n.}\n',
+    # a whole statement where none may start
+    '<http://g> <http://s> <http://p> "x" . {\n',
+    '<http://g> { } <http://s> <http://p> <http://o> .\n',
+    '<http://g> { <http://s> <http://p> <http://o> } . <http://s> <http://p> <http://o> .\n',
+    *(f'<http://g> {{\n  <http://s> <http://p> <http://o> .\n  {s}\n  <http://s> <http://p> "z" .\n}}\n' for s in _LONG_FORM_STATEMENTS),
+]
+
+
+def test_long_form_parse_outcomes_match_pinned_digest():
+    # computed before long-form statements were lexed whole
+    inputs = [*_LONG_FORM_SEEDS, *_mutations(_LONG_FORM_SEEDS, 20181003, 4000)]
+    digest = hashlib.sha256()
+    for text in inputs:
+        digest.update(_outcome(text).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == "36af32c17c0130ca6852d4aae9de7cb77ec34c46c0226e235233722698dea6f8"
+
+
+def test_dump_parses_the_same_with_a_comment_after_every_subject():
+    from nanokit.corpusgen import CorpusConfig, generate_corpus
+    from nanokit.rdf import _tokenize
+
+    nanopubs = generate_corpus(CorpusConfig(count=5, seed=3))
+    text = "".join(serialize_trig(np.to_document()) for np in nanopubs)
+    # a comment is not whitespace, so no statement is read in one piece
+    commented = "\n".join(
+        line.replace("> ", "> # subject\n    ", 1) if line.startswith("  <") else line
+        for line in text.split("\n")
+    )
+    statements = sum(len(np.to_document()) for np in nanopubs)
+    assert commented.count("# subject") == statements
+    assert [kind for kind, _, _ in _tokenize(text)].count("STATEMENT") == statements
+    assert "STATEMENT" not in [kind for kind, _, _ in _tokenize(commented)]
+    doc, slow = parse_trig(text), parse_trig(commented)
+    assert doc.quads == slow.quads and doc.prefixes == slow.prefixes
+
+
 @pytest.mark.parametrize(
     "text, error",
     [

@@ -54,3 +54,20 @@ def test_verify_rate_prints_microseconds_per_nanopub():
     assert lines[0] == "nanopubs: 20"
     assert lines[1].startswith("verify: ") and lines[1].split()[2:4] == ["us", "per"]
     assert float(lines[1].split()[1]) > 0
+
+
+def test_parse_rate_prints_microseconds_and_megabytes_per_second():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "parse_rate.py"), "--count", "20"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("nanopubs: 20 (")
+    assert [line.split(":")[0] for line in lines[1:]] == ["parse_trig", "read_corpus"]
+    for line in lines[1:]:
+        words = line.split()
+        assert words[2:5] == ["us", "per", "nanopub,"] and words[6] == "MB/s"
+        assert float(words[1]) > 0 and float(words[5]) > 0
