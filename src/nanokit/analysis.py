@@ -200,7 +200,6 @@ def analyze(
         (g, p): Counter() for g in GRAPH_LABELS for p in POSITIONS
     }
     types: Counter = Counter()
-    namespace: dict[str, str] = {}  # namespace_of each distinct IRI
     for np in corpus:
         n += 1
         declared: set[str] = set()
@@ -209,12 +208,8 @@ def analyze(
             seen = (set(), set(), set())  # namespaces per position
             for q in part.quads:
                 for found, term in zip(seen, (q.subject, q.predicate, q.object)):
-                    if term.kind == "iri":
-                        value = term.value
-                        nsv = namespace.get(value)
-                        if nsv is None:
-                            nsv = namespace[value] = namespace_of(value)
-                        found.add(nsv)
+                    if term.is_iri:
+                        found.add(namespace_of(term.value))
                 predicate, obj = q.predicate.value, q.object
                 if label == "pubinfo":
                     if predicate in CREATOR_PREDICATES:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import analysis, corpusgen
@@ -277,6 +278,20 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def sync_loop(node: ServerNode, interval: float, sleep=time.sleep) -> None:
+    """Run ``node``'s sync rounds for good, ``interval`` seconds apart; a
+    round that left a peer ``behind`` (its page budget spent) is followed
+    at once by the next, so catching up with a long journal waits for no
+    interval."""
+    while True:
+        if not node.behind:
+            sleep(interval)
+        try:
+            node.sync_round()
+        except Exception as exc:  # keep serving through peer trouble
+            print(f"sync error: {exc}", file=sys.stderr)
+
+
 def cmd_node_run(args) -> int:
     peers = list(args.peer or ())
     for peer in peers:
@@ -288,17 +303,7 @@ def cmd_node_run(args) -> int:
     if args.sync_interval > 0 and peers:
         import threading
 
-        def sync_loop():
-            import time
-
-            while True:
-                time.sleep(args.sync_interval)
-                try:
-                    node.sync_round()
-                except Exception as exc:  # keep serving through peer trouble
-                    print(f"sync error: {exc}", file=sys.stderr)
-
-        threading.Thread(target=sync_loop, daemon=True).start()
+        threading.Thread(target=sync_loop, args=(node, args.sync_interval), daemon=True).start()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

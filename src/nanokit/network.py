@@ -59,11 +59,10 @@ SERVER_TIMEOUT = 10.0
 # request arrives while the worker closes the last), 14-15 for 16 or 32
 # clients, whose throughput has stopped rising from 4 clients on.
 SLOTS = 16
-# What one sync round spends on one peer at most: journal pages read, and
-# Gets sent.  The 15-node simulation (seeds 0 and 7) spends at most 3 pages
-# and 180 Gets; a peer whose journal never ends must not hold the round.
+# Journal pages one sync round reads from one peer at most, so a peer whose
+# journal never ends cannot hold the round.  The 15-node simulation (seeds 0
+# and 7) reads at most 3 pages from a peer in one round.
 SYNC_PAGES_PER_PEER = 100
-SYNC_GETS_PER_PEER = 5000
 
 
 class Unreachable(Exception):
@@ -154,6 +153,7 @@ class ServerNode:
         self.page_size = page_size
         self.cursors: dict[str, int] = {}
         self.rejected = 0  # fetched bodies that sync_round's put refused
+        self.behind: set[str] = set()  # peers whose page budget the last round spent
 
     def handle(self, msg: Message) -> Message:
         if isinstance(msg, Publish):
@@ -182,12 +182,11 @@ class ServerNode:
         undecodable journal page; a Get reply that is undecodable is
         skipped, and one that fails verification is skipped and counted in
         ``rejected``.
-        A page whose ``next_seq`` does not pass the cursor, or a Get reply
-        that holds another nanopub than the one asked for, ends that
-        peer's round, as does a spent budget: ``SYNC_PAGES_PER_PEER`` pages
-        or ``SYNC_GETS_PER_PEER`` Gets.  A page whose missing codes the
-        Get budget cannot all cover is read again next round, after the
-        codes fetched from it.
+        A page whose ``next_seq`` does not pass the cursor, a page of more
+        than ``page_size`` entries, or a Get reply that holds another
+        nanopub than the one asked for, ends that peer's round, as does
+        reading ``SYNC_PAGES_PER_PEER`` full pages; such a peer is left in
+        ``behind``, so a caller can start the next round at once.
         The store is asked once per page for the codes it lacks, and only
         those are fetched.  A fetched code is looked up again right before
         its put, so one that another thread (a server thread under ``node
@@ -198,16 +197,19 @@ class ServerNode:
         if self.send is None:
             raise RuntimeError(f"node {self.node_id} has no transport")
         fetched = 0
+        self.behind = set()
         for peer_id in list(self.peers):
             cursor = self.cursors.get(peer_id, 1)
-            gets_left = SYNC_GETS_PER_PEER
             try:
                 for _ in range(SYNC_PAGES_PER_PEER):
                     resp = self.send(peer_id, GetJournal(cursor, self.page_size))
-                    if not isinstance(resp, JournalPage) or resp.next_seq <= cursor:
-                        break  # no page, or one that does not advance (an empty one)
-                    wanted = self.store.missing([code for _, code in resp.entries])
-                    for code in wanted[:gets_left]:
+                    if (
+                        not isinstance(resp, JournalPage)
+                        or resp.next_seq <= cursor  # does not advance (an empty page)
+                        or len(resp.entries) > self.page_size
+                    ):
+                        break
+                    for code in self.store.missing([code for _, code in resp.entries]):
                         try:
                             reply = self.send(peer_id, Get(code))
                         except ProtocolError:
@@ -223,13 +225,12 @@ class ServerNode:
                             fetched += 1
                         except StoreError:  # tampered or invalid: never stored
                             self.rejected += 1
-                    if len(wanted) > gets_left:
-                        break  # Get budget spent inside the page
-                    gets_left -= len(wanted)
                     cursor = resp.next_seq
                     self.cursors[peer_id] = cursor
                     if len(resp.entries) < self.page_size:
                         break
+                else:
+                    self.behind.add(peer_id)
             except (Unreachable, ProtocolError):
                 continue
         return fetched

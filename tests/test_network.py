@@ -805,10 +805,11 @@ def test_sync_round_ends_when_a_peer_serves_pages_without_end(nanopubs):
     b = ServerNode("b", peers=["a", "c"], send=send)
     assert b.sync_round() == 1
     assert "c" in sends and b.cursors["c"] == 2
-    assert sends.count("a") <= network.SYNC_PAGES_PER_PEER + network.SYNC_GETS_PER_PEER
+    assert sends.count("a") == network.SYNC_PAGES_PER_PEER * (1 + b.page_size)
     cursor = b.cursors["a"]
-    assert cursor > 1  # kept where the round got to, past no code it did not ask for
-    assert set(asked) >= {f"RA{seq:043d}" for seq in range(1, cursor)}
+    assert cursor == 1 + network.SYNC_PAGES_PER_PEER * b.page_size
+    assert asked == [f"RA{seq:043d}" for seq in range(1, cursor)]
+    assert b.behind == {"a"}
     b.sync_round()
     assert b.cursors["a"] > cursor  # and the next round resumes there
 
@@ -819,6 +820,7 @@ def test_sync_round_reads_at_most_its_page_budget_from_one_peer(nanopubs):
 
     def send(dst, msg):  # full pages, without end, of a code b holds
         pages.append(msg)
+        assert len(pages) < 10_000, "sync_round kept asking"
         seqs = range(msg.from_seq, msg.from_seq + msg.page_size)
         return JournalPage(tuple((seq, code) for seq in seqs), seqs.stop)
 
@@ -827,6 +829,62 @@ def test_sync_round_reads_at_most_its_page_budget_from_one_peer(nanopubs):
     assert b.sync_round() == 0
     assert len(pages) == network.SYNC_PAGES_PER_PEER
     assert b.cursors == {"a": 1 + 2 * network.SYNC_PAGES_PER_PEER}
+    assert b.behind == {"a"}
+
+
+def test_sync_round_refuses_a_page_longer_than_page_size(nanopubs):
+    good = ServerNode("c")
+    good.handle(Publish(nanopubs[0]))
+    sends = []
+
+    def send(dst, msg):
+        sends.append((dst, msg))
+        assert len(sends) < 1000, "sync_round kept asking"
+        if dst == "c":
+            return good.handle(msg)
+        seqs = range(msg.from_seq, msg.from_seq + msg.page_size + 1)  # one entry too many
+        return JournalPage(tuple((seq, f"RA{seq:043d}") for seq in seqs), seqs.stop)
+
+    b = ServerNode("b", peers=["a", "c"], send=send, page_size=3)
+    assert b.sync_round() == 1
+    assert [msg for dst, msg in sends if dst == "a"] == [GetJournal(1, 3)]  # no Get
+    assert b.cursors == {"c": 2} and b.behind == set()
+
+
+def test_sync_round_catches_up_over_rounds_and_clears_behind(nanopubs, monkeypatch):
+    monkeypatch.setattr(network, "SYNC_PAGES_PER_PEER", 2)
+    a = ServerNode("a")
+    for np in nanopubs[:5]:
+        a.handle(Publish(np))
+    b = ServerNode("b", peers=["a"], send=lambda dst, msg: a.handle(msg), page_size=1)
+    rounds = []
+    for _ in range(3):
+        rounds.append((b.sync_round(), set(b.behind)))
+    assert rounds == [(2, {"a"}), (2, {"a"}), (1, set())]
+    assert len(b.store) == 5
+
+
+def test_sync_loop_sleeps_only_when_no_peer_is_behind(nanopubs, monkeypatch):
+    from nanokit.cli import sync_loop
+
+    monkeypatch.setattr(network, "SYNC_PAGES_PER_PEER", 2)
+    a = ServerNode("a")
+    for np in nanopubs[:5]:
+        a.handle(Publish(np))
+    b = ServerNode("b", peers=["a"], send=lambda dst, msg: a.handle(msg), page_size=1)
+    slept = []
+
+    class Stop(Exception):
+        pass
+
+    def sleep(seconds):
+        slept.append((seconds, len(b.store)))
+        if len(slept) == 2:
+            raise Stop
+
+    with pytest.raises(Stop):
+        sync_loop(b, 10.0, sleep=sleep)
+    assert slept == [(10.0, 0), (10.0, 5)]  # three rounds, one sleep before and one after
 
 
 def test_tcp_server_answers_rejection_of_line_breaking_input_on_one_line():
