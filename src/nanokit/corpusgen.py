@@ -8,6 +8,7 @@ license, and type mixtures.  Identical config means identical corpus.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -47,6 +48,10 @@ CREATORS_PER_NANOPUB = (1, 3)  # inclusive bounds
 CREATED_YEARS = (2015, 2018)  # inclusive bounds of dct:created
 MISSING_DATE_RATE = 0.05  # share of nanopubs with no dct:created
 
+# one Term per fixed IRI, shared by every nanopub generated; called only
+# with the IRIs of this module and a config's license IRIs, so it stays small
+_iri = functools.lru_cache(maxsize=256)(iri)
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -85,33 +90,28 @@ class _IdentifierPools:
     """Small pools of reusable identifiers so uniqueness stats are interesting."""
 
     def __init__(self, rng: random.Random):
-        self.orcids = [
-            f"http://orcid.org/0000-000{rng.randint(1, 3)}-{rng.randint(1000, 9999)}-{i:04d}"
-            for i in range(12)
-        ]
-        self.names = ["CALIPHO project", "BiGCaT group", "curation team"]
-        self.tools = [TOOL_DOI, "https://doi.org/10.5281/zenodo.999999"]
-        self.scholars = [
-            "https://scholar.google.com/citations?user=aaa111",
-            "https://scholar.google.it/citations?user=bbb222",
-        ]
-        self.rids = [f"http://www.researcherid.com/rid/B-{i}-2012" for i in (6035, 7001)]
-        self.others = ["http://example.net/people/x1", "http://example.net/people/x2"]
+        pools = {
+            "orcid": [
+                f"http://orcid.org/0000-000{rng.randint(1, 3)}-{rng.randint(1000, 9999)}-{i:04d}"
+                for i in range(12)
+            ],
+            "tool": [TOOL_DOI, "https://doi.org/10.5281/zenodo.999999"],
+            "scholar": [
+                "https://scholar.google.com/citations?user=aaa111",
+                "https://scholar.google.it/citations?user=bbb222",
+            ],
+            "researcherid": [f"http://www.researcherid.com/rid/B-{i}-2012" for i in (6035, 7001)],
+            "other": ["http://example.net/people/x1", "http://example.net/people/x2"],
+        }
+        # each identifier is one Term, shared by the nanopubs that use it
+        self.pools = {kind: [iri(value) for value in pool] for kind, pool in pools.items()}
+        self.pools["literal"] = [literal(name) for name in ("CALIPHO project", "BiGCaT group", "curation team")]
 
     def pick(self, rng: random.Random, kind: str) -> Term:
-        if kind == "literal":
-            return literal(rng.choice(self.names))
-        pool = {
-            "orcid": self.orcids,
-            "tool": self.tools,
-            "scholar": self.scholars,
-            "researcherid": self.rids,
-            "other": self.others,
-        }[kind]
-        return iri(rng.choice(pool))
+        return rng.choice(self.pools[kind])
 
 
-def _type_palette(rng: random.Random, size: int) -> list[str]:
+def _type_palette(rng: random.Random, size: int) -> list[Term]:
     palette = [ECO + "ECO_0000218", ECO + "ECO_0000305"]
     while len(palette) < size:
         kind = rng.random()
@@ -121,50 +121,50 @@ def _type_palette(rng: random.Random, size: int) -> list[str]:
             palette.append(f"{SIO}SIO_{rng.randint(100, 999):06d}")
         else:
             palette.append(f"https://www.inaturalist.org/taxa/{rng.randint(1000, 999999)}")
-    return list(dict.fromkeys(palette))[:size]
+    return [iri(value) for value in dict.fromkeys(palette)][:size]
 
 
-def _assertion_triples(rng: random.Random, shape: str, serial: int, type_iri: str):
-    a = iri  # brevity
+def _assertion_triples(rng: random.Random, shape: str, serial: int, type_term: Term):
+    a = _iri  # brevity: fixed IRIs only
     rdf_type = a(ns.RDF_TYPE)
     if shape == "biotic-interaction":
-        interaction = a(f"http://example.org/data/interaction/{serial}")
-        prey = a(f"http://example.org/data/organism/{serial}b")
+        interaction = iri(f"http://example.org/data/interaction/{serial}")
+        prey = iri(f"http://example.org/data/organism/{serial}b")
         return [
             (interaction, rdf_type, a(OBO + "GO_0044419")),
-            (interaction, rdf_type, a(type_iri)),
+            (interaction, rdf_type, type_term),
             (interaction, a(OBO + "RO_0001025"), a(OBO + "ENVO_01000240")),
-            (prey, a(SIO + "SIO_000628"), a(ITIS + str(rng.randint(100000, 999999)))),
+            (prey, a(SIO + "SIO_000628"), iri(ITIS + str(rng.randint(100000, 999999)))),
         ]
     if shape == "gene-disease":
-        gda = a(f"http://example.org/data/gda/{serial}")
+        gda = iri(f"http://example.org/data/gda/{serial}")
         return [
-            (gda, rdf_type, a(type_iri)),
-            (gda, a(SIO + "SIO_000628"), a(NCBIGENE + str(rng.randint(1, 90000)))),
-            (gda, a(SIO + "SIO_000628"), a(UMLS + f"C{rng.randint(100000, 999999)}")),
+            (gda, rdf_type, type_term),
+            (gda, a(SIO + "SIO_000628"), iri(NCBIGENE + str(rng.randint(1, 90000)))),
+            (gda, a(SIO + "SIO_000628"), iri(UMLS + f"C{rng.randint(100000, 999999)}")),
         ]
     if shape == "drug-interaction":
-        pair = a(f"http://example.org/data/ddi/{serial}")
+        pair = iri(f"http://example.org/data/ddi/{serial}")
         return [
-            (pair, rdf_type, a(type_iri)),
-            (pair, a(SIO + "SIO_000132"), a(DRUGBANK + f"DB{rng.randint(1, 9999):05d}")),
-            (pair, a(SIO + "SIO_000132"), a(DRUGBANK + f"DB{rng.randint(1, 9999):05d}")),
+            (pair, rdf_type, type_term),
+            (pair, a(SIO + "SIO_000132"), iri(DRUGBANK + f"DB{rng.randint(1, 9999):05d}")),
+            (pair, a(SIO + "SIO_000132"), iri(DRUGBANK + f"DB{rng.randint(1, 9999):05d}")),
             (pair, a(SIO + "SIO_000300"), literal(f"{rng.random():.3f}", datatype=ns.XSD_DECIMAL)),
         ]
     if shape == "protein-expression":
-        expr = a(f"http://example.org/data/expression/{serial}")
+        expr = iri(f"http://example.org/data/expression/{serial}")
         return [
-            (expr, rdf_type, a(type_iri)),
-            (expr, a(SIO + "SIO_010302"), a(NEXTPROT + f"NX_Q{rng.randint(10000, 99999)}")),
-            (expr, a(SIO + "SIO_000255"), a(CALOHA + f"TS-{rng.randint(0, 2000):04d}")),
+            (expr, rdf_type, type_term),
+            (expr, a(SIO + "SIO_010302"), iri(NEXTPROT + f"NX_Q{rng.randint(10000, 99999)}")),
+            (expr, a(SIO + "SIO_000255"), iri(CALOHA + f"TS-{rng.randint(0, 2000):04d}")),
             (expr, a(SIO + "SIO_000300"), literal(rng.choice(["high", "medium", "low"]))),
         ]
     # pathway-membership
-    part = a(f"http://example.org/data/participation/{serial}")
+    part = iri(f"http://example.org/data/participation/{serial}")
     return [
-        (part, rdf_type, a(type_iri)),
-        (part, a(ns.DCT + "isPartOf"), a(WP + f"WP{rng.randint(1, 5000)}")),
-        (part, a(SIO + "SIO_000628"), a(NCBIGENE + str(rng.randint(1, 90000)))),
+        (part, rdf_type, type_term),
+        (part, a(ns.DCT + "isPartOf"), iri(WP + f"WP{rng.randint(1, 5000)}")),
+        (part, a(SIO + "SIO_000628"), iri(NCBIGENE + str(rng.randint(1, 90000)))),
     ]
 
 
@@ -173,17 +173,17 @@ def generate_nanopub(
 ) -> Nanopublication:
     shape = SHAPES[serial % len(SHAPES)] if config.shape_cycle else rng.choice(SHAPES)
     weights = [1.0 / (rank + 1) for rank in range(len(palette))]
-    type_iri = rng.choices(palette, weights=weights, k=1)[0]
+    type_term = rng.choices(palette, weights=weights, k=1)[0]
 
     ph = placeholders(config.base)
-    assertion = _assertion_triples(rng, shape, serial, type_iri)
+    assertion = _assertion_triples(rng, shape, serial, type_term)
 
     a_graph = iri(ph.assertion)
     provenance = [
-        (a_graph, iri(ns.PROV_WAS_DERIVED_FROM), iri(PUBMED + str(rng.randint(1_000_000, 30_000_000)))),
+        (a_graph, _iri(ns.PROV_WAS_DERIVED_FROM), iri(PUBMED + str(rng.randint(1_000_000, 30_000_000)))),
     ]
     if rng.random() < 0.5:
-        provenance.append((a_graph, iri(ns.RDF_TYPE), iri(ns.PROV_ENTITY)))
+        provenance.append((a_graph, _iri(ns.RDF_TYPE), _iri(ns.PROV_ENTITY)))
 
     me = iri(ph.uri)
     pubinfo = []
@@ -192,19 +192,19 @@ def generate_nanopub(
     for _ in range(n_creators):
         kind = _weighted(rng, config.creator_weights)
         pred = rng.choice(creator_preds)
-        pubinfo.append((me, iri(pred), pools.pick(rng, kind)))
+        pubinfo.append((me, _iri(pred), pools.pick(rng, kind)))
     license_iri = _weighted(rng, config.license_weights)
     if license_iri is not None:
         pred = ns.DCT_LICENSE if rng.random() < 0.9 else ns.DCT_RIGHTS
-        pubinfo.append((me, iri(pred), iri(license_iri)))
+        pubinfo.append((me, _iri(pred), _iri(license_iri)))
     if rng.random() >= MISSING_DATE_RATE:
         year = rng.randint(*CREATED_YEARS)
         month, day = rng.randint(1, 12), rng.randint(1, 28)
         hour, minute, second = rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59)
         stamp = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
-        pubinfo.append((me, iri(ns.DCT_CREATED), literal(stamp, datatype=ns.XSD_DATETIME)))
+        pubinfo.append((me, _iri(ns.DCT_CREATED), literal(stamp, datatype=ns.XSD_DATETIME)))
     if not pubinfo:
-        pubinfo.append((me, iri(ns.PAV_CREATED_BY), pools.pick(rng, "orcid")))
+        pubinfo.append((me, _iri(ns.PAV_CREATED_BY), pools.pick(rng, "orcid")))
 
     _, np = mint_nanopub(config.base, assertion, provenance, pubinfo)
     return np

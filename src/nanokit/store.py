@@ -7,45 +7,41 @@ it stores any of it (``put`` is the one-element batch).  A code names
 exactly one set of quads, so a verified nanopub whose code is stored
 already is that one.
 
-Layout on disk: one ``<code>.trig`` file per nanopublication in a flat
-directory plus an append-only ``journal.log`` whose lines are
-``<seq> <code>`` in ascending seq order.  The journal doubles as the
-replication feed for the network module.  Reopening drops a torn last
-line (an append cut short by a crash) and rejects any other bad line.
-It re-parses and re-verifies every file; a missing, unparsable or
-unverifiable one, or one holding another code than its journal line, is
-a ``StoreError`` naming the file and its journal line.
+Layout on disk: one append-only log, ``journal.log``, whose records are
+``<byte count>\n`` and that many bytes of UTF-8 TriG; a record's seq is
+its position, from 1, and its code the code in its body's URI.  The log
+is also the replication feed.  ``put_all`` appends a batch with one
+write and one ``fsync``, and cuts the log back on an ``OSError``.
+Reopening re-parses and re-verifies each record; any bad one is a
+``StoreError`` naming it and its byte offset.  A torn last record (a
+crash mid-append) is cut off only once all before it have verified, so
+a refused reopen changes nothing on disk.
 
 The store keeps each nanopub once, in a dict by code.  ``put`` publishes
-the nanopub, then its journal entry (the seq and code lists, indexed by
-ingest position), then its index record if it has one, and nothing else:
+the nanopub, then its journal entry (the code list, by ingest
+position), then its index record if it has one, and nothing else:
 storing and replicating never pay for the query index.
 
 The query index is built on read.  ``find_by_pattern`` and
 ``find_by_uri`` first call ``catch_up``, which indexes the positions put
-since the last query, in ingest order, under the store lock.
-``ApiServer`` calls it once before it listens, so no request pays for a
-whole store.  Per position it computes the ``latest_key`` and adds the
-position to the postings: key -> ingest positions, ascending, never
-reordered.  A key held by one position, as most are, keeps it as a bare
-int; a second, different position replaces it with the list of both in
-one dict store, and later ones are appended to that list.  Readers take
-a posting through ``_posting``, which turns the int into a 1-tuple.
-There are postings per quad position, keyed by the IRI string (an object
-literal by its value, datatype and language), and pair postings: one
-dict per predicate, keyed by the object.  A one-position or a
-predicate+object pattern is one posting, and so is exact; the wildcard
-is the journal.  Any other pattern confirms the positions of its
-smallest posting against their quads.  A URI mention is the union of the four position postings for
-that IRI.  Ingest order is the posting itself.  Latest order is one
-store-wide list of the indexed positions in ``latest_key`` order; a
-catch-up sorts the old list and the new positions into a new one, which
-it publishes whole, so a reader holds one consistent list.  A latest
-page walks it and stops at the page end when the hits are dense enough
-that, spread evenly, they would fill the page within as many positions
-as there are hits; it sorts only the hits when they are sparse, or when
-the walk reads twice that many positions without filling the page (hits
-bunched late in the order).
+since the last query, in ingest order, under the store lock
+(``ApiServer`` calls it once before it listens).  Per position it
+computes the ``latest_key`` and adds the position to the postings: key
+-> ingest positions, ascending.  A key held by one position keeps it as
+a bare int, which a second position turns into a list; readers take a
+posting through ``_posting``.  There are postings per quad position,
+keyed by the IRI string (an object literal by its value, datatype and
+language), and pair postings: one dict per predicate, keyed by the
+object.  A one-position or predicate+object pattern is one posting; the
+wildcard is the journal; any other pattern confirms the positions of its
+smallest posting against their quads.  A URI mention is the union of the
+four position postings.  Ingest order is the posting itself.  Latest
+order is one store-wide list in ``latest_key`` order, which a catch-up
+re-sorts and publishes whole.  A latest page walks it and stops at the
+page end when the hits are dense enough to fill the page, spread evenly,
+within as many positions as there are hits; it sorts only the hits when
+they are sparse, or when the walk reads twice that many positions
+without filling the page.
 
 Index nanopublications are parsed once, by ``put``, into an index table:
 a nanopub goes in when its assertion types itself an index
@@ -62,6 +58,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import os
 import threading
 from datetime import datetime
 from pathlib import Path
@@ -71,10 +68,11 @@ from . import namespaces as ns
 from .index import IndexError_, IndexRecord, is_index
 from .nanopub import HEAD_LINKS, Nanopublication
 from .rdf import QuadPattern, Term, parse_trig, serialize_trig
-from .trusty import CODE_LENGTH, extract_artifact_code, is_artifact_code, verify_reason
-from .util import parse_digits, parse_timestamp
+from .trusty import CODE_LENGTH, extract_artifact_code, verify_reason
+from .util import parse_timestamp
 
 JOURNAL_NAME = "journal.log"
+HEADER_LIMIT = 21  # bytes of a record header: a byte count and its newline
 POSITIONS = ("subject", "predicate", "object", "graph")
 
 
@@ -194,10 +192,8 @@ class NanopubStore:
     def __init__(self, directory: str | Path | None = None):
         self._lock = threading.Lock()
         self._by_code: dict[str, Nanopublication] = {}
-        self._seq = 0
-        # the journal: seqs ascending and codes in ingest order; only ever
-        # appended to, by put
-        self._seqs: list[int] = []
+        # the journal: codes in ingest order, a code's seq its position + 1;
+        # only ever appended to, by put
         self._codes: list[str] = []
         # the query index of the first _indexed positions, built by
         # catch_up: the latest_key of each position and the postings,
@@ -226,11 +222,9 @@ class NanopubStore:
 
     def journal_entries(self, from_seq: int = 1, limit: int | None = None) -> list[tuple[int, str]]:
         """Journal page: (seq, code) with seq >= from_seq, at most ``limit``."""
-        seqs = self._seqs
-        start = bisect.bisect_left(seqs, from_seq)
-        stop = len(seqs) if limit is None else start + max(limit, 0)
-        # zip stops at the shorter list if a put lands between the slices
-        return list(zip(seqs[start:stop], self._codes[start:stop]))
+        start = max(from_seq, 1) - 1
+        stop = None if limit is None else start + max(limit, 0)
+        return list(enumerate(self._codes[start:stop], start + 1))
 
     # -- ingest -----------------------------------------------------------
 
@@ -241,7 +235,8 @@ class NanopubStore:
     def put_all(self, nanopubs: Iterable[Nanopublication]) -> list[str]:
         """Store a batch of trusty-verified nanopublications and return
         their codes; idempotent by code.  Each is verified once, before any
-        is stored, so one that fails stores none of the batch."""
+        is stored, so one that fails stores none of the batch, and a disk
+        store that cannot write the batch stores none of it either."""
         nanopubs = list(nanopubs)
         for np in nanopubs:
             reason = verify_reason(np, np.uri)
@@ -249,25 +244,34 @@ class NanopubStore:
                 raise StoreError(f"verification failed for <{np.uri}>: {reason}")
         codes = [np.uri[-CODE_LENGTH:] for np in nanopubs]
         with self._lock:
+            new: dict[str, Nanopublication] = {}
             for code, np in zip(codes, nanopubs):
-                if code in self._by_code:
-                    continue
-                self._seq += 1
-                if self.directory is not None:
-                    path = self.directory / f"{code}.trig"
-                    path.write_text(serialize_trig(np), encoding="utf-8")
-                    with (self.directory / JOURNAL_NAME).open("a", encoding="utf-8") as fh:
-                        fh.write(f"{self._seq} {code}\n")
-                self._register(code, np, self._seq)
+                if code not in self._by_code:
+                    new.setdefault(code, np)
+            if self.directory is not None and new:
+                bodies = [serialize_trig(np).encode("utf-8") for np in new.values()]
+                records = memoryview(b"".join(b"%d\n%s" % (len(body), body) for body in bodies))
+                # one write and one fsync per batch; on an OSError the log
+                # is cut back, and nothing of the batch is registered
+                with open(self.directory / JOURNAL_NAME, "ab", buffering=0) as fh:
+                    size = fh.tell()
+                    try:
+                        while records:  # an unbuffered write may be short
+                            records = records[fh.write(records):]
+                        os.fsync(fh.fileno())
+                    except OSError:
+                        fh.truncate(size)
+                        raise
+            for code, np in new.items():
+                self._register(code, np)
         return codes
 
-    def _register(self, code: str, np: Nanopublication, seq: int):
+    def _register(self, code: str, np: Nanopublication):
         # publish the nanopub, then the journal, then the index table: every
         # position a reader finds has a code and a nanopub.  The postings
         # and the latest order wait for the next query (catch_up).
         self._by_code[code] = np
         self._codes.append(code)
-        self._seqs.append(seq)
         if is_index(np):
             try:
                 index = IndexRecord.from_nanopub(np)
@@ -280,41 +284,34 @@ class NanopubStore:
         journal = self.directory / JOURNAL_NAME
         if not journal.exists():
             return
-        data = journal.read_bytes()
-        complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            # a crash mid-append left a torn last line: drop it
-            with journal.open("r+b") as fh:
-                fh.truncate(complete)
-        # undecodable bytes become U+FFFD, which no valid entry contains
-        lines = data[:complete].decode("utf-8", errors="replace").splitlines()
-        for number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            seq_text, _, code = line.partition(" ")
-            try:
-                seq = parse_digits(seq_text)
-            except ValueError:
-                seq = None
-            if seq is None or not is_artifact_code(code):
-                raise StoreError(f"{JOURNAL_NAME} line {number}: malformed entry {line!r}")
-            if seq <= self._seq:
-                raise StoreError(f"{JOURNAL_NAME} line {number}: seq {seq} after {self._seq}")
-            if code in self._by_code:
-                raise StoreError(f"{JOURNAL_NAME} line {number}: {code} listed twice")
-            path = self.directory / f"{code}.trig"
-            where = f"{JOURNAL_NAME} line {number}: {path.name}"
-            try:
-                np = parse_nanopub(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise StoreError(f"{where}: {exc}") from exc
-            reason = verify_reason(np, np.uri)
-            if reason is not None:
-                raise StoreError(f"{where}: verification failed: {reason}")
-            if extract_artifact_code(np.uri) != code:
-                raise StoreError(f"{where}: holds <{np.uri}>, not code {code}")
-            self._register(code, np, seq)
-            self._seq = seq
+        with journal.open("rb") as fh:
+            for number in itertools.count(1):
+                offset = fh.tell()
+                header = fh.readline(HEADER_LIMIT)
+                if not header:
+                    return
+                if not header.endswith(b"\n") and not fh.read(1):
+                    break  # torn: a header cut short
+                where = f"{JOURNAL_NAME} record {number} at byte {offset}"
+                count = header[:-1]
+                if not (header.endswith(b"\n") and count.isdigit() and count == b"%d" % int(count)):
+                    raise StoreError(f"{where}: malformed header {header!r}")
+                body = fh.read(int(count))
+                if len(body) < int(count):
+                    break  # torn: a body cut short
+                try:
+                    np = parse_nanopub(body.decode("utf-8"))
+                except ValueError as exc:
+                    raise StoreError(f"{where}: {exc}") from exc
+                reason = verify_reason(np, np.uri)
+                if reason is not None:
+                    raise StoreError(f"{where}: verification failed: {reason}")
+                code = np.uri[-CODE_LENGTH:]
+                if code in self._by_code:
+                    raise StoreError(f"{where}: {code} stored twice")
+                self._register(code, np)
+        # every record before the torn one verified: cut it off
+        os.truncate(journal, offset)
 
     # -- query index ------------------------------------------------------
 

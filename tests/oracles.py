@@ -10,6 +10,7 @@ from datetime import datetime, timezone
 
 from nanokit import namespaces as ns
 from nanokit.network import Simulation
+from nanokit.rdf import serialize_trig
 from nanokit.trusty import encode_digest
 
 
@@ -34,6 +35,23 @@ def scan_pattern(pairs, subject=None, predicate=None, obj=None, graph=None):
             hits.add(code)
             break
     return hits
+
+
+def log_records(data):
+    """The records of a complete store log, each its header and body."""
+    records = []
+    while data:
+        header, _, rest = data.partition(b"\n")
+        end = len(header) + 1 + int(header)
+        records.append(data[:end])
+        data = data[end:]
+    return records
+
+
+def log_record(np):
+    """The log record ``put`` writes for ``np``."""
+    body = serialize_trig(np).encode("utf-8")
+    return b"%d\n" % len(body) + body
 
 
 def run_simulation(config, workload):

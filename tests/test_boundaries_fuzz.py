@@ -8,6 +8,14 @@ as a diff.  The mutators follow the survey of Manès et al., "The Art,
 Science, and Engineering of Fuzzing" (IEEE TSE 2019): flip bytes,
 delete, duplicate or swap lines, splice in parts of real request paths,
 and truncate.
+
+Store log: mutated copies of a small disk store's ``journal.log`` are
+reopened.  Each reopen either raises ``StoreError`` and leaves the file
+byte-identical, or opens a store whose every nanopub verifies and whose
+codes are a subset of the original's; the outcomes are pinned in a
+digest too.  The mutators delete, duplicate or swap records, flip bytes,
+splice in pieces of another store's log of the same nanopubs, and
+truncate.
 """
 
 import hashlib
@@ -23,7 +31,10 @@ from nanokit import namespaces as ns
 from nanokit.api import ApiServer, ApiService
 from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.index import IndexMetadata, build_index
-from nanokit.store import NanopubStore
+from nanokit.store import NanopubStore, StoreError
+from nanokit.trusty import verify_reason
+
+from oracles import log_records
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +225,78 @@ def test_http_front_edge_cases(api, data, outcome):
     address, paths, errors = api
     assert _outcome(exchange(address, data)).startswith(outcome)
     assert errors == []
+
+
+# -- store log ----------------------------------------------------------------
+
+
+def _delete_record(rng, records):
+    del records[rng.randrange(len(records))]
+
+
+def _duplicate_record(rng, records):
+    i = rng.randrange(len(records))
+    records.insert(rng.randint(0, len(records)), records[i])
+
+
+def _swap_records(rng, records):
+    i, j = rng.randrange(len(records)), rng.randrange(len(records))
+    records[i], records[j] = records[j], records[i]
+
+
+def _splice_log(rng, data, other):
+    a = rng.randrange(len(other))
+    piece = other[a:a + rng.randint(1, len(other) // 2)]
+    i = rng.randint(0, len(data))
+    return data[:i] + piece + data[i + rng.randint(0, 8):]
+
+
+def _log_cases(log, other, count, rng_seed):
+    """``count`` seeded mutations of ``log``: up to two record mutations,
+    then up to two byte mutations, at least one in all."""
+    rng = random.Random(rng_seed)
+    record_mutators = [_delete_record, _duplicate_record, _swap_records]
+    byte_mutators = [_flip, _splice_log, _truncate]
+    for _ in range(count):
+        records = log_records(log)
+        rounds = rng.randint(0, 2)
+        for _ in range(rounds):
+            if records:
+                rng.choice(record_mutators)(rng, records)
+        data = b"".join(records)
+        for _ in range(rng.randint(0 if rounds else 1, 2)):
+            if data:
+                data = rng.choice(byte_mutators)(rng, data, other)
+        yield data
+
+
+def test_mutated_store_logs_reopen_or_are_refused_unchanged(tmp_path):
+    nanopubs = generate_corpus(CorpusConfig(count=6, seed=32))
+    original = NanopubStore(tmp_path / "original")
+    original.put_all(nanopubs)
+    NanopubStore(tmp_path / "other").put_all(nanopubs[::-1])
+    log = (tmp_path / "original" / "journal.log").read_bytes()
+    other = (tmp_path / "other" / "journal.log").read_bytes()
+    journal = tmp_path / "fuzzed" / "journal.log"
+    journal.parent.mkdir()
+    outcomes = Counter()
+    digest = hashlib.sha256()
+    for data in _log_cases(log, other, 400, 20180405):
+        journal.write_bytes(data)
+        try:
+            store = NanopubStore(journal.parent)
+        except StoreError as exc:
+            assert journal.read_bytes() == data, exc
+            outcome = "refused " + str(exc).split(":", 1)[0]
+        else:
+            codes = store.codes()
+            assert set(codes) <= set(original.codes()), data
+            assert all(verify_reason(np, np.uri) is None for np in map(store.get, codes))
+            kept = journal.read_bytes()
+            assert data.startswith(kept)
+            assert NanopubStore(journal.parent).codes() == codes and journal.read_bytes() == kept
+            outcome = f"opened {len(codes)} " + " ".join(codes)
+        outcomes[outcome.split(" ", 1)[0]] += 1
+        digest.update(outcome.encode("ascii") + b"\n")
+    assert outcomes == {"refused": 270, "opened": 130}
+    assert digest.hexdigest() == "ff2e8d8ff91e999f57bfba36754b9b2ba61162b61b7e61d099feab50671038a7"

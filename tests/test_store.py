@@ -1,5 +1,6 @@
 import dataclasses
-import shutil
+import os
+import random
 import sys
 import threading
 
@@ -16,7 +17,7 @@ from nanokit.rdf import Quad, QuadDocument, QuadPattern, iri, literal, parse_tri
 from nanokit.store import NanopubStore, StoreError, parse_nanopub, split_corpus
 from nanokit.trusty import verify, verify_reason
 
-from oracles import as_pairs, scan_pattern, scan_uri
+from oracles import as_pairs, log_record, log_records, scan_pattern, scan_uri
 
 
 def make_np(created=None, orcid=None, license_iri=None, label="x"):
@@ -99,8 +100,8 @@ def test_persistence_roundtrip(tmp_path, corpus200):
     store = NanopubStore(directory)
     for np in corpus200[:25]:
         store.put(np)
-    assert (directory / "journal.log").exists()
-    assert len(list(directory.glob("*.trig"))) == 25
+    assert [p.name for p in directory.iterdir()] == ["journal.log"]
+    assert log_records((directory / "journal.log").read_bytes()) == [log_record(np) for np in corpus200[:25]]
 
     reloaded = NanopubStore(directory)
     assert len(reloaded) == 25
@@ -113,9 +114,9 @@ def test_journal_line_format(tmp_path):
     directory = tmp_path / "store"
     store = NanopubStore(directory)
     np = make_np()
-    code = store.put(np)
-    lines = (directory / "journal.log").read_text().splitlines()
-    assert lines == [f"1 {code}"]
+    store.put(np)
+    body = serialize_trig(np).encode("utf-8")
+    assert (directory / "journal.log").read_bytes() == b"%d\n" % len(body) + body
 
 
 def _disk_store(directory, nanopubs):
@@ -125,19 +126,68 @@ def _disk_store(directory, nanopubs):
     return store
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 def test_reopen_drops_torn_journal_tail(tmp_path, corpus200):
     directory = tmp_path / "store"
     codes = _disk_store(directory, corpus200[:3]).codes()
     journal = directory / "journal.log"
-    complete = journal.read_text()
-    with journal.open("a") as fh:
-        fh.write("4 RAabc")  # a crash mid-append: no newline
+    complete = journal.read_bytes()
+    with journal.open("ab") as fh:
+        fh.write(log_record(corpus200[3])[:-1])  # a crash mid-append: the body cut short
     reopened = NanopubStore(directory)
     assert reopened.codes() == codes
-    assert journal.read_text() == complete
+    assert journal.read_bytes() == complete
     code = reopened.put(corpus200[3])
-    assert journal.read_text().splitlines()[-1] == f"4 {code}"
+    assert journal.read_bytes() == complete + log_record(corpus200[3])
     assert NanopubStore(directory).codes() == codes + [code]
+
+
+def test_torn_last_record_is_cut_at_every_offset(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    _disk_store(directory, corpus200[:3])
+    journal = directory / "journal.log"
+    complete = journal.read_bytes()
+    last = log_records(complete)[-1]
+    start = len(complete) - len(last)
+    header = last.index(b"\n") + 1
+    body_cuts = random.Random(32).sample(range(header + 1, len(last)), 40)
+    codes = [np.uri[-45:] for np in corpus200[:2]]
+    for cut in [*range(start, start + header + 1), *(start + i for i in body_cuts)]:
+        journal.write_bytes(complete[:cut])
+        reopened = NanopubStore(directory)
+        assert reopened.codes() == codes, cut
+        assert journal.read_bytes() == complete[:start], cut
+        reopened.put(corpus200[3])
+        assert journal.read_bytes() == complete[:start] + log_record(corpus200[3])
+        assert NanopubStore(directory).codes() == [*codes, corpus200[3].uri[-45:]]
+
+
+def test_refused_reopen_changes_nothing(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    _disk_store(directory, corpus200[:3])
+    journal = directory / "journal.log"
+    data = bytearray(journal.read_bytes())
+    data[len(data) // 2] = 0xFF  # inside a body: not UTF-8
+    journal.write_bytes(bytes(data) + b"29")  # and a torn header after it
+    before = _files(directory)
+    with pytest.raises(StoreError, match="journal.log record 2 at byte "):
+        NanopubStore(directory)
+    assert _files(directory) == before
+
+
+def test_reopen_refuses_an_old_layout_journal(tmp_path, corpus200):
+    directory = tmp_path / "store"
+    directory.mkdir()
+    code = corpus200[0].uri[-45:]
+    (directory / "journal.log").write_text(f"1 {code}\n", encoding="utf-8")
+    (directory / f"{code}.trig").write_text(serialize_trig(corpus200[0]), encoding="utf-8")
+    before = _files(directory)
+    with pytest.raises(StoreError, match="journal.log record 1 at byte 0: malformed header"):
+        NanopubStore(directory)
+    assert _files(directory) == before
 
 
 @pytest.mark.parametrize(
@@ -150,49 +200,48 @@ def test_reopen_drops_torn_journal_tail(tmp_path, corpus200):
         "\u0664 RA".encode() + b"A" * 43,  # Arabic-Indic digit four
         b"4 RA" + b"A" * 42 + b"\xff",  # not UTF-8
         pytest.param(b"9" * 5000 + b" RA" + b"A" * 43, id="seq-too-long-for-int"),
+        *(b"-5", b"+5", b" 5", b"05", b"5 ", b"", b"5\r"),  # a count not in plain digits
     ],
 )
 def test_reopen_rejects_malformed_journal_line(tmp_path, corpus200, line):
+    # a header that is not the byte count of the body after it
     directory = tmp_path / "store"
     _disk_store(directory, corpus200[:2])
-    with (directory / "journal.log").open("ab") as fh:
-        fh.write(line + b"\n")
-    with pytest.raises(StoreError, match="malformed entry"):
-        NanopubStore(directory)
-
-
-def test_reopen_rejects_out_of_order_seqs(tmp_path, corpus200):
-    directory = tmp_path / "store"
-    _disk_store(directory, corpus200[:3])
     journal = directory / "journal.log"
-    lines = journal.read_text().splitlines()
-    journal.write_text("\n".join([lines[1], lines[0], lines[2]]) + "\n")
-    with pytest.raises(StoreError, match="seq 1 after 2"):
+    offset = journal.stat().st_size
+    record = log_record(corpus200[2])
+    with journal.open("ab") as fh:
+        fh.write(line + record[record.index(b"\n"):])
+    with pytest.raises(StoreError, match=f"journal.log record 3 at byte {offset}: "):
         NanopubStore(directory)
 
 
 def test_reopen_rejects_repeated_code(tmp_path, corpus200):
     directory = tmp_path / "store"
-    code = _disk_store(directory, corpus200[:2]).codes()[0]
-    with (directory / "journal.log").open("a") as fh:
-        fh.write(f"3 {code}\n")
-    with pytest.raises(StoreError, match="listed twice"):
+    _disk_store(directory, corpus200[:2])
+    journal = directory / "journal.log"
+    offset = journal.stat().st_size
+    with journal.open("ab") as fh:
+        fh.write(log_record(corpus200[0]))
+    code = corpus200[0].uri[-45:]
+    with pytest.raises(StoreError, match=f"journal.log record 3 at byte {offset}: {code} stored twice"):
         NanopubStore(directory)
 
 
 @pytest.mark.parametrize(
     "damage",
-    [
-        lambda path: path.unlink(),
-        lambda path: path.write_text("<http://x.example/a> <broken", encoding="utf-8"),
-    ],
-    ids=["missing", "unparsable"],
+    [lambda body: b"<http://x.example/a> <broken".ljust(len(body))],
+    ids=["unparsable"],
 )
 def test_reopen_bad_trig_file_is_store_error_naming_file_and_line(tmp_path, corpus200, damage):
+    # a record whose body does not parse names the record and its offset
     directory = tmp_path / "store"
-    code = _disk_store(directory, corpus200[:3]).codes()[1]
-    damage(directory / f"{code}.trig")
-    with pytest.raises(StoreError, match=f"journal.log line 2: {code}.trig: "):
+    _disk_store(directory, corpus200[:3])
+    journal = directory / "journal.log"
+    first, second, third = log_records(journal.read_bytes())
+    header, _, body = second.partition(b"\n")
+    journal.write_bytes(first + header + b"\n" + damage(body) + third)
+    with pytest.raises(StoreError, match=f"journal.log record 2 at byte {len(first)}: "):
         NanopubStore(directory)
 
 
@@ -210,10 +259,14 @@ def test_tampered_replace_of_verified_nanopub_is_rejected(corpus200):
 
 
 def test_reopen_rejects_trig_holding_another_code(tmp_path, corpus200):
+    # a record's code is the code in its own body, so a second record that
+    # holds the first one's nanopub is that nanopub stored twice
     directory = tmp_path / "store"
-    first, second = _disk_store(directory, corpus200[:2]).codes()
-    shutil.copyfile(directory / f"{first}.trig", directory / f"{second}.trig")
-    with pytest.raises(StoreError, match=f"journal.log line 2: {second}.trig: holds <[^>]*{first}>"):
+    first = _disk_store(directory, corpus200[:2]).codes()[0]
+    journal = directory / "journal.log"
+    record = log_records(journal.read_bytes())[0]
+    journal.write_bytes(record + record)
+    with pytest.raises(StoreError, match=f"journal.log record 2 at byte {len(record)}: {first} stored twice"):
         NanopubStore(directory)
 
 
@@ -264,10 +317,10 @@ def test_bare_base_variant_is_refused_by_a_fresh_store(corpus200):
 def test_reopen_rejects_trig_holding_a_bare_base_variant(tmp_path, corpus200):
     directory = tmp_path / "store"
     np = corpus200[0]
-    code = _disk_store(directory, [np]).codes()[0]
+    _disk_store(directory, [np])
     variant = _recoded_assertion(np, "")
-    (directory / f"{code}.trig").write_text(serialize_trig(variant), encoding="utf-8")
-    with pytest.raises(StoreError, match=f"journal.log line 1: {code}.trig: verification failed"):
+    (directory / "journal.log").write_bytes(log_record(variant))
+    with pytest.raises(StoreError, match="journal.log record 1 at byte 0: verification failed"):
         NanopubStore(directory)
 
 
@@ -324,6 +377,42 @@ def test_put_all_verifies_each_nanopub_once_and_stores_all_or_none(monkeypatch, 
     calls.clear()
     assert store.put(batch[0]) == batch[0].uri[-45:]
     assert calls == [batch[0].uri]
+
+
+def _fail_on_call(function, number):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == number:
+            raise OSError(28, "No space left on device")
+        return function(*args)
+
+    return failing
+
+
+@pytest.mark.parametrize(
+    "target, name, number",
+    [(store_module, "serialize_trig", 2), (os, "fsync", 1)],
+    ids=["serialize", "fsync"],
+)
+def test_put_all_that_fails_to_write_leaves_the_store_as_it_was(
+    monkeypatch, tmp_path, corpus200, target, name, number
+):
+    directory = tmp_path / "store"
+    store = _disk_store(directory, corpus200[:2])
+    journal = directory / "journal.log"
+    before, codes = journal.read_bytes(), store.codes()
+    monkeypatch.setattr(target, name, _fail_on_call(getattr(target, name), number))
+    with pytest.raises(OSError, match="No space left"):
+        store.put_all(corpus200[:5])
+    monkeypatch.undo()
+    assert store.codes() == codes and len(store) == 2
+    assert all(store.get(np.uri[-45:]) is None for np in corpus200[2:5])
+    assert journal.read_bytes() == before
+    assert NanopubStore(directory).codes() == codes
+    store.put_all(corpus200[:5])
+    assert NanopubStore(directory).codes() == [np.uri[-45:] for np in corpus200[:5]]
 
 
 def _full_sort(nanopubs, from_seq=1, limit=None):
