@@ -5,18 +5,20 @@ Transport is plain HTTP request/response on routes
 method parameters (subj, pred, obj, objtype, uri, index_uri, page,
 page_size).  List responses are one code/URI per line; get_nanopub
 returns TriG.  Errors come back as ``ERROR <code> <message>`` lines.
-The front takes ``GET`` only, over HTTP/1.0 or 1.1, one request per
-connection, and answers in one write.  It reads a request line of at
-most 65,536 bytes and throws away fewer than 100 header lines of at most
-65,536 bytes each.  Other requests get ``http.server``'s statuses: 414
-for a longer request line, 400 for bad syntax or version, 505 for
-HTTP/2 and up, 431 for more or longer header lines, 501 for any other
-method; a blank request line gets no reply.  ``ApiServer`` gives only
-the exchange; ``network.ServerCore`` listens and bounds it as it does the
-node server: a backlog of ``SLOTS``, at most ``SLOTS`` requests at once and
-one more waiting, and a client dropped without a reply once it has taken
-``SERVER_TIMEOUT``, stays silent that long, or resets or cuts the
-connection; any other failure is printed.
+The front takes ``GET`` only, over HTTP/1.x, one request per
+connection, and answers in one write, always with a status line.  It
+reads a request line of at most 65,536 bytes and throws away fewer than
+100 header lines of at most 65,536 bytes each.  Other requests get
+``http.server``'s statuses: 414 for a longer request line, 400 for a
+line that is not a method, a target and ``HTTP/1.<digits>``, 505 for
+any other major version, 431 for more or longer header lines, 501 for
+any other method; a connection that sends nothing gets no reply.
+``ApiServer`` gives only the exchange; ``network.ServerCore`` listens
+and bounds it as it does the node server: a backlog of ``SLOTS``, at
+most ``SLOTS`` requests at once and one more waiting, and a client
+dropped without a reply once it has taken ``SERVER_TIMEOUT``, stays
+silent that long, or resets or cuts the connection; any other failure
+is printed.
 """
 
 from __future__ import annotations
@@ -185,36 +187,34 @@ _MAX_LINE, _MAX_HEADER_LINES = 65536, 100
 _VERSION = re.compile(r"HTTP/([0-9]{1,10})\.[0-9]{1,10}")
 
 
-def _read_head(rfile) -> tuple[Optional[int], Optional[str], bool]:
-    """The status of a protocol error, or the target of a GET to answer,
-    and whether the reply has a head; the headers are read only to be
-    thrown away.  The statuses, and the order they are checked in, are
-    http.server's."""
+def _read_head(rfile) -> tuple[Optional[int], Optional[str]]:
+    """The status of a protocol error, or the target of a GET to answer;
+    neither for a connection that sent nothing.  The headers are read
+    only to be thrown away.  The bounds, and the order the statuses are
+    checked in, are http.server's."""
     line = rfile.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        return 414, None, True
+        return 414, None
+    if not line:
+        return None, None
     words = line.decode("latin-1").split()
-    if not words:
-        return None, None, False
-    head = len(words) >= 3 and words[-1] != "HTTP/0.9"
-    if len(words) >= 3:
-        version = _VERSION.fullmatch(words[-1])
-        if version is None or int(version[1]) >= 2:
-            return 400 if version is None else 505, None, False  # answered as HTTP/0.9
-    if not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
-        return 400, None, head
+    version = _VERSION.fullmatch(words[-1]) if len(words) == 3 else None
+    if version is None:
+        return 400, None
+    if int(version[1]) != 1:
+        return 505, None
     for _ in range(_MAX_HEADER_LINES):
         line = rfile.readline(_MAX_LINE + 1)
         if len(line) > _MAX_LINE:
-            return 431, None, head
+            return 431, None
         if line in (b"\r\n", b"\n", b""):
             break
     else:
-        return 431, None, head
+        return 431, None
     if words[0] != "GET":
-        return 501, None, head
+        return 501, None
     target = words[1]  # a leading "//" is one "/"
-    return None, "/" + target.lstrip("/") if target.startswith("/") else target, head
+    return None, "/" + target.lstrip("/") if target.startswith("/") else target
 
 
 class ApiServer(ServerCore):
@@ -230,20 +230,18 @@ class ApiServer(ServerCore):
 
     def exchange(self, conn) -> Optional[bytes]:
         with conn.makefile("rb") as rfile:
-            status, target, head = _read_head(rfile)
+            status, target = _read_head(rfile)
         if target is not None:
             status, body, kind = *self._get(target), "plain"
         elif status is not None:
             body, kind = f"<html><body><h1>{status} {HTTPStatus(status).phrase}</h1></body></html>\n", "html"
         else:
-            return None  # a blank request line gets no reply
+            return None  # a connection that sent nothing gets no reply
         data = body.encode("utf-8")
-        if head:  # HTTP/0.9 gets the body alone
-            data = (
-                f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nDate: {formatdate(usegmt=True)}\r\n"
-                f"Content-Type: text/{kind}; charset=utf-8\r\nContent-Length: {len(data)}\r\n\r\n"
-            ).encode("latin-1") + data
-        return data
+        return (
+            f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nDate: {formatdate(usegmt=True)}\r\n"
+            f"Content-Type: text/{kind}; charset=utf-8\r\nContent-Length: {len(data)}\r\n\r\n"
+        ).encode("latin-1") + data
 
     def _get(self, target: str) -> tuple[int, str]:
         try:

@@ -236,37 +236,16 @@ class ServerNode:
         return fetched
 
 
-def client_retrieve(code: str, known_nodes, send: Send | None = None) -> Nanopublication:
-    """Fetch ``code`` from the first node that returns verifiable content.
-
-    ``known_nodes`` may hold ServerNode objects (queried directly) or
-    node ids (queried through ``send``); they are tried in the given
-    order, duplicates by node id skipped.  The result always passes
-    trusty verification no matter which node served it.
-    """
-    tried = set()
-    any_reachable = False
-    for node in known_nodes:
-        node_id = node.node_id if isinstance(node, ServerNode) else node
-        if node_id in tried:
-            continue
-        tried.add(node_id)
-        try:
-            if isinstance(node, ServerNode):
-                reply = node.handle(Get(code))
-            else:
-                if send is None:
-                    raise RuntimeError("node ids given but no transport")
-                reply = send(node_id, Get(code))
-        except Unreachable:
-            continue
-        any_reachable = True
+def client_retrieve(code: str, nodes: Iterable[ServerNode]) -> Nanopublication:
+    """Fetch ``code`` from the first of ``nodes``, in order, that returns
+    verifiable content; KeyError when none does.  The result always
+    passes trusty verification no matter which node served it."""
+    for node in nodes:
+        reply = node.handle(Get(code))
         if isinstance(reply, NanopubResponse):
             np = reply.nanopub
             if extract_artifact_code(np.uri) == code and verify(np, np.uri):
                 return np
-    if not any_reachable:
-        raise Unreachable(f"no reachable node for {code}")
     raise KeyError(code)
 
 

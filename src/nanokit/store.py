@@ -11,7 +11,8 @@ Layout on disk: one append-only log, ``journal.log``, whose records are
 ``<byte count>\n`` and that many bytes of UTF-8 TriG; a record's seq is
 its position, from 1, and its code the code in its body's URI.  The log
 is also the replication feed.  ``put_all`` appends a batch with one
-write and one ``fsync``, and cuts the log back on an ``OSError``.
+write and one ``fsync`` (and fsyncs the directory once the log is new),
+and cuts the log back on an ``OSError``.
 Reopening re-parses and re-verifies each record; any bad one is a
 ``StoreError`` naming it and its byte offset.  A torn last record (a
 crash mid-append) is cut off only once all before it have verified, so
@@ -259,6 +260,12 @@ class NanopubStore:
                         while records:  # an unbuffered write may be short
                             records = records[fh.write(records):]
                         os.fsync(fh.fileno())
+                        if size == 0:  # the log may be new: its directory entry too
+                            directory = os.open(self.directory, os.O_RDONLY)
+                            try:
+                                os.fsync(directory)
+                            finally:
+                                os.close(directory)
                     except OSError:
                         fh.truncate(size)
                         raise

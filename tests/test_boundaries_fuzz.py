@@ -2,9 +2,10 @@
 
 HTTP: mutated requests go over real sockets to an ``ApiServer`` on a
 small store, each client half-closing after it sends.  No request may
-get a 500 or be dropped before its deadline, and the outcome of every
-request is pinned in a digest, so a change to the HTTP front shows here
-as a diff.  The mutators follow the survey of Manès et al., "The Art,
+get a 500 or be dropped before its deadline, every reply must parse as
+HTTP with ``http.client``, only a request of no bytes may go without
+one, and the outcome of every request is pinned in a digest, so a
+change to the HTTP front shows here as a diff.  The mutators follow the survey of Manès et al., "The Art,
 Science, and Engineering of Fuzzing" (IEEE TSE 2019): flip bytes,
 delete, duplicate or swap lines, splice in parts of real request paths,
 and truncate.
@@ -16,9 +17,18 @@ codes are a subset of the original's; the outcomes are pinned in a
 digest too.  The mutators delete, duplicate or swap records, flip bytes,
 splice in pieces of another store's log of the same nanopubs, and
 truncate.
+
+Wire: mutated encodings of one message of every kind, by the HTTP
+mutators, are decoded.  ``decode_message`` may raise only
+``ProtocolError``, a node answers every decoded message with a reply
+that ``encode_message`` takes, and no input changes its store.  One in
+twenty also goes to a ``NodeServer`` over TCP, which must answer the
+same bytes; the replies are pinned in a digest.
 """
 
 import hashlib
+import http.client
+import io
 import random
 import socket
 import threading
@@ -31,6 +41,25 @@ from nanokit import namespaces as ns
 from nanokit.api import ApiServer, ApiService
 from nanokit.corpusgen import CorpusConfig, generate_corpus
 from nanokit.index import IndexMetadata, build_index
+from nanokit.network import (
+    _WIRE,
+    Get,
+    GetJournal,
+    JournalPage,
+    NanopubResponse,
+    NodeServer,
+    NotFound,
+    Ok,
+    PeerList,
+    PeersRequest,
+    ProtocolError,
+    Publish,
+    Rejected,
+    ServerNode,
+    decode_message,
+    encode_message,
+    tcp_request,
+)
 from nanokit.store import NanopubStore, StoreError
 from nanokit.trusty import verify_reason
 
@@ -91,18 +120,29 @@ def exchange(address, data: bytes) -> bytes:
 
 
 def _status(reply: bytes) -> str:
+    """The status of a reply, which ``http.client`` must parse."""
     if not reply:
         return "closed without reply"
-    if not reply.startswith(b"HTTP/"):
-        return "no status line"  # an HTTP/0.9 reply: the body alone
-    return reply.split(b" ", 2)[1].decode("latin-1")
+    response = http.client.HTTPResponse(_Replayed(reply))
+    response.begin()  # BadStatusLine for a reply with no status line
+    return str(response.status)
+
+
+class _Replayed:
+    """A socket whose ``makefile`` reads back one reply."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+
+    def makefile(self, mode):
+        return io.BytesIO(self.reply)
 
 
 def _outcome(reply: bytes) -> str:
     """The status, and the body of an API reply; a protocol error's page
     and header values such as ``Date`` are left out."""
     status = _status(reply)
-    body = reply.partition(b"\r\n\r\n")[2] if reply.startswith(b"HTTP/") else reply
+    body = reply.partition(b"\r\n\r\n")[2]
     if status in ("414", "431", "501", "505") or body.startswith(b"<"):  # no API body starts with "<"
         return f"{status} error page"
     return f"{status} {body!r}"
@@ -172,15 +212,11 @@ def test_mutated_requests_match_pinned_outcomes(api):
         statuses[status] += 1
         assert status != "500", data
         if status == "closed without reply":
-            words = data.split(b"\n", 1)[0].decode("latin-1").split()
-            # a blank request line gets no reply; HTTP/0.9's reply is its body alone
-            assert len(words) in (0, 2), data
+            assert data == b"", data  # only a connection that sent nothing
         digest.update(_outcome(reply).encode("utf-8") + b"\n")
     assert errors == []
-    assert statuses == {
-        "200": 1634, "no status line": 1230, "closed without reply": 558, "404": 406, "400": 152, "501": 20,
-    }
-    assert digest.hexdigest() == "494198f60cf4b7a999fef77dd4a8d4f9776729947b6b6dc5d7ddd2ef277d95a1"
+    assert statuses == {"200": 1634, "400": 1783, "404": 406, "501": 20, "closed without reply": 157}
+    assert digest.hexdigest() == "e44b426ddb5cf2dd04e3fc5b8c741ca1ac35d14469102308180bd78f07304987"
 
 
 _LONG_TARGET = b"GET /api/get_all_indexes?pad="
@@ -202,22 +238,23 @@ _LONG_TARGET = b"GET /api/get_all_indexes?pad="
         pytest.param(b"POST /api/get_all_indexes HTTP/1.0\r\n\r\n", "501 error page", id="post"),
         pytest.param(b"HEAD /api/get_all_indexes HTTP/1.0\r\n\r\n", "501 error page", id="head"),
         pytest.param(b"GET /a b HTTP/1.0\r\n\r\n", "400 error page", id="four-words"),
-        # http.server answers these as HTTP/0.9: the error page with no status line
-        pytest.param(b"GET / HTTP/1.x\r\n\r\n", "no status line error page", id="bad-version"),
-        pytest.param("GET / HTTP/1.\xb2\r\n\r\n".encode("latin-1"), "no status line error page", id="superscript-version"),
-        pytest.param(b"GET / HTTP/2.0\r\n\r\n", "no status line error page", id="http-2"),
-        pytest.param(b"GET\r\n\r\n", "no status line error page", id="one-word"),
-        pytest.param(b"POST /api/get_all_indexes\r\n", "no status line error page", id="http-0.9-post"),
-        pytest.param(b"GET /api/get_all_indexes\r\n", "no status line b'1\\t", id="http-0.9-get"),
-        pytest.param(b"GET /api/get_all_indexes HTTP/0.9\r\n\r\n", "no status line b'1\\t", id="http-0.9-named"),
-        pytest.param(b"GET /api/get_all_indexes HTTP/00.9\r\n\r\n", "200 b'1\\t", id="http-00.9"),
-        pytest.param(b"GET /a b HTTP/0.9\r\n\r\n", "no status line error page", id="http-0.9-four-words"),
+        # a line that is not a method, a target and HTTP/1.x gets a 400,
+        # any other major version a 505
+        pytest.param(b"GET / HTTP/1.x\r\n\r\n", "400 error page", id="bad-version"),
+        pytest.param("GET / HTTP/1.\xb2\r\n\r\n".encode("latin-1"), "400 error page", id="superscript-version"),
+        pytest.param(b"GET / HTTP/2.0\r\n\r\n", "505 error page", id="http-2"),
+        pytest.param(b"GET\r\n\r\n", "400 error page", id="one-word"),
+        pytest.param(b"POST /api/get_all_indexes\r\n", "400 error page", id="http-0.9-post"),
+        pytest.param(b"GET /api/get_all_indexes\r\n", "400 error page", id="http-0.9-get"),
+        pytest.param(b"GET /api/get_all_indexes HTTP/0.9\r\n\r\n", "505 error page", id="http-0.9-named"),
+        pytest.param(b"GET /api/get_all_indexes HTTP/00.9\r\n\r\n", "505 error page", id="http-00.9"),
+        pytest.param(b"GET /a b HTTP/0.9\r\n\r\n", "400 error page", id="http-0.9-four-words"),
         pytest.param(b"GET api/get_all_indexes HTTP/1.0\r\n\r\n", "404", id="no-leading-slash"),
-        pytest.param(b"GET /api/get_all_indexes http/1.0\r\n\r\n", "no status line error page", id="lowercase-version"),
-        pytest.param(b"GET /api/get_all_indexes HTTP/1.01234567890\r\n\r\n", "no status line error page", id="long-minor"),
-        pytest.param(b"GET /api/x\r\n" + b"X: y\r\n" * 100, "no status line error page", id="http-0.9-431"),
-        pytest.param(b"\r\nGET / HTTP/1.0\r\n\r\n", "closed without reply", id="blank-line"),
-        pytest.param(b" \t\x0c\r\n", "closed without reply", id="whitespace-line"),
+        pytest.param(b"GET /api/get_all_indexes http/1.0\r\n\r\n", "400 error page", id="lowercase-version"),
+        pytest.param(b"GET /api/get_all_indexes HTTP/1.01234567890\r\n\r\n", "400 error page", id="long-minor"),
+        pytest.param(b"GET /api/x\r\n" + b"X: y\r\n" * 100, "400 error page", id="http-0.9-431"),
+        pytest.param(b"\r\nGET / HTTP/1.0\r\n\r\n", "400 error page", id="blank-line"),
+        pytest.param(b" \t\x0c\r\n", "400 error page", id="whitespace-line"),
         pytest.param(b"", "closed without reply", id="empty"),
     ],
 )
@@ -300,3 +337,74 @@ def test_mutated_store_logs_reopen_or_are_refused_unchanged(tmp_path):
         digest.update(outcome.encode("ascii") + b"\n")
     assert outcomes == {"refused": 270, "opened": 130}
     assert digest.hexdigest() == "ff2e8d8ff91e999f57bfba36754b9b2ba61162b61b7e61d099feab50671038a7"
+
+
+# -- wire ---------------------------------------------------------------------
+
+
+def _wire_messages(nanopubs):
+    """One message of every wire kind, on codes of ``nanopubs``."""
+    codes = [np.uri[-45:] for np in nanopubs]
+    messages = [
+        Publish(nanopubs[0]),
+        Get(codes[1]),
+        GetJournal(2, 3),
+        PeersRequest(),
+        Ok(codes[0]),
+        NanopubResponse(nanopubs[1]),
+        JournalPage(((1, codes[0]), (2, codes[1])), 3),
+        PeerList(("127.0.0.1:8765", "[::1]:8766")),
+        NotFound(),
+        Rejected("verification failed"),
+    ]
+    assert {type(msg) for msg in messages} == set(_WIRE)
+    return messages
+
+
+def _wire_cases(encodings, rng_seed, count):
+    """``count`` seeded mutations, one to three each, of the encodings in
+    turn; a splice takes its piece from any of them."""
+    rng = random.Random(rng_seed)
+    for i in range(count):
+        data = encodings[i % len(encodings)]
+        for _ in range(rng.randint(1, 3)):
+            if data:
+                data = rng.choice(_MUTATORS)(rng, data, encodings)
+        yield data
+
+
+def test_mutated_wire_messages_are_refused_or_answered():
+    nanopubs = generate_corpus(CorpusConfig(count=3, seed=33))
+    node = ServerNode("n0", peers=["127.0.0.1:8765"])
+    node.store.put_all(nanopubs)
+    encodings = [encode_message(msg) for msg in _wire_messages(nanopubs)]
+    server = NodeServer(node)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    outcomes = Counter()
+    digest = hashlib.sha256()
+    try:
+        for i, data in enumerate(_wire_cases(encodings, 20180405, 600)):
+            try:
+                msg = decode_message(data)
+            except ProtocolError as exc:
+                outcome, reply = "refused", Rejected(str(exc))
+            else:
+                outcome, reply = _WIRE[type(msg)][0], node.handle(msg)
+            answer = encode_message(reply)
+            if i % 20 == 0:  # 30 of them also over TCP
+                assert exchange(server.server_address[:2], data) == answer, data
+                if outcome != "refused":
+                    assert encode_message(tcp_request(server.address, msg)) == answer, data
+            outcomes[outcome] += 1
+            digest.update(answer + b"\0")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert node.store.codes() == [np.uri[-45:] for np in nanopubs]
+    assert outcomes == {
+        "refused": 427, "PEER_LIST": 34, "JOURNAL_PAGE": 28, "GET": 24, "OK": 19, "NOT_FOUND": 17,
+        "REJECTED": 16, "PUBLISH": 12, "PEERS_REQUEST": 11, "NANOPUB": 9, "GET_JOURNAL": 3,
+    }
+    assert digest.hexdigest() == "3aeb351124a4aef9cc33b0b4725a8e8626f50a558bc719e5e3698b79fde15b43"

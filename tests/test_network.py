@@ -219,25 +219,26 @@ def test_client_retrieve_nowhere_raises(nanopubs):
         client_retrieve(nanopubs[0].uri[-45:], [ServerNode("e1"), ServerNode("e2")])
 
 
+class _Answering(ServerNode):
+    """A node that answers every message with one reply."""
+
+    def __init__(self, node_id, reply):
+        super().__init__(node_id)
+        self.reply = reply
+
+    def handle(self, msg):
+        return self.reply
+
+
 def test_client_retrieve_accepts_only_the_code_asked(nanopubs):
     np = nanopubs[0]
     code = extract_artifact_code(np.uri)
-
-    def send(dst, msg):  # a node that answers every Get with one valid nanopub
-        return NanopubResponse(np)
+    node = _Answering("x", NanopubResponse(np))  # answers every Get with one valid nanopub
 
     for asked in ("", code[-10:], code[1:]):
         with pytest.raises(KeyError):
-            client_retrieve(asked, ["x"], send=send)
-    assert client_retrieve(code, ["x"], send=send) is np
-
-
-def test_client_retrieve_all_unreachable(nanopubs):
-    def send(dst, msg):
-        raise Unreachable(dst)
-
-    with pytest.raises(Unreachable):
-        client_retrieve(nanopubs[0].uri[-45:], ["x", "y"], send=send)
+            client_retrieve(asked, [node])
+    assert client_retrieve(code, [node]) is np
 
 
 def test_fifteen_node_complete_topology_syncs_in_two_rounds(corpus200):
@@ -757,11 +758,8 @@ def test_client_retrieve_skips_a_copy_that_is_no_trusty_uri(nanopubs):
     np = nanopubs[0]
     honest = ServerNode("c")
     honest.handle(Publish(np))
-
-    def send(dst, msg):
-        return honest.handle(msg) if dst == "c" else NanopubResponse(_hostile(np))
-
-    assert client_retrieve(np.uri[-45:], ["h", "c"], send=send) is np
+    hostile = _Answering("h", NanopubResponse(_hostile(np)))
+    assert client_retrieve(np.uri[-45:], [hostile, honest]) is np
 
 
 def test_sync_round_stops_on_page_that_does_not_advance(nanopubs):

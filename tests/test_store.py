@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import stat
 import sys
 import threading
 
@@ -413,6 +414,30 @@ def test_put_all_that_fails_to_write_leaves_the_store_as_it_was(
     assert NanopubStore(directory).codes() == codes
     store.put_all(corpus200[:5])
     assert NanopubStore(directory).codes() == [np.uri[-45:] for np in corpus200[:5]]
+
+
+def test_put_all_fsyncs_the_directory_once_when_it_creates_the_log(monkeypatch, tmp_path, corpus200):
+    synced = []
+    fsync = os.fsync
+
+    def recording(fd):
+        synced.append("directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    store = NanopubStore(tmp_path / "store")
+    store.put_all(corpus200[:2])
+    assert synced == ["file", "directory"]
+    store.put_all(corpus200[:4])
+    store.put(corpus200[4])
+    NanopubStore(tmp_path / "store").put(corpus200[5])
+    assert synced == ["file", "directory", "file", "file", "file"]
+    # a failed directory fsync cuts the new log back, as any failed write does
+    monkeypatch.setattr(os, "fsync", _fail_on_call(recording, 2))
+    fresh = NanopubStore(tmp_path / "fresh")
+    with pytest.raises(OSError, match="No space left"):
+        fresh.put_all(corpus200[:2])
+    assert len(fresh) == 0 and (tmp_path / "fresh" / "journal.log").read_bytes() == b""
 
 
 def _full_sort(nanopubs, from_seq=1, limit=None):
